@@ -107,6 +107,12 @@ _SCHEMA: dict[str, Callable[[str], object]] = {
 }
 
 _COUPLING_KEYS = ("gamma", "lambda1", "lambda2")
+_FLOAT_KEYS = tuple(key for key, parse in _SCHEMA.items() if parse is float)
+
+# Amplitude-table entries (time points x photon levels) evaluated per pass
+# of a reduced-mode series.  It bounds the working set of one chunk of the
+# time axis; the chunk length follows from the truncation.
+CHUNK_BUDGET = 2048
 
 
 @dataclass(frozen=True)
@@ -134,6 +140,10 @@ class RunConfig:
     output_path: str = ""
 
     def __post_init__(self) -> None:
+        for key in _FLOAT_KEYS:
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be a finite number, got {value}")
         has_gamma = self.gamma is not None
         has_pair = self.lambda1 is not None or self.lambda2 is not None
         if has_gamma and has_pair:
@@ -300,27 +310,35 @@ def _emit(cfg: RunConfig, text: str) -> None:
 
 
 def timeseries_rows(cfg: RunConfig) -> list[tuple[float, ...]]:
-    """Rows of the reduced-mode table, one 9-tuple per configured time."""
+    """Rows of the reduced-mode table, one 9-tuple per configured time.
+
+    The times are taken in chunks of CHUNK_BUDGET // (truncation + 1); each
+    chunk is one reduced-density stack and one negativity call.  Every
+    row depends on its own time only, so the chunk length never changes
+    the output.
+    """
     field = cfg.field()
     couplings = cfg.couplings()
     mixture = cfg.mixture()
-    rows = []
-    for t in cfg.times():
-        rho = reduced_density(field, mixture, couplings, float(t))
+    times = cfg.times()
+    chunk = max(1, CHUNK_BUDGET // (field.truncation + 1))
+    rows: list[tuple[float, ...]] = []
+    for start in range(0, len(times), chunk):
+        t = times[start : start + chunk]
+        rho = reduced_density(field, mixture, couplings, t)
         result = negativity(rho)
-        rows.append(
-            (
-                float(t),
-                result.xi,
-                result.upsilon,
-                rho.B_ee,
-                rho.B_egeg,
-                rho.B_gege,
-                rho.B_gg,
-                rho.B_coh.real,
-                rho.B_coh.imag,
-            )
+        columns = (
+            t,
+            result.xi,
+            result.upsilon,
+            rho.B_ee,
+            rho.B_egeg,
+            rho.B_gege,
+            rho.B_gg,
+            rho.B_coh.real,
+            rho.B_coh.imag,
         )
+        rows.extend(zip(*(column.tolist() for column in columns)))
     return rows
 
 

@@ -5,7 +5,7 @@ Hamiltonian splits into finite blocks.  Labelling blocks by ``n`` (the block
 reached from the doubly excited atoms with ``n`` photons), each one carries
 two Rabi frequencies Omega_plus and Omega_minus obtained from
 
-    Lambda_n = sqrt((l1^2 + l2^2)^2 (2n+3)^2 - 4 (l1^2 - l2^2)^2 (n+2)(n+1))
+    Lambda_n = sqrt((l1^2 + l2^2)^2 + 16 l1^2 l2^2 (n+1)(n+2))
     Omega_{pm}^2 = ((l1^2 + l2^2)(2n+3) pm Lambda_n) / 2
 
 and the evolution of any basis state is a short combination of
@@ -13,20 +13,26 @@ cos(Omega t) and sin(Omega t)/Omega terms.  This module evaluates those
 combinations directly, with no matrix diagonalization; the numerically
 diagonalized reference lives in :mod:`thermalqubits.oracle`.
 
-Two corners need care and get exact treatment rather than generic formulas:
+Lambda_n is the usual discriminant
+sqrt((l1^2 + l2^2)^2 (2n+3)^2 - 4 (l1^2 - l2^2)^2 (n+1)(n+2)) rewritten as a
+sum, so it loses no digits to cancellation at large n or near decoupling.
+The small partners follow without subtraction too:
+mu_minus = (l1^2 + l2^2) - Lambda_n = -16 l1^2 l2^2 (n+1)(n+2) / (l1^2 + l2^2 +
+Lambda_n) and, by Vieta, Omega_minus^2 = (l1^2 - l2^2)^2 (n+1)(n+2) / Omega_plus^2.
+At indices -1 and -2 these give Lambda = l1^2 + l2^2 and mu_minus = 0
+exactly, with no special case.
 
-* at indices -1 and -2 the discriminant collapses, Lambda = (l1^2+l2^2)|2n+3|
-  exactly, and mu_minus = 0 must not pick up a rounding residue because it
-  multiplies terms that would otherwise grow like cosh;
-* index -2 is the empty block (both atoms and the field in the ground state),
-  where Omega_minus^2 = -(l1^2+l2^2) is negative and every term carrying it
-  is dropped: nothing evolves there.
+Index -2 is the empty block (both atoms and the field in the ground state),
+where Omega_plus = 0 and Omega_minus^2 = -(l1^2+l2^2) is negative; every
+term carrying Omega_minus there is dropped: nothing evolves.
+
+Amplitude tables broadcast over a 1-D array of times, so a whole time
+series is one array expression per start label.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -113,58 +119,53 @@ class ManifoldSpectrum:
     Omega_minus: complex
 
 
+def _spectrum(m: np.ndarray, couplings: CouplingPair):
+    """(Lambda, mu_plus, mu_minus, Omega_plus^2, Omega_minus^2) of blocks ``m``."""
+    l1, l2 = couplings.lambda1, couplings.lambda2
+    s2 = l1 * l1 + l2 * l2
+    d2 = l1 * l1 - l2 * l2
+    two_m3 = 2 * m + 3
+    pairs = (m + 1) * (m + 2)
+    cross = 16.0 * (l1 * l1) * (l2 * l2) * pairs
+    gap = np.sqrt(s2 * s2 + cross)
+    mu_plus = s2 + gap
+    mu_minus = -cross / mu_plus
+    omega_plus_sq = (s2 * two_m3 + gap) / 2.0
+    # the empty block has Omega_plus = 0; its Omega_minus^2 is the sum rule's -s2
+    empty = m == -2
+    omega_minus_sq = np.where(
+        empty, -s2, d2 * d2 * pairs / np.where(empty, 1.0, omega_plus_sq)
+    )
+    return gap, mu_plus, mu_minus, omega_plus_sq, omega_minus_sq
+
+
 def manifold_spectrum(n: int, couplings: CouplingPair) -> ManifoldSpectrum:
     """Rabi frequencies of block ``n``; the lowest block is n = -2."""
     if n < -2:
         raise ValueError(f"block index must be at least -2, got {n}")
-    l1, l2 = couplings.lambda1, couplings.lambda2
-    s2 = l1 * l1 + l2 * l2
-    d2 = l1 * l1 - l2 * l2
-    if (n + 1) * (n + 2) == 0:
-        # Collapsed discriminant: take it exactly so mu_minus comes out 0.0.
-        big_lambda = s2 * abs(2 * n + 3)
-    else:
-        big_lambda = math.sqrt(
-            (s2 * (2 * n + 3)) ** 2 - 4.0 * d2 * d2 * (n + 2) * (n + 1)
-        )
-    omega_plus_sq = (s2 * (2 * n + 3) + big_lambda) / 2.0
-    omega_minus_sq = (s2 * (2 * n + 3) - big_lambda) / 2.0
-    if n >= -1:
-        # sqrt may land one ulp high when the couplings coincide; the true
-        # value is never negative outside the empty block.
-        omega_minus_sq = max(omega_minus_sq, 0.0)
+    gap, mu_p, mu_m, op2, om2 = (
+        float(arr[0]) for arr in _spectrum(np.array([n]), couplings)
+    )
     return ManifoldSpectrum(
         manifold_index=n,
-        Lambda=big_lambda,
-        mu_plus=s2 + big_lambda,
-        mu_minus=s2 - big_lambda,
-        Omega_plus=cmath.sqrt(omega_plus_sq),
-        Omega_minus=cmath.sqrt(omega_minus_sq),
+        Lambda=gap,
+        mu_plus=mu_p,
+        mu_minus=mu_m,
+        Omega_plus=cmath.sqrt(op2),
+        Omega_minus=cmath.sqrt(om2),
     )
 
 
 @lru_cache(maxsize=64)
 def _spectrum_arrays(couplings: CouplingPair, m_max: int):
     """Block spectra for m = -2 .. m_max as read-only arrays indexed by m + 2."""
-    m = np.arange(-2, m_max + 1)
-    l1, l2 = couplings.lambda1, couplings.lambda2
-    s2 = l1 * l1 + l2 * l2
-    d2 = l1 * l1 - l2 * l2
-    two_m3 = 2 * m + 3
-    gap = np.sqrt((s2 * two_m3) ** 2 - 4.0 * d2 * d2 * (m + 2) * (m + 1))
-    gap = np.where((m == -1) | (m == -2), s2 * np.abs(two_m3), gap)
-    mu_plus = s2 + gap
-    mu_minus = s2 - gap
-    omega_plus_sq = (s2 * two_m3 + gap) / 2.0
-    omega_minus_sq = (s2 * two_m3 - gap) / 2.0
-    omega_minus_sq = np.where(m >= -1, np.maximum(omega_minus_sq, 0.0), omega_minus_sq)
-    out = (gap, mu_plus, mu_minus, omega_plus_sq, omega_minus_sq)
+    out = _spectrum(np.arange(-2, m_max + 1), couplings)
     for arr in out:
         arr.setflags(write=False)
     return out
 
 
-def _sin_ratio(t: float, omega_sq: np.ndarray) -> np.ndarray:
+def _sin_ratio(t: np.ndarray, omega_sq: np.ndarray) -> np.ndarray:
     """sin(t sqrt(omega_sq)) / sqrt(omega_sq), continuous through omega = 0."""
     omega = np.sqrt(omega_sq)
     x = t * omega
@@ -175,14 +176,16 @@ def _sin_ratio(t: float, omega_sq: np.ndarray) -> np.ndarray:
 
 
 def amplitude_table(
-    label: str, n_max: int, t: float, couplings: CouplingPair
+    label: str, n_max: int, t: float | np.ndarray, couplings: CouplingPair
 ) -> np.ndarray:
     """Arrival amplitudes from |label, n> for every n = 0 .. n_max at once.
 
-    Returns a complex array of shape (4, n_max + 1); row q holds the
-    amplitude on arrival state ATOM_LABELS[q], whose photon number is
-    n + _ARRIVAL_SHIFTS[label][q].  Columns are unit vectors (unitarity)
-    and column n equals ``amplitudes(label, n, t, couplings)``.
+    For a scalar ``t`` returns a complex array of shape (4, n_max + 1); row
+    q holds the amplitude on arrival state ATOM_LABELS[q], whose photon
+    number is n + _ARRIVAL_SHIFTS[label][q].  Columns are unit vectors
+    (unitarity) and column n equals ``amplitudes(label, n, t, couplings)``.
+    For a 1-D array of T times the result has shape (4, T, n_max + 1), and
+    entry [:, k] is the table at ``t[k]``.
 
     Only "ee", "eg" and "gg" starts are provided.  "ge" follows from "eg"
     by swapping the two couplings and the middle rows, and accepting it
@@ -196,6 +199,11 @@ def amplitude_table(
         raise ValueError(f"unknown atomic start {label!r}")
     if n_max < 0:
         raise ValueError(f"photon cutoff must be nonnegative, got {n_max}")
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ValueError(f"times must be a scalar or a 1-D array, got shape {t.shape}")
+    if t.ndim == 1:
+        t = t[:, None]
 
     shift = _BLOCK_SHIFT[label]
     n = np.arange(n_max + 1)

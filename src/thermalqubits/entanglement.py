@@ -30,45 +30,60 @@ __all__ = [
 _NEGATIVE_EIGENVALUE_FLOOR = -1e-12
 
 
-def _as_matrix(rho: TwoQubitDensity | np.ndarray) -> np.ndarray:
+def _as_stack(rho: TwoQubitDensity | np.ndarray) -> tuple[np.ndarray, bool]:
+    """The density as a (T, 4, 4) stack, and whether it was one 4x4 matrix."""
     m = rho.matrix if isinstance(rho, TwoQubitDensity) else np.asarray(rho, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"need a 4x4 density matrix, got shape {m.shape}")
-    if np.abs(m - m.conj().T).max() > 1e-8:
+    if m.shape[-2:] != (4, 4) or m.ndim not in (2, 3):
+        raise ValueError(f"need a 4x4 density matrix or a stack of them, got shape {m.shape}")
+    stack = m.reshape(-1, 4, 4)
+    if np.abs(stack - stack.conj().swapaxes(-1, -2)).max() > 1e-8:
         raise ValueError("density matrix is not Hermitian")
-    return m
+    return stack, m.ndim == 2
 
 
 @dataclass(frozen=True, eq=False)
 class NegativityResult:
     """Negativity plus its ingredients and the sign witness.
 
-    ``negative_eigenvalues`` lists the partial-transpose eigenvalues that
-    survive below zero after flooring rounding residue, ascending, so
-    ``xi == -2 * sum(negative_eigenvalues)``.  ``upsilon`` is
+    For one density, ``negative_eigenvalues`` lists the partial-transpose
+    eigenvalues that survive below zero after flooring rounding residue,
+    ascending, so ``xi == -2 * sum(negative_eigenvalues)``.  ``upsilon`` is
     B_ee * B_gg - |B_coh|^2, which for X states goes negative exactly when
     xi goes positive.
+
+    For a stack of T densities ``xi`` and ``upsilon`` are arrays of length
+    T and ``negative_eigenvalues`` is a (T, 4) array of the floored
+    eigenvalues, ascending, with the nonnegative ones set to zero, so
+    ``xi == -2 * negative_eigenvalues.sum(axis=-1)``.
     """
 
-    xi: float
-    negative_eigenvalues: tuple[float, ...]
-    upsilon: float
+    xi: float | np.ndarray
+    negative_eigenvalues: tuple[float, ...] | np.ndarray
+    upsilon: float | np.ndarray
 
 
 def negativity(rho: TwoQubitDensity | np.ndarray) -> NegativityResult:
     """Twice the absolute sum of negative partial-transpose eigenvalues.
 
-    Accepts any Hermitian 4x4 density (ordering ee, eg, ge, gg); the
-    transpose is taken over the second qubit.
+    Accepts any Hermitian 4x4 density (ordering ee, eg, ge, gg), or a
+    (T, 4, 4) stack of them, such as the time series that
+    :func:`thermalqubits.reduction.reduced_density` returns for an array of
+    times; the transpose is taken over the second qubit.
     """
-    m = _as_matrix(rho)
-    pt = m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    m, single = _as_stack(rho)
+    pt = m.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
     eigs = np.linalg.eigvalsh(pt)
     eigs = np.where((eigs > _NEGATIVE_EIGENVALUE_FLOOR) & (eigs < 0.0), 0.0, eigs)
-    negative = tuple(float(e) for e in eigs if e < 0.0)
+    negative = np.minimum(eigs, 0.0)
     # the leading 0.0 turns the empty case into +0.0 rather than -0.0
-    xi = 0.0 - 2.0 * sum(negative)
-    upsilon = float(m[0, 0].real * m[3, 3].real) - abs(complex(m[1, 2])) ** 2
+    xi = 0.0 - 2.0 * negative.sum(axis=-1)
+    upsilon = upsilon_witness(TwoQubitDensity(m))
+    if single:
+        return NegativityResult(
+            xi=float(xi[0]),
+            negative_eigenvalues=tuple(float(e) for e in eigs[0] if e < 0.0),
+            upsilon=float(upsilon[0]),
+        )
     return NegativityResult(xi=xi, negative_eigenvalues=negative, upsilon=upsilon)
 
 
@@ -93,11 +108,13 @@ def closed_form_negativity(rho: TwoQubitDensity) -> float:
     return -2.0 * gamma
 
 
-def upsilon_witness(rho: TwoQubitDensity) -> float:
+def upsilon_witness(rho: TwoQubitDensity) -> float | np.ndarray:
     """Sign witness for X-state entanglement: B_ee * B_gg - |B_coh|^2.
 
     Negative exactly when :func:`closed_form_gamma` is negative, i.e. when
     the central coherence outweighs the corner populations; it carries the
-    sign of the entanglement decision without its magnitude.
+    sign of the entanglement decision without its magnitude.  A stack of
+    densities gives one value per density.  :func:`negativity` reports
+    this same expression as its ``upsilon``.
     """
     return rho.B_ee * rho.B_gg - abs(rho.B_coh) ** 2

@@ -40,20 +40,26 @@ def mean_photons_from_temperature(energy_ratio: float) -> float:
     return 1.0 / math.expm1(energy_ratio)
 
 
-def photon_probability(n: int, nbar: float) -> float:
-    """Probability of exactly ``n`` photons in a thermal field of mean ``nbar``.
+def _geometric_distribution(n: np.ndarray, nbar: float) -> np.ndarray:
+    """p(n) = nbar**n / (1 + nbar)**(n + 1) elementwise, in log space for nbar > 0.
 
-    Evaluated in log space for nbar > 0 so large ``n`` underflows gracefully
-    to 0.0 instead of overflowing the intermediate power.
+    Log space lets large ``n`` underflow gracefully to 0.0 instead of
+    overflowing the intermediate power.
     """
+    if nbar == 0.0:
+        return np.where(n == 0, 1.0, 0.0)
+    return np.exp(n * math.log(nbar) - (n + 1) * math.log1p(nbar))
+
+
+def photon_probability(n: int, nbar: float) -> float:
+    """Probability of exactly ``n`` photons in a thermal field of mean ``nbar``."""
     if n < 0 or n != int(n):
         raise ValueError(f"photon number must be a nonnegative integer, got {n}")
     if nbar < 0.0:
         raise ValueError(f"mean photon number must be nonnegative, got {nbar}")
-    if nbar == 0.0:
-        return 1.0 if n == 0 else 0.0
-    log_p = n * math.log(nbar) - (n + 1) * math.log1p(nbar)
-    return math.exp(log_p)
+    # a one-element array takes the same numpy loop as probabilities(), so
+    # both give bit-identical values
+    return float(_geometric_distribution(np.array([n], dtype=float), nbar)[0])
 
 
 def truncation_for_tolerance(nbar: float, eps: float) -> int:
@@ -100,10 +106,19 @@ class ThermalFieldSpec:
         )
 
     def probabilities(self) -> np.ndarray:
-        """Number distribution p(0..truncation)."""
-        return np.array(
-            [photon_probability(n, self.mean_photons) for n in range(self.truncation + 1)]
-        )
+        """Number distribution p(0..truncation), read-only.
+
+        Computed on the first call and kept, so every time chunk of a run
+        shares one evaluation.
+        """
+        probs = self.__dict__.get("_probabilities")
+        if probs is None:
+            probs = _geometric_distribution(
+                np.arange(self.truncation + 1), self.mean_photons
+            )
+            probs.setflags(write=False)
+            object.__setattr__(self, "_probabilities", probs)
+        return probs
 
     def retained_mass(self) -> float:
         """Probability kept by the truncation, 1 minus the geometric tail."""

@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from thermalqubits import cli, negativity, reduced_density
 from thermalqubits.cli import (
     CSV_HEADER,
     ConfigError,
@@ -130,6 +132,70 @@ def test_rows_carry_the_negativity_and_all_components():
     mass = cfg.field().retained_mass()
     for row in rows:
         assert math.fsum(row[3:7]) == pytest.approx(mass, abs=1e-12)
+
+
+def _per_time_rows(cfg):
+    field, mixture, couplings = cfg.field(), cfg.mixture(), cfg.couplings()
+    rows = []
+    for t in cfg.times():
+        rho = reduced_density(field, mixture, couplings, float(t))
+        res = negativity(rho)
+        rows.append(
+            (float(t), res.xi, res.upsilon, rho.B_ee, rho.B_egeg, rho.B_gege,
+             rho.B_gg, rho.B_coh.real, rho.B_coh.imag)
+        )
+    return np.array(rows)
+
+
+def test_chunked_series_matches_per_time_scalar_calls():
+    cfg = RunConfig(nbar=1.0, gamma=0.4, theta=0.6, vartheta=0.3, t_max=30.0, steps=301)
+    chunk = cli.CHUNK_BUDGET // (cfg.field().truncation + 1)
+    assert cfg.steps > 3 * chunk
+    rows = np.array(timeseries_rows(cfg))
+    assert rows.shape == (301, 9)
+    assert np.abs(rows - _per_time_rows(cfg)).max() <= 1e-15
+
+
+def test_rows_do_not_depend_on_the_chunk_length(monkeypatch):
+    cfg = RunConfig(nbar=0.7, gamma=0.8, theta=1.0, vartheta=0.5, t_max=12.0, steps=97)
+    reference = timeseries_rows(cfg)
+    for budget in (1, 7 * (cfg.field().truncation + 1) - 1, 10**9):
+        monkeypatch.setattr(cli, "CHUNK_BUDGET", budget)
+        assert timeseries_rows(cfg) == reference
+
+
+def test_zero_time_row_keeps_its_exact_zeros(monkeypatch):
+    # t = 0 shares its chunk with later times, which have nonzero coherence
+    monkeypatch.setattr(cli, "CHUNK_BUDGET", 10**9)
+    rows = timeseries_rows(small_config(theta=0.9, vartheta=0.4))
+    t, _, _, _, _, b_gege, _, re_coh, im_coh = rows[0]
+    assert t == 0.0
+    assert b_gege == 0.0
+    assert re_coh == 0.0 and im_coh == 0.0
+    assert any(row[7] != 0.0 for row in rows[1:])
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--nbar", "inf"),
+        ("--tail-tolerance", "nan"),
+        ("--gamma", "nan"),
+        ("--lambda1", "nan"),
+        ("--lambda2", "nan"),
+        ("--theta", "nan"),
+        ("--vartheta", "-inf"),
+        ("--t-min", "nan"),
+        ("--t-max", "nan"),
+    ],
+)
+def test_non_finite_values_are_config_errors(flag, value, capsys):
+    argv = ["run", f"{flag}={value}", "--steps", "3"]
+    if flag in ("--lambda1", "--lambda2"):
+        argv += ["--lambda2" if flag == "--lambda1" else "--lambda1", "0.5"]
+    assert main(argv) == 2
+    key = flag[2:].replace("-", "_")
+    assert f"config error: {key} must be a finite number" in capsys.readouterr().err
 
 
 def test_rendered_values_round_trip_at_full_precision():

@@ -147,6 +147,45 @@ def test_columns_stay_unit_vectors():
                 np.testing.assert_allclose(norms, 1.0, rtol=0.0, atol=1e-11)
 
 
+@pytest.mark.parametrize("gamma", [1.0 - 1e-4, 1.0 - 1e-6])
+def test_columns_stay_unit_vectors_at_high_photon_numbers_near_decoupling(gamma):
+    # nbar 100 keeps N = 2314; the old difference-of-squares discriminant
+    # lost about 1e-8 of column norm here
+    pair = CouplingPair.from_gamma(gamma)
+    n_max = ThermalFieldSpec(100.0).truncation
+    times = np.array([0.3, 7.0, 1e2, 1e3, 1e4, 1e5])
+    for label in ("ee", "eg", "gg"):
+        norms = np.sum(np.abs(amplitude_table(label, n_max, times, pair)) ** 2, axis=0)
+        assert np.abs(norms - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("gamma", [1e-5, 1e-9])
+def test_spectrum_matches_block_diagonalization_near_symmetry(gamma):
+    from thermalqubits.oracle import build_block, jacobi_eigh
+
+    pair = CouplingPair.from_gamma(gamma)
+    worst = 0.0
+    for n in range(ThermalFieldSpec(5.0).truncation + 1):
+        w, _ = jacobi_eigh(build_block(n + 2, pair).hamiltonian)
+        s = manifold_spectrum(n, pair)
+        closed = np.sort(
+            [-s.Omega_plus.real, -s.Omega_minus.real, s.Omega_minus.real, s.Omega_plus.real]
+        )
+        worst = max(worst, float(np.abs(w - closed).max()))
+    assert worst <= 1e-11
+
+
+def test_time_array_stacks_the_scalar_tables():
+    times = np.array([0.0, 0.7, 3.1, 250.0])
+    for label in ("ee", "eg", "gg"):
+        stacked = amplitude_table(label, 12, times, ASYM)
+        assert stacked.shape == (4, len(times), 13)
+        for k, t in enumerate(times):
+            assert np.array_equal(stacked[:, k], amplitude_table(label, 12, float(t), ASYM))
+    with pytest.raises(ValueError, match="1-D"):
+        amplitude_table("ee", 3, np.zeros((2, 2)), ASYM)
+
+
 def test_table_column_equals_single_amplitude_call():
     table = amplitude_table("ee", 6, 2.4, ASYM)
     a = amplitudes("ee", 4, 2.4, ASYM)

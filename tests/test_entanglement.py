@@ -51,6 +51,25 @@ def test_result_is_consistent_with_its_own_eigenvalues():
     assert res.upsilon == pytest.approx(upsilon_witness(rho), abs=1e-15)
 
 
+def test_stack_gives_the_single_matrix_results():
+    rng = np.random.default_rng(41)
+    singles = [random_x_state(rng) for _ in range(30)]
+    singles.append(TwoQubitDensity(bell_density()))
+    singles.append(TwoQubitDensity.from_components(0.0, 0.5, 0.5, 0.0, 2.5e-13))
+    stack = TwoQubitDensity(np.stack([rho.matrix for rho in singles]))
+    res = negativity(stack)
+    assert res.xi.shape == res.upsilon.shape == (len(singles),)
+    assert res.negative_eigenvalues.shape == (len(singles), 4)
+    assert np.array_equal(res.xi, 0.0 - 2.0 * res.negative_eigenvalues.sum(axis=-1))
+    assert np.array_equal(res.upsilon, upsilon_witness(stack))
+    for k, rho in enumerate(singles):
+        one = negativity(rho)
+        assert one.xi == res.xi[k]
+        assert one.upsilon == res.upsilon[k]
+        assert one.negative_eigenvalues == tuple(e for e in res.negative_eigenvalues[k] if e < 0.0)
+    assert np.array_equal(negativity(stack.matrix).xi, res.xi)
+
+
 def test_rounding_residue_is_floored_to_zero():
     rho = TwoQubitDensity.from_components(0.0, 0.5, 0.5, 0.0, 2.5e-13)
     assert negativity(rho).xi == 0.0

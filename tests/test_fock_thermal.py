@@ -48,6 +48,7 @@ def test_probability_vacuum_limit():
 
 def test_probability_underflows_to_zero_for_huge_n():
     assert photon_probability(100000, 1.0) == 0.0
+    assert photon_probability(10**20, 1.0) == 0.0
 
 
 def test_probability_successive_ratio_is_constant():
@@ -56,6 +57,14 @@ def test_probability_successive_ratio_is_constant():
     for n in range(1, 9):
         ratio = photon_probability(n + 1, nbar) / photon_probability(n, nbar)
         assert ratio == pytest.approx(r, rel=1e-13)
+
+
+def test_distribution_is_computed_once_and_shares_the_scalar_formula():
+    spec = ThermalFieldSpec(3.7)
+    probs = spec.probabilities()
+    assert spec.probabilities() is probs
+    assert not probs.flags.writeable
+    assert probs.tolist() == [photon_probability(n, 3.7) for n in range(spec.truncation + 1)]
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5])

@@ -122,3 +122,29 @@ def test_closed_form_matches_the_diagonalized_reference():
         a = reduced_density(spec, mix, pair, t).matrix
         b = oracle_reduced_density(spec, mix, pair, t).matrix
         assert np.abs(a - b).max() < 1e-12
+
+
+def test_time_array_gives_the_stack_of_single_time_densities():
+    spec = ThermalFieldSpec(1.0, 1e-8)
+    mix = AtomicMixtureSpec(0.8, 0.3)
+    pair = CouplingPair.from_gamma(0.6)
+    times = np.array([0.0, 0.5, 4.0, 17.5])
+    stack = reduced_density(spec, mix, pair, times)
+    assert stack.matrix.shape == (4, 4, 4)
+    assert stack.B_gege[0] == 0.0 and stack.B_coh[0] == 0.0
+    np.testing.assert_allclose(stack.trace, spec.retained_mass(), rtol=0.0, atol=1e-12)
+    for k, t in enumerate(times):
+        single = reduced_density(spec, mix, pair, float(t))
+        assert np.abs(stack.matrix[k] - single.matrix).max() <= 1e-15
+        assert single.B_ee == pytest.approx(stack.B_ee[k], abs=1e-15)
+
+
+def test_array_sums_match_the_diagonalized_reference_at_nbar_100():
+    from thermalqubits.oracle import oracle_reduced_density
+
+    spec = ThermalFieldSpec(100.0)
+    mix = AtomicMixtureSpec(0.7, 0.4)
+    pair = CouplingPair.from_gamma(0.3)
+    closed = reduced_density(spec, mix, pair, np.array([1e3]))
+    numeric = oracle_reduced_density(spec, mix, pair, 1e3)
+    assert np.abs(closed.matrix[0] - numeric.matrix).max() <= 1e-10
