@@ -7,19 +7,17 @@ average (:mod:`thermalqubits.phase_engine`), trace out the field
 (:mod:`thermalqubits.reduction`), and score the leftover atomic
 entanglement (:mod:`thermalqubits.entanglement`).  Every step has a
 numerically diagonalized counterpart in :mod:`thermalqubits.oracle`, kept
-formula-free so the two sides can check each other.
+formula-free so the two sides can check each other;
+:mod:`thermalqubits.checks` measures how far the routes disagree.
 """
 
 from .closed_form import (
     ATOM_LABELS,
-    AmplitudeSet,
     CouplingPair,
     ManifoldSpectrum,
     amplitude_table,
-    amplitudes,
     manifold_spectrum,
     phase_propagator,
-    propagate_phase_state,
 )
 from .entanglement import (
     NegativityResult,
@@ -51,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ATOM_LABELS",
-    "AmplitudeSet",
     "AtomicMixtureSpec",
     "CouplingPair",
     "FieldReconstruction",
@@ -63,7 +60,6 @@ __all__ = [
     "ThermalFieldSpec",
     "TwoQubitDensity",
     "amplitude_table",
-    "amplitudes",
     "closed_form_gamma",
     "closed_form_negativity",
     "evolve_mixed",
@@ -74,7 +70,6 @@ __all__ = [
     "partial_trace_field",
     "phase_propagator",
     "photon_probability",
-    "propagate_phase_state",
     "quadrature_nodes",
     "reconstruct_field_density",
     "reduced_density",

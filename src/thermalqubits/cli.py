@@ -8,8 +8,8 @@ Three subcommands share one flat "key = value" configuration format:
     dumps the full joint density at the final time as JSON, and
     mode = validate cross-checks the independent computation routes.
 ``sweep``
-    Run several reduced-mode configurations concurrently and write a JSON
-    summary; one failing job does not stop the others.
+    Run several reduced-mode configurations one after another and write a
+    JSON summary; one failing job does not stop the others.
 ``validate``
     Shorthand for ``run`` with the mode forced to validate.
 
@@ -25,31 +25,22 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .closed_form import (
-    CouplingPair,
-    amplitude_table,
-    manifold_spectrum,
-    phase_propagator,
-)
-from .entanglement import closed_form_negativity, negativity
+from . import checks
+from .closed_form import CouplingPair, phase_propagator
+from .entanglement import negativity
 from .fock_thermal import ThermalFieldSpec
-from .oracle import build_block, jacobi_eigh, oracle_reduced_density
-from .phase_engine import (
-    evolve_mixed,
-    partial_trace_field,
-    reconstruct_field_density,
-)
+from .phase_engine import evolve_mixed
 from .reduction import AtomicMixtureSpec, TwoQubitDensity, reduced_density
 
 __all__ = [
@@ -66,6 +57,7 @@ __all__ = [
     "run_sweep",
     "run_timeseries",
     "timeseries_rows",
+    "work_bytes",
 ]
 
 CSV_HEADER = "t,xi,upsilon,B_ee,B_egeg,B_gege,B_gg,Re(B_coh),Im(B_coh)"
@@ -90,29 +82,57 @@ def _parse_nodes(text: str) -> int | str:
         ) from exc
 
 
-_SCHEMA: dict[str, Callable[[str], object]] = {
-    "nbar": float,
-    "tail_tolerance": float,
-    "gamma": float,
-    "lambda1": float,
-    "lambda2": float,
-    "theta": float,
-    "vartheta": float,
-    "t_min": float,
-    "t_max": float,
-    "steps": int,
-    "quadrature_nodes": _parse_nodes,
-    "mode": str,
-    "output_path": str,
-}
+MODES = ("reduced", "joint", "validate")
 
 _COUPLING_KEYS = ("gamma", "lambda1", "lambda2")
-_FLOAT_KEYS = tuple(key for key, parse in _SCHEMA.items() if parse is float)
 
 # Amplitude-table entries (time points x photon levels) evaluated per pass
 # of a reduced-mode series.  It bounds the working set of one chunk of the
 # time axis; the chunk length follows from the truncation.
 CHUNK_BUDGET = 2048
+
+# Largest planned working set, in bytes; a run that would need more is
+# refused as a config error before anything is allocated.  Every run in the
+# tests and the benchmark plans under 100 MB (validate at nbar 5, N = 126,
+# plans 42 MB), so 1 GiB leaves them a factor of ten, while nbar 1e6
+# (N ~ 2.3e7, 8.2 GiB of tables) or a joint run at nbar 20 plan more.
+MAX_WORK_BYTES = 2**30
+
+# Peak bytes per planned entry, measured with tracemalloc and rounded up.
+# Reduced mode counts the amplitude-table entries of one chunk (tables and
+# their temporaries), joint and validate the entries of the joint density
+# and the evolved vectors; joint also renders each entry as JSON text.
+_ENTRY_BYTES = {"reduced": 384, "joint": 128, "validate": 64}
+# Peak bytes per time point of a reduced series: its row and its CSV line.
+_ROW_BYTES = 896
+
+
+def work_bytes(truncation: int, steps: int, mode: str, nodes: int | None = None) -> int:
+    """Estimated peak allocation of a run, computed without allocating it.
+
+    A reduced series holds one chunk of amplitude tables and every finished
+    row.  Joint and validate hold the joint density, (4 (N + 3))^2 entries,
+    plus M evolved vectors of length 4 (N + 3) for each of up to three
+    start labels, M being the phase-grid size.
+    """
+    levels = truncation + 1
+    if mode == "reduced":
+        chunk = min(steps, max(1, CHUNK_BUDGET // levels))
+        return _ENTRY_BYTES[mode] * chunk * levels + _ROW_BYTES * steps
+    dim = 4 * (truncation + 3)
+    if nodes is None:
+        nodes = 2 * truncation + 3
+    return _ENTRY_BYTES[mode] * (dim * dim + 3 * nodes * dim)
+
+
+def _key(default: object, parse: Callable[[str], object], help: str, flag: str = ""):
+    """A config key: its default, the parser of its text value and its flag help.
+
+    The flag is ``--`` plus the key with dashes unless ``flag`` names another.
+    """
+    return dataclasses.field(
+        default=default, metadata={"parse": parse, "help": help, "flag": flag}
+    )
 
 
 @dataclass(frozen=True)
@@ -122,22 +142,25 @@ class RunConfig:
     Couplings come either as ``gamma`` (lambda1 = 1 + gamma,
     lambda2 = 1 - gamma) or as an explicit pair, never both; with neither
     given the symmetric default gamma = 0 is filled in.  The unused fields
-    stay None and are omitted when the configuration is echoed.
+    stay None and are omitted when the configuration is echoed.  Each
+    field is one config file key and one command line flag.
     """
 
-    nbar: float = 1.0
-    tail_tolerance: float = 1e-10
-    gamma: float | None = None
-    lambda1: float | None = None
-    lambda2: float | None = None
-    theta: float = math.pi / 2.0
-    vartheta: float = 0.0
-    t_min: float = 0.0
-    t_max: float = 25.0
-    steps: int = 1001
-    quadrature_nodes: int | str = "auto"
-    mode: str = "reduced"
-    output_path: str = ""
+    nbar: float = _key(1.0, float, "mean thermal photon number")
+    tail_tolerance: float = _key(1e-10, float, "discarded photon tail mass")
+    gamma: float | None = _key(None, float, "coupling asymmetry; sets lambda1,2 = 1 +- gamma")
+    lambda1: float | None = _key(None, float, "first qubit coupling")
+    lambda2: float | None = _key(None, float, "second qubit coupling")
+    theta: float = _key(math.pi / 2.0, float, "mixture angle: eg weight is cos(theta)^2")
+    vartheta: float = _key(0.0, float, "mixture angle: ee/gg split")
+    t_min: float = _key(0.0, float, "first time")
+    t_max: float = _key(25.0, float, "last time")
+    steps: int = _key(1001, int, "number of time points")
+    quadrature_nodes: int | str = _key(
+        "auto", _parse_nodes, "phase grid size, or 'auto' for the smallest exact one"
+    )
+    mode: str = _key("reduced", str, "what 'run' produces: " + ", ".join(MODES))
+    output_path: str = _key("", str, "output file (default: stdout)", flag="--output")
 
     def __post_init__(self) -> None:
         for key in _FLOAT_KEYS:
@@ -154,25 +177,27 @@ class RunConfig:
             object.__setattr__(self, "gamma", 0.0)
         try:
             self.couplings()
-            self.field()
+            truncation = self.field().truncation
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.steps < 1:
             raise ConfigError(f"steps must be at least 1, got {self.steps}")
         if self.t_max < self.t_min:
             raise ConfigError(f"t_max {self.t_max} is below t_min {self.t_min}")
-        if self.mode not in ("reduced", "joint", "validate"):
-            raise ConfigError(
-                f"mode must be 'reduced', 'joint' or 'validate', got {self.mode!r}"
-            )
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
         nodes = self.quadrature_nodes
-        if isinstance(nodes, str):
-            if nodes != "auto":
-                raise ConfigError(
-                    f"quadrature_nodes must be an integer or 'auto', got {nodes!r}"
-                )
-        elif nodes < 1:
-            raise ConfigError(f"quadrature_nodes must be at least 1, got {nodes}")
+        if nodes != "auto" and not (isinstance(nodes, int) and nodes >= 1):
+            raise ConfigError(
+                f"quadrature_nodes must be a positive integer or 'auto', got {nodes!r}"
+            )
+        need = work_bytes(truncation, self.steps, self.mode, self.node_count())
+        if need > MAX_WORK_BYTES:
+            raise ConfigError(
+                f"the run would allocate about {need / 2**30:.3g} GiB, above the "
+                f"{MAX_WORK_BYTES / 2**30:g} GiB limit; lower nbar, steps or "
+                "quadrature_nodes, or raise tail_tolerance"
+            )
 
     def field(self) -> ThermalFieldSpec:
         return ThermalFieldSpec(self.nbar, self.tail_tolerance)
@@ -201,6 +226,10 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown keys: {sorted(unknown)}")
         return cls(**mapping)
+
+
+_SCHEMA = {key.name: key.metadata["parse"] for key in dataclasses.fields(RunConfig)}
+_FLOAT_KEYS = tuple(key for key, parse in _SCHEMA.items() if parse is float)
 
 
 def parse_config_text(text: str) -> dict[str, object]:
@@ -249,15 +278,19 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _config_mapping(cfg: RunConfig) -> dict[str, object]:
+    return {
+        field.name: getattr(cfg, field.name)
+        for field in dataclasses.fields(cfg)
+        if getattr(cfg, field.name) is not None
+    }
+
+
 def _preamble_lines(cfg: RunConfig) -> list[str]:
-    lines = []
-    for field in dataclasses.fields(cfg):
-        value = getattr(cfg, field.name)
-        if value is None:
-            continue
-        if isinstance(value, float):
-            value = _fmt(value)
-        lines.append(f"# {field.name} = {value}")
+    lines = [
+        f"# {key} = {_fmt(value) if isinstance(value, float) else value}"
+        for key, value in _config_mapping(cfg).items()
+    ]
     lines.append("## xi doubles the absolute sum of negative partial-transpose eigenvalues")
     lines.append(
         "## time is dimensionless; the couplings set the frequency scale"
@@ -272,14 +305,8 @@ def config_from_preamble(text: str) -> RunConfig:
     Single-'#' lines hold the keys; '##' note lines are ignored; the first
     uncommented line ends the preamble.
     """
-    config_lines = []
-    for raw in text.splitlines():
-        if raw.startswith("##"):
-            continue
-        if raw.startswith("#"):
-            config_lines.append(raw[1:].strip())
-        else:
-            break
+    preamble = itertools.takewhile(lambda raw: raw.startswith("#"), text.splitlines())
+    config_lines = [raw[1:].strip() for raw in preamble if not raw.startswith("##")]
     return RunConfig.from_mapping(parse_config_text("\n".join(config_lines)))
 
 
@@ -361,14 +388,6 @@ def run_timeseries(cfg: RunConfig) -> dict[str, float]:
     return {"max_xi": rows[best][1], "argmax_t": rows[best][0]}
 
 
-def _config_mapping(cfg: RunConfig) -> dict[str, object]:
-    return {
-        field.name: getattr(cfg, field.name)
-        for field in dataclasses.fields(cfg)
-        if getattr(cfg, field.name) is not None
-    }
-
-
 def render_joint(cfg: RunConfig) -> str:
     """JSON dump of the joint atoms+field density at the final time."""
     field = cfg.field()
@@ -409,73 +428,44 @@ def render_validation(cfg: RunConfig) -> str:
     """Worst cross-route discrepancies on the configured system."""
     field = cfg.field()
     couplings = cfg.couplings()
-    mixture = cfg.mixture()
-    pairs = cfg.partner_pairs()
-    solver = phase_propagator(couplings)
     probes = np.linspace(cfg.t_min, cfg.t_max, min(cfg.steps, 7))
-    count = cfg.node_count()
-
-    unitarity = 0.0
-    for label in ("ee", "eg", "gg"):
-        for t in probes:
-            table = amplitude_table(label, field.truncation, float(t), couplings)
-            norms = np.sum(np.abs(table) ** 2, axis=0)
-            unitarity = max(unitarity, float(np.abs(norms - 1.0).max()))
-
-    spectrum = 0.0
-    for n in range(field.truncation + 1):
-        block_w, _ = jacobi_eigh(build_block(n + 2, couplings).hamiltonian)
-        spec = manifold_spectrum(n, couplings)
-        closed = np.sort(
-            [
-                -spec.Omega_plus.real,
-                -spec.Omega_minus.real,
-                spec.Omega_minus.real,
-                spec.Omega_plus.real,
-            ]
-        )
-        spectrum = max(spectrum, float(np.abs(block_w - closed).max()))
-
-    routes = 0.0
-    for t in probes:
-        closed = reduced_density(field, mixture, couplings, float(t)).matrix
-        quad = partial_trace_field(
-            evolve_mixed(solver, field, pairs, float(t), count)
-        ).matrix
-        numeric = oracle_reduced_density(field, mixture, couplings, float(t)).matrix
-        routes = max(
-            routes,
-            float(np.abs(closed - quad).max()),
-            float(np.abs(closed - numeric).max()),
-        )
-
-    target = np.diag(field.probabilities()).astype(complex)
-    full = reconstruct_field_density(field, count)
-    half = reconstruct_field_density(field, count, interval="half")
-    full_err = float(np.abs(full.matrix - target).max())
-    half_err = float(np.abs(half.matrix - target).max())
-
     rng = np.random.default_rng(0)
-    neg = 0.0
-    for _ in range(200):
-        rho = _random_x_state(rng)
-        neg = max(neg, abs(negativity(rho).xi - closed_form_negativity(rho)))
+    full_err, half_err = checks.field_reconstruction_residuals(field, cfg.node_count())
+    lines = {
+        "unitarity defect": checks.column_norm_defect(couplings, field.truncation, probes),
+        "spectrum vs block diagonalization": checks.spectrum_defect(couplings, field.truncation),
+        "reduced density, three routes": checks.route_gap(
+            field, cfg.mixture(), couplings, probes, cfg.node_count()
+        ),
+        "field reconstruction, full period": full_err,
+        "field reconstruction, half period": half_err,
+        "negativity, closed form vs eigenvalues": checks.negativity_route_gap(
+            _random_x_state(rng) for _ in range(200)
+        ),
+    }
+    return "".join(f"{label}: {value:.3e}\n" for label, value in lines.items())
 
-    lines = [
-        f"unitarity defect: {unitarity:.3e}",
-        f"spectrum vs block diagonalization: {spectrum:.3e}",
-        f"reduced density, three routes: {routes:.3e}",
-        f"field reconstruction, full period: {full_err:.3e}",
-        f"field reconstruction, half period: {half_err:.3e}",
-        f"negativity, closed form vs eigenvalues: {neg:.3e}",
-    ]
-    return "\n".join(lines) + "\n"
+
+def _failed_entry(name: str, output: str, exc: Exception) -> dict[str, object]:
+    return {"config": name, "output": output, "status": "failed", "error": str(exc)}
 
 
-def run_sweep(
-    jobs: Sequence[tuple[str, RunConfig]], workers: int = 1
-) -> dict[str, object]:
-    """Run reduced-mode jobs concurrently; a failing job fails alone.
+def _sweep_summary(entries: list[dict[str, object]]) -> dict[str, object]:
+    failed = sum(1 for entry in entries if entry["status"] != "ok")
+    return {"jobs": entries, "failed": failed}
+
+
+def _sweep_job(name: str, cfg: RunConfig) -> dict[str, object]:
+    if cfg.mode != "reduced":
+        raise ConfigError(f"sweep runs reduced jobs only, {name} has mode {cfg.mode!r}")
+    if not cfg.output_path:
+        raise ConfigError(f"sweep job {name} must set output_path")
+    stats = run_timeseries(cfg)
+    return {"config": name, "output": cfg.output_path, "status": "ok", **stats}
+
+
+def run_sweep(jobs: Sequence[tuple[str, RunConfig]]) -> dict[str, object]:
+    """Run reduced-mode jobs one after another; a failing job fails alone.
 
     Returns {"jobs": [...], "failed": count} with one entry per job in
     input order carrying config name, output path, status and, when the
@@ -483,92 +473,40 @@ def run_sweep(
     """
     if not jobs:
         raise ConfigError("sweep needs at least one configuration")
-
-    def one(name: str, cfg: RunConfig) -> dict[str, object]:
-        if cfg.mode != "reduced":
-            raise ConfigError(f"sweep runs reduced jobs only, {name} has mode {cfg.mode!r}")
-        if not cfg.output_path:
-            raise ConfigError(f"sweep job {name} must set output_path")
-        stats = run_timeseries(cfg)
-        return {
-            "config": name,
-            "output": cfg.output_path,
-            "status": "ok",
-            "max_xi": stats["max_xi"],
-            "argmax_t": stats["argmax_t"],
-        }
-
-    entries: list[dict[str, object]] = []
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        futures = [pool.submit(one, name, cfg) for name, cfg in jobs]
-        for (name, cfg), future in zip(jobs, futures):
-            try:
-                entries.append(future.result())
-            except Exception as exc:
-                entries.append(
-                    {
-                        "config": name,
-                        "output": cfg.output_path,
-                        "status": "failed",
-                        "error": str(exc),
-                    }
-                )
-    failed = sum(1 for entry in entries if entry["status"] != "ok")
-    return {"jobs": entries, "failed": failed}
+    entries = []
+    for name, cfg in jobs:
+        try:
+            entries.append(_sweep_job(name, cfg))
+        except Exception as exc:
+            entries.append(_failed_entry(name, cfg.output_path, exc))
+    return _sweep_summary(entries)
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict[str, object]:
-    overrides = {}
-    for key in _SCHEMA:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    return overrides
+    values = ((key, getattr(args, key, None)) for key in _SCHEMA)
+    return {key: value for key, value in values if value is not None}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("config", nargs="?", help="configuration file of 'key = value' lines")
-    parser.add_argument("--nbar", type=float, help="mean thermal photon number")
-    parser.add_argument(
-        "--tail-tolerance",
-        dest="tail_tolerance",
-        type=float,
-        help="discarded photon tail mass",
-    )
-    parser.add_argument("--gamma", type=float, help="coupling asymmetry; sets lambda1,2 = 1 +- gamma")
-    parser.add_argument("--lambda1", type=float, help="first qubit coupling")
-    parser.add_argument("--lambda2", type=float, help="second qubit coupling")
-    parser.add_argument("--theta", type=float, help="mixture angle: eg weight is cos(theta)^2")
-    parser.add_argument("--vartheta", type=float, help="mixture angle: ee/gg split")
-    parser.add_argument("--t-min", dest="t_min", type=float, help="first time")
-    parser.add_argument("--t-max", dest="t_max", type=float, help="last time")
-    parser.add_argument("--steps", type=int, help="number of time points")
-    parser.add_argument(
-        "--quadrature-nodes",
-        dest="quadrature_nodes",
-        type=_parse_nodes,
-        help="phase grid size, or 'auto' for the smallest exact one",
-    )
-    parser.add_argument("--mode", choices=("reduced", "joint", "validate"), help="what 'run' produces")
-    parser.add_argument("--output", dest="output_path", help="output file (default: stdout)")
+    for key in dataclasses.fields(RunConfig):
+        flag = key.metadata["flag"] or "--" + key.name.replace("_", "-")
+        parser.add_argument(
+            flag, dest=key.name, type=key.metadata["parse"], help=key.metadata["help"]
+        )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, _overrides_from_args(args))
+    overrides = _overrides_from_args(args)
+    if args.command == "validate":
+        overrides["mode"] = "validate"
+    cfg = load_config(args.config, overrides)
     if cfg.mode == "joint":
         _emit(cfg, render_joint(cfg))
     elif cfg.mode == "validate":
         _emit(cfg, render_validation(cfg))
     else:
         run_timeseries(cfg)
-    return 0
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    overrides = _overrides_from_args(args)
-    overrides["mode"] = "validate"
-    cfg = load_config(args.config, overrides)
-    _emit(cfg, render_validation(cfg))
     return 0
 
 
@@ -579,23 +517,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             parsed.append((index, path, load_config(path, {})))
         except ConfigError as exc:
-            entries[index] = {
-                "config": path,
-                "output": "",
-                "status": "failed",
-                "error": str(exc),
-            }
+            entries[index] = _failed_entry(path, "", exc)
     if parsed:
-        summary = run_sweep([(path, cfg) for _, path, cfg in parsed], workers=args.workers)
+        summary = run_sweep([(path, cfg) for _, path, cfg in parsed])
         for (index, _, _), entry in zip(parsed, summary["jobs"]):
             entries[index] = entry
-    failed = sum(1 for entry in entries if entry["status"] != "ok")
-    text = json.dumps({"jobs": entries, "failed": failed}, indent=2) + "\n"
+    summary = _sweep_summary(entries)
+    text = json.dumps(summary, indent=2) + "\n"
     if args.summary:
         _atomic_write(args.summary, text)
     else:
         sys.stdout.write(text)
-    return 1 if failed else 0
+    return 1 if summary["failed"] else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -611,9 +544,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_config_flags(run)
     run.set_defaults(func=_cmd_run)
 
-    sweep = commands.add_parser("sweep", help="run several configurations concurrently")
+    sweep = commands.add_parser("sweep", help="run several configurations in order")
     sweep.add_argument("configs", nargs="+", help="configuration files, one job each")
-    sweep.add_argument("--workers", type=int, default=4, help="concurrent jobs")
+    sweep.add_argument(
+        "--workers", type=int, default=4, help="accepted and ignored; jobs run one after another"
+    )
     sweep.add_argument("--summary", help="summary JSON path (default: stdout)")
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -621,7 +556,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "validate", help="cross-check the independent computation routes"
     )
     _add_config_flags(validate)
-    validate.set_defaults(func=_cmd_validate)
+    validate.set_defaults(func=_cmd_run)
 
     return parser
 

@@ -33,24 +33,20 @@ series is one array expression per start label.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
-from .fock_thermal import PhaseState
-
 __all__ = [
     "ATOM_LABELS",
-    "AmplitudeSet",
     "CouplingPair",
     "ManifoldSpectrum",
     "amplitude_table",
-    "amplitudes",
     "manifold_spectrum",
     "phase_propagator",
-    "propagate_phase_state",
 ]
 
 # Row order used for the atomic part of every joint vector and matrix.
@@ -82,6 +78,9 @@ class CouplingPair:
     lambda2: float
 
     def __post_init__(self) -> None:
+        for name, value in (("lambda1", self.lambda1), ("lambda2", self.lambda2)):
+            if not math.isfinite(value):
+                raise ValueError(f"coupling {name} must be finite, got {value}")
         if not self.lambda1 > 0.0:
             raise ValueError(f"coupling of atom 1 must be positive, got {self.lambda1}")
         if self.lambda2 < 0.0:
@@ -183,9 +182,12 @@ def amplitude_table(
     For a scalar ``t`` returns a complex array of shape (4, n_max + 1); row
     q holds the amplitude on arrival state ATOM_LABELS[q], whose photon
     number is n + _ARRIVAL_SHIFTS[label][q].  Columns are unit vectors
-    (unitarity) and column n equals ``amplitudes(label, n, t, couplings)``.
-    For a 1-D array of T times the result has shape (4, T, n_max + 1), and
-    entry [:, k] is the table at ``t[k]``.
+    (unitarity), and column n does not depend on ``n_max``, so
+    ``amplitude_table(label, n, t, couplings)[:, n]`` is the single start
+    |label, n>.  The weights multiplying cos(Omega t) in the diagonal
+    entries are convex, so at t = 0 the start state is recovered exactly,
+    not merely to rounding.  For a 1-D array of T times the result has
+    shape (4, T, n_max + 1), and entry [:, k] is the table at ``t[k]``.
 
     Only "ee", "eg" and "gg" starts are provided.  "ge" follows from "eg"
     by swapping the two couplings and the middle rows, and accepting it
@@ -197,8 +199,8 @@ def amplitude_table(
         )
     if label not in _BLOCK_SHIFT:
         raise ValueError(f"unknown atomic start {label!r}")
-    if n_max < 0:
-        raise ValueError(f"photon cutoff must be nonnegative, got {n_max}")
+    if n_max < 0 or n_max != int(n_max):
+        raise ValueError(f"photon cutoff must be a nonnegative integer, got {n_max}")
     t = np.asarray(t, dtype=float)
     if t.ndim > 1:
         raise ValueError(f"times must be a scalar or a 1-D array, got shape {t.shape}")
@@ -265,46 +267,6 @@ def amplitude_table(
     return np.stack([x1 + 0j, x2 + 0j, x3 + 0j, x4 + 0j])
 
 
-@dataclass(frozen=True)
-class AmplitudeSet:
-    """The four arrival amplitudes from one start |initial_label, n photons>.
-
-    Iterates in arrival order ee, eg, ge, gg; the arrival photon numbers are
-    manifold_index plus the shifts (0,1,1,2), (-1,0,0,1) or (-2,-1,-1,0) for
-    an ee, eg or gg start respectively.
-    """
-
-    initial_label: str
-    manifold_index: int
-    X1: complex
-    X2: complex
-    X3: complex
-    X4: complex
-
-    def __iter__(self) -> Iterator[complex]:
-        return iter((self.X1, self.X2, self.X3, self.X4))
-
-
-def amplitudes(label: str, n: int, t: float, couplings: CouplingPair) -> AmplitudeSet:
-    """Arrival amplitudes from the single start |label, n photons>.
-
-    The weights multiplying cos(Omega t) in the diagonal entries are convex,
-    so at t = 0 the start state is recovered exactly, not merely to rounding.
-    """
-    if n < 0 or n != int(n):
-        raise ValueError(f"photon number must be a nonnegative integer, got {n}")
-    table = amplitude_table(label, int(n), t, couplings)
-    x1, x2, x3, x4 = table[:, int(n)]
-    return AmplitudeSet(
-        initial_label=label,
-        manifold_index=int(n),
-        X1=complex(x1),
-        X2=complex(x2),
-        X3=complex(x3),
-        X4=complex(x4),
-    )
-
-
 def _assemble(
     coefficients: np.ndarray, label: str, t: float, couplings: CouplingPair
 ) -> np.ndarray:
@@ -333,18 +295,11 @@ def _assemble(
     return out.reshape(-1)
 
 
-def propagate_phase_state(
-    z: PhaseState, label: str, t: float, couplings: CouplingPair
-) -> np.ndarray:
-    """Joint atoms+field vector at time t from the start |label> x |z>."""
-    return _assemble(z.coefficients, label, t, couplings)
-
-
 def phase_propagator(couplings: CouplingPair) -> Callable[[np.ndarray, str, float], np.ndarray]:
     """Bind the couplings, yielding a solver the mixture engine can drive.
 
     The returned callable maps (field coefficients, atomic label, t) to the
-    flat joint vector of :func:`propagate_phase_state`.
+    flat joint vector of :func:`_assemble`.
     """
 
     def solver(coefficients: np.ndarray, label: str, t: float) -> np.ndarray:

@@ -69,6 +69,8 @@ def truncation_for_tolerance(nbar: float, eps: float) -> int:
     exact, not an estimate.  nbar = 0 needs no excited states at all, and
     eps = 1 permits dropping everything past the ground state.
     """
+    if not math.isfinite(nbar):
+        raise ValueError(f"mean photon number must be finite, got {nbar}")
     if nbar < 0.0:
         raise ValueError(f"mean photon number must be nonnegative, got {nbar}")
     if not 0.0 < eps <= 1.0:
@@ -123,9 +125,6 @@ class ThermalFieldSpec:
     def retained_mass(self) -> float:
         """Probability kept by the truncation, 1 minus the geometric tail."""
         return math.fsum(self.probabilities())
-
-    def phase_state(self, phi: float) -> "PhaseState":
-        return make_phase_state(self, phi)
 
 
 @dataclass(frozen=True, eq=False)

@@ -140,6 +140,11 @@ def _block_eigh(couplings: CouplingPair, excitation: int):
     return block, w, v
 
 
+def _evolve_start(w: np.ndarray, v: np.ndarray, start: int, t: float) -> np.ndarray:
+    """exp(-i H t) on basis state ``start`` of a block with H = v diag(w) v^T."""
+    return v @ (np.exp(-1j * w * t) * v[start, :])
+
+
 def evolve_block(block: ManifoldBlock, t: float, initial: int) -> np.ndarray:
     """exp(-i H t) applied to basis state ``initial`` of the block.
 
@@ -151,7 +156,7 @@ def evolve_block(block: ManifoldBlock, t: float, initial: int) -> np.ndarray:
             f"initial index {initial} outside block of size {len(block.basis)}"
         )
     w, v = jacobi_eigh(block.hamiltonian)
-    return v @ (np.exp(-1j * w * t) * v[initial, :])
+    return _evolve_start(w, v, initial, t)
 
 
 def _evolve_coefficients(
@@ -173,8 +178,7 @@ def _evolve_coefficients(
         if c_n == 0.0:
             continue
         block, w, v = _block_eigh(couplings, _EXCITATION[label] + n)
-        start = block.basis.index((label, n))
-        evolved = v @ (np.exp(-1j * w * t) * v[start, :])
+        evolved = _evolve_start(w, v, block.basis.index((label, n)), t)
         for (arrival, f), amp in zip(block.basis, evolved):
             out[ATOM_LABELS.index(arrival), f] += c_n * amp
     return out.reshape(-1)
@@ -213,8 +217,7 @@ def oracle_reduced_density(
             if p_n == 0.0:
                 continue
             block, w, v = _block_eigh(couplings, _EXCITATION[label] + n)
-            start = block.basis.index((label, n))
-            evolved = v @ (np.exp(-1j * w * t) * v[start, :])
+            evolved = _evolve_start(w, v, block.basis.index((label, n)), t)
             for i, (lab_i, f_i) in enumerate(block.basis):
                 qi = ATOM_LABELS.index(lab_i)
                 for j, (lab_j, f_j) in enumerate(block.basis):

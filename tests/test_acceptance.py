@@ -20,18 +20,13 @@ from thermalqubits import (
     CouplingPair,
     ThermalFieldSpec,
     TwoQubitDensity,
-    amplitude_table,
-    closed_form_negativity,
-    evolve_mixed,
     manifold_spectrum,
     negativity,
-    partial_trace_field,
-    phase_propagator,
     reconstruct_field_density,
     reduced_density,
 )
+from thermalqubits import checks
 from thermalqubits.cli import RunConfig, run_sweep
-from thermalqubits.oracle import build_block, jacobi_eigh, oracle_reduced_density
 
 MIXTURES = ((math.pi / 2.0, 0.0), (math.pi / 2.0, math.pi / 2.0), (0.0, 0.0))
 
@@ -43,23 +38,10 @@ def test_criterion_1_three_routes_agree_everywhere(criterion):
         spec = ThermalFieldSpec(nbar, 1e-10)
         for gamma in (0.0, 0.1, 0.5, 0.9, 1.0):
             pair = CouplingPair.from_gamma(gamma)
-            solver = phase_propagator(pair)
             for theta, vartheta in MIXTURES:
                 mix = AtomicMixtureSpec(theta, vartheta)
-                pairs = [(w, label) for label, w in mix.weights().items()]
-                for t in np.linspace(0.0, 25.0, 50):
-                    t = float(t)
-                    closed = reduced_density(spec, mix, pair, t).matrix
-                    quad = partial_trace_field(
-                        evolve_mixed(solver, spec, pairs, t)
-                    ).matrix
-                    direct = oracle_reduced_density(spec, mix, pair, t).matrix
-                    worst = max(
-                        worst,
-                        float(np.abs(closed - quad).max()),
-                        float(np.abs(closed - direct).max()),
-                        float(np.abs(quad - direct).max()),
-                    )
+                gap = checks.route_gap(spec, mix, pair, np.linspace(0.0, 25.0, 50))
+                worst = max(worst, gap)
     elapsed = time.monotonic() - started
     ok = worst <= 1e-10 and elapsed < 120.0
     detail = f"largest pairwise entry gap {worst:.3e}, {elapsed:.1f} s"
@@ -73,10 +55,7 @@ def test_criterion_2_amplitude_columns_are_unit_vectors(criterion):
         l1 = float(rng.uniform(0.2, 2.5))
         l2 = float(rng.uniform(0.0, l1))
         pair = CouplingPair(l1, l2)
-        for label in ("ee", "eg", "gg"):
-            for t in (0.5, 2.0, 7.3, 19.0):
-                norms = np.sum(np.abs(amplitude_table(label, 30, t, pair)) ** 2, axis=0)
-                worst = max(worst, float(np.abs(norms - 1.0).max()))
+        worst = max(worst, checks.column_norm_defect(pair, 30, np.array([0.5, 2.0, 7.3, 19.0])))
     ok = worst <= 1e-12
     detail = f"norm defect {worst:.3e} over 12 coupling pairs, n up to 30"
     assert criterion(2, ok, detail), detail
@@ -88,19 +67,7 @@ def test_criterion_3_frequencies_match_the_diagonalized_blocks(criterion):
     for _ in range(20):
         l1 = float(rng.uniform(0.2, 2.5))
         l2 = float(rng.uniform(0.0, l1))
-        pair = CouplingPair(l1, l2)
-        for n in range(31):
-            w, _ = jacobi_eigh(build_block(n + 2, pair).hamiltonian)
-            s = manifold_spectrum(n, pair)
-            closed = np.sort(
-                [
-                    -s.Omega_plus.real,
-                    -s.Omega_minus.real,
-                    s.Omega_minus.real,
-                    s.Omega_plus.real,
-                ]
-            )
-            worst = max(worst, float(np.abs(w - closed).max()))
+        worst = max(worst, checks.spectrum_defect(CouplingPair(l1, l2), 30))
     ok = worst <= 1e-11
     detail = f"eigenvalue gap {worst:.3e} over 20 coupling pairs, n up to 30"
     assert criterion(3, ok, detail), detail
@@ -108,13 +75,9 @@ def test_criterion_3_frequencies_match_the_diagonalized_blocks(criterion):
 
 def test_criterion_4_phase_average_reconstructs_the_field(criterion):
     spec = ThermalFieldSpec(1.0, 1e-10)
-    target = np.diag(spec.probabilities()).astype(complex)
+    full_err, survivor = checks.field_reconstruction_residuals(spec)
     full = reconstruct_field_density(spec)
-    full_err = float(np.abs(full.matrix - target).max())
     half = reconstruct_field_density(spec, interval="half")
-    n = np.arange(spec.truncation + 1)
-    odd = (np.abs(n[:, None] - n[None, :]) % 2) == 1
-    survivor = float(np.abs(half.matrix[odd]).max())
     ok = full_err <= 1e-12 and survivor >= 1e-2 and full.exact and not half.exact
     detail = (
         f"full-period defect {full_err:.3e} on {full.node_count} nodes; "
@@ -186,14 +149,15 @@ def test_criterion_5c_double_ground_vacuum_stays_separable(criterion):
 
 def test_criterion_6_negativity_routes_coincide(criterion):
     rng = np.random.default_rng(66)
-    worst = 0.0
-    for _ in range(1000):
+
+    def random_x_state():
         pop = rng.dirichlet(np.ones(4))
         coh = rng.uniform() * math.sqrt(pop[1] * pop[2]) * np.exp(2j * math.pi * rng.uniform())
-        rho = TwoQubitDensity.from_components(
+        return TwoQubitDensity.from_components(
             float(pop[0]), float(pop[1]), float(pop[2]), float(pop[3]), complex(coh)
         )
-        worst = max(worst, abs(negativity(rho).xi - closed_form_negativity(rho)))
+
+    worst = checks.negativity_route_gap(random_x_state() for _ in range(1000))
     bell = np.zeros((4, 4), dtype=complex)
     bell[1, 1] = bell[2, 2] = bell[1, 2] = bell[2, 1] = 0.5
     bell_xi = negativity(bell).xi
@@ -236,7 +200,7 @@ def test_criterion_8_sweep_shows_the_asymmetry_advantage(criterion, tmp_path):
                 output_path=str(tmp_path / f"{name}.csv"),
             )
             jobs.append((name, cfg))
-    summary = run_sweep(jobs, workers=3)
+    summary = run_sweep(jobs)
     starts_at_zero = True
     stays_in_range = True
     peaks = {}

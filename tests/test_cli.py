@@ -1,12 +1,13 @@
 """Configuration parsing, output plumbing and the command entry point."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from thermalqubits import cli, negativity, reduced_density
+from thermalqubits import ThermalFieldSpec, cli, negativity, reduced_density
 from thermalqubits.cli import (
     CSV_HEADER,
     ConfigError,
@@ -198,6 +199,86 @@ def test_non_finite_values_are_config_errors(flag, value, capsys):
     assert f"config error: {key} must be a finite number" in capsys.readouterr().err
 
 
+# Every config key with its flag, spelled out, and a sample value that is
+# not the default.
+FLAGS = {
+    "nbar": ("--nbar", "0.5"),
+    "tail_tolerance": ("--tail-tolerance", "1e-6"),
+    "gamma": ("--gamma", "0.25"),
+    "lambda1": ("--lambda1", "1.5"),
+    "lambda2": ("--lambda2", "0.5"),
+    "theta": ("--theta", "0.3"),
+    "vartheta": ("--vartheta", "0.2"),
+    "t_min": ("--t-min", "1"),
+    "t_max": ("--t-max", "3"),
+    "steps": ("--steps", "5"),
+    "quadrature_nodes": ("--quadrature-nodes", "9"),
+    "mode": ("--mode", "joint"),
+    "output_path": ("--output", "out.csv"),
+}
+
+
+@pytest.mark.parametrize("key", [field.name for field in dataclasses.fields(RunConfig)])
+def test_file_key_and_flag_parse_to_the_same_config(key, tmp_path):
+    flag, value = FLAGS[key]
+    # an explicit coupling needs its partner
+    partner = {"lambda1": "lambda2", "lambda2": "lambda1"}.get(key)
+    keys = [key] + ([partner] if partner else [])
+    path = tmp_path / "one.cfg"
+    path.write_text("".join(f"{k} = {FLAGS[k][1]}\n" for k in keys))
+    from_file = load_config(str(path), {})
+    argv = ["run"] + [token for k in keys for token in FLAGS[k]]
+    overrides = cli._overrides_from_args(cli._build_parser().parse_args(argv))
+    assert set(overrides) == set(keys)
+    assert load_config(None, overrides) == from_file
+    assert from_file != RunConfig()
+    assert str(getattr(from_file, key)) == str(cli._SCHEMA[key](value))
+
+
+def test_work_estimate_follows_the_planned_arrays():
+    n, dim, nodes = 99, 4 * 102, 2 * 99 + 3
+    joint = dim * dim + 3 * nodes * dim
+    assert cli.work_bytes(n, 10, "joint") == cli._ENTRY_BYTES["joint"] * joint
+    assert cli.work_bytes(n, 10, "validate") == cli._ENTRY_BYTES["validate"] * joint
+    assert cli.work_bytes(n, 10, "joint", 7) == cli._ENTRY_BYTES["joint"] * (
+        dim * dim + 3 * 7 * dim
+    )
+    # 2048 // 100 = 20 times per chunk, but only 10 steps to take
+    assert cli.work_bytes(n, 10, "reduced") == (
+        cli._ENTRY_BYTES["reduced"] * 10 * 100 + cli._ROW_BYTES * 10
+    )
+    assert cli.work_bytes(n, 1000, "reduced") == (
+        cli._ENTRY_BYTES["reduced"] * 20 * 100 + cli._ROW_BYTES * 1000
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--nbar", "1e6"],
+        ["run", "--nbar", "100", "--mode", "joint"],
+        ["validate", "--nbar", "100"],
+        ["run", "--nbar", "0.5", "--steps", "100000000"],
+        ["run", "--nbar", "0.5", "--mode", "joint", "--quadrature-nodes", "10000000"],
+    ],
+)
+def test_oversize_runs_are_refused_before_allocating(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(ThermalFieldSpec, "probabilities", refuse)
+    for name in ("timeseries_rows", "render_joint", "render_validation"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert main(argv) == 2
+    assert "GiB limit" in capsys.readouterr().err
+
+
+def test_nbar_1e6_plans_the_tables_of_its_truncation():
+    n = ThermalFieldSpec(1e6).truncation
+    assert 2.2e7 < n < 2.4e7
+    assert cli.work_bytes(n, 1001, "reduced") > 8 * cli.MAX_WORK_BYTES
+
+
 def test_rendered_values_round_trip_at_full_precision():
     text = render_timeseries(small_config(steps=3))
     rows = data_lines(text)
@@ -303,6 +384,30 @@ def test_sweep_isolates_the_failing_job(tmp_path):
     assert by_name[str(bad)]["status"] == "failed"
     assert "cannot parse nbar" in by_name[str(bad)]["error"]
     assert (tmp_path / "good.csv").exists()
+
+
+def test_sweep_keeps_the_input_order_around_a_failing_job(tmp_path):
+    jobs = [
+        ("first", small_config(steps=3, output_path=str(tmp_path / "a.csv"))),
+        ("middle", small_config(steps=3, mode="joint", output_path=str(tmp_path / "b.csv"))),
+        ("last", small_config(steps=3, output_path=str(tmp_path / "c.csv"))),
+    ]
+    summary = run_sweep(jobs)
+    assert [entry["config"] for entry in summary["jobs"]] == ["first", "middle", "last"]
+    assert [entry["status"] for entry in summary["jobs"]] == ["ok", "failed", "ok"]
+    assert summary["failed"] == 1
+
+    paths = []
+    for name, text in (("a", "nbar = 0.5"), ("b", "nbar = bogus"), ("c", "nbar = 0.25")):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(f"{text}\nsteps = 3\noutput_path = {tmp_path / name}.csv\n")
+        paths.append(str(path))
+    summary_path = tmp_path / "summary.json"
+    assert main(["sweep", *paths, "--workers", "2", "--summary", str(summary_path)]) == 1
+    blob = json.loads(summary_path.read_text())
+    assert [entry["config"] for entry in blob["jobs"]] == paths
+    assert [entry["status"] for entry in blob["jobs"]] == ["ok", "failed", "ok"]
+    assert blob["failed"] == 1
 
 
 def test_sweep_requires_at_least_one_job():

@@ -120,6 +120,12 @@ def test_spec_rejects_bad_tolerance():
         ThermalFieldSpec(1.0, 0.0)
 
 
+@pytest.mark.parametrize("nbar", [math.nan, math.inf])
+def test_spec_rejects_a_non_finite_mean(nbar):
+    with pytest.raises(ValueError, match=f"mean photon number must be finite, got {nbar}"):
+        ThermalFieldSpec(nbar)
+
+
 def test_retained_mass_is_one_minus_the_tail():
     spec = ThermalFieldSpec(1.0, 1e-6)
     assert spec.retained_mass() == pytest.approx(1.0 - 0.5 ** 20, abs=1e-15)
@@ -158,7 +164,7 @@ def test_negative_angles_reduce_into_the_period():
 
 def test_phase_state_cutoff_matches_the_spec():
     spec = ThermalFieldSpec(1.0, 1e-6)
-    assert spec.phase_state(1.0).n_max == spec.truncation == 19
+    assert make_phase_state(spec, 1.0).n_max == spec.truncation == 19
 
 
 def test_vacuum_phase_state_is_trivial():
