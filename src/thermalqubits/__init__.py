@@ -31,6 +31,7 @@ from .fock_thermal import (
     ThermalFieldSpec,
     make_phase_state,
     mean_photons_from_temperature,
+    phase_state_rows,
     photon_probability,
     truncation_for_tolerance,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "negativity",
     "partial_trace_field",
     "phase_propagator",
+    "phase_state_rows",
     "photon_probability",
     "quadrature_nodes",
     "reconstruct_field_density",

@@ -17,7 +17,7 @@ import numpy as np
 from .closed_form import CouplingPair, amplitude_table, manifold_spectrum, phase_propagator
 from .entanglement import closed_form_negativity, negativity
 from .fock_thermal import ThermalFieldSpec
-from .oracle import build_block, jacobi_eigh, oracle_reduced_density
+from .oracle import block_eigh, oracle_reduced_density
 from .phase_engine import evolve_mixed, partial_trace_field, reconstruct_field_density
 from .reduction import AtomicMixtureSpec, TwoQubitDensity, reduced_density
 
@@ -49,10 +49,14 @@ def column_norm_defect(
 def spectrum_defect(couplings: CouplingPair, n_max: int) -> float:
     """Largest gap between the closed-form frequencies +-Omega_plus,
     +-Omega_minus of blocks 0 .. n_max and the Jacobi eigenvalues of the
-    same blocks built entry by entry."""
+    same blocks built entry by entry.
+
+    The eigenvalues come from the oracle's cache, so the blocks diagonalized
+    here are the ones the oracle route evolves with.
+    """
     worst = 0.0
     for n in range(n_max + 1):
-        w, _ = jacobi_eigh(build_block(n + 2, couplings).hamiltonian)
+        _, w, _ = block_eigh(couplings, n + 2)
         s = manifold_spectrum(n, couplings)
         op, om = s.Omega_plus.real, s.Omega_minus.real
         worst = max(worst, float(np.abs(w - np.sort([-op, -om, om, op])).max()))

@@ -270,36 +270,41 @@ def amplitude_table(
 def _assemble(
     coefficients: np.ndarray, label: str, t: float, couplings: CouplingPair
 ) -> np.ndarray:
-    """Joint atoms+field vector from field coefficients C_0..C_N at time t.
+    """Joint atoms+field vectors from field coefficients C_0..C_N at time t.
 
-    The result is flat with layout q * (n_max + 3) + f, q running over
-    ATOM_LABELS and f over Fock levels 0 .. n_max + 2; the extra two levels
-    hold the photons released by an "ee" start at the truncation edge.
+    ``coefficients`` is one row of C_0..C_N or a stack of rows along its
+    leading axes; every row shares one amplitude table.  Each result row is
+    flat with layout q * (n_max + 3) + f, q running over ATOM_LABELS and f
+    over Fock levels 0 .. n_max + 2; the extra two levels hold the photons
+    released by an "ee" start at the truncation edge.
     """
-    n_max = len(coefficients) - 1
+    coefficients = np.asarray(coefficients)
+    stack = coefficients.shape[:-1]
+    n_max = coefficients.shape[-1] - 1
     fock_dim = n_max + 3
     table = amplitude_table(label, n_max, t, couplings)
     shifts = _ARRIVAL_SHIFTS[label]
-    out = np.zeros((4, fock_dim), dtype=complex)
+    out = np.zeros(stack + (4, fock_dim), dtype=complex)
     for q in range(4):
         contrib = coefficients * table[q]
         off = shifts[q]
         if off >= 0:
-            out[q, off : off + n_max + 1] = contrib
+            out[..., q, off : off + n_max + 1] = contrib
         else:
             # entries that would land below Fock 0 carry a sqrt(n) or
             # sqrt(n(n-1)) factor and are exact zeros; drop them (possibly
             # all of them, when the cutoff sits below the shift)
             keep = max(0, n_max + 1 + off)
-            out[q, :keep] = contrib[n_max + 1 - keep :]
-    return out.reshape(-1)
+            out[..., q, :keep] = contrib[..., n_max + 1 - keep :]
+    return out.reshape(stack + (4 * fock_dim,))
 
 
 def phase_propagator(couplings: CouplingPair) -> Callable[[np.ndarray, str, float], np.ndarray]:
     """Bind the couplings, yielding a solver the mixture engine can drive.
 
     The returned callable maps (field coefficients, atomic label, t) to the
-    flat joint vector of :func:`_assemble`.
+    joint vectors of :func:`_assemble`: an (M, N+1) stack of coefficient
+    rows gives an (M, 4 (N+3)) stack, one amplitude table for all of them.
     """
 
     def solver(coefficients: np.ndarray, label: str, t: float) -> np.ndarray:

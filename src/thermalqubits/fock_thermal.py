@@ -7,8 +7,9 @@ number distribution
 
 which is diagonal in the Fock basis.  The same mixture can be written as a
 uniform average of pure "phase states" over one full period of the phase
-angle; :func:`make_phase_state` builds the pure member at a given angle and
-the grid average lives in :mod:`thermalqubits.phase_engine`.
+angle; :func:`phase_state_rows` builds the pure members at an array of
+angles, :func:`make_phase_state` the one at a single angle, and the grid
+average lives in :mod:`thermalqubits.phase_engine`.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "ThermalFieldSpec",
     "make_phase_state",
     "mean_photons_from_temperature",
+    "phase_state_rows",
     "photon_probability",
     "truncation_for_tolerance",
 ]
@@ -144,6 +146,18 @@ class PhaseState:
         return len(self.coefficients) - 1
 
 
+def phase_state_rows(spec: ThermalFieldSpec, phis: np.ndarray) -> np.ndarray:
+    """Phase-state coefficients at each angle, one row per angle.
+
+    Row k holds C_n = sqrt(p(n)) exp(i n phis[k]) for n = 0 .. truncation,
+    so the result has shape (len(phis), truncation + 1).  The angles are
+    used as given, not reduced.
+    """
+    n = np.arange(spec.truncation + 1)
+    phis = np.asarray(phis, dtype=float)
+    return np.sqrt(spec.probabilities()) * np.exp(1j * n * phis[:, None])
+
+
 def make_phase_state(spec: ThermalFieldSpec, phi: float) -> PhaseState:
     """Build the phase state of ``spec`` at angle ``phi``.
 
@@ -154,6 +168,5 @@ def make_phase_state(spec: ThermalFieldSpec, phi: float) -> PhaseState:
     reduced = math.fmod(phi, math.tau)
     if reduced < 0.0:
         reduced += math.tau
-    n = np.arange(spec.truncation + 1)
-    coeffs = np.sqrt(spec.probabilities()) * np.exp(1j * n * reduced)
+    coeffs = phase_state_rows(spec, np.array([reduced]))[0]
     return PhaseState(phi=reduced, coefficients=coeffs)

@@ -28,6 +28,7 @@ from .reduction import AtomicMixtureSpec, TwoQubitDensity
 
 __all__ = [
     "ManifoldBlock",
+    "block_eigh",
     "build_block",
     "evolve_block",
     "jacobi_eigh",
@@ -132,7 +133,12 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
 
 
 @lru_cache(maxsize=4096)
-def _block_eigh(couplings: CouplingPair, excitation: int):
+def block_eigh(couplings: CouplingPair, excitation: int):
+    """(block, w, v) of one excitation block, diagonalized once and cached.
+
+    ``w`` and ``v`` are the :func:`jacobi_eigh` eigenvalues and eigenvectors
+    of the block's Hamiltonian, read-only because every caller shares them.
+    """
     block = build_block(excitation, couplings)
     w, v = jacobi_eigh(block.hamiltonian)
     w.setflags(write=False)
@@ -164,31 +170,39 @@ def _evolve_coefficients(
 ) -> np.ndarray:
     """Evolve the field superposition sum C_n |label, n> block by block.
 
-    Flat joint vector with layout q * (n_max + 3) + f, the same as the
-    closed-form assembly.  This route also accepts a "ge" start, which the
-    closed-form tables refuse.
+    ``coefficients`` is one row of C_0..C_N or a stack of rows along its
+    leading axes; each block is evolved once for all of them.  Each result
+    row is a flat joint vector with layout q * (n_max + 3) + f, the same as
+    the closed-form assembly.  This route also accepts a "ge" start, which
+    the closed-form tables refuse.
     """
     if label not in _EXCITATION:
         raise ValueError(f"unknown atomic start {label!r}")
-    n_max = len(coefficients) - 1
+    coefficients = np.asarray(coefficients)
+    stack = coefficients.shape[:-1]
+    n_max = coefficients.shape[-1] - 1
     fock_dim = n_max + 3
-    out = np.zeros((4, fock_dim), dtype=complex)
+    out = np.zeros(stack + (4, fock_dim), dtype=complex)
     for n in range(n_max + 1):
-        c_n = coefficients[n]
-        if c_n == 0.0:
+        c_n = coefficients[..., n]
+        if not np.any(c_n):
             continue
-        block, w, v = _block_eigh(couplings, _EXCITATION[label] + n)
+        block, w, v = block_eigh(couplings, _EXCITATION[label] + n)
         evolved = _evolve_start(w, v, block.basis.index((label, n)), t)
         for (arrival, f), amp in zip(block.basis, evolved):
-            out[ATOM_LABELS.index(arrival), f] += c_n * amp
-    return out.reshape(-1)
+            out[..., ATOM_LABELS.index(arrival), f] += c_n * amp
+    return out.reshape(stack + (4 * fock_dim,))
 
 
 def numeric_propagator(
     couplings: CouplingPair,
 ) -> Callable[[np.ndarray, str, float], np.ndarray]:
     """Bind the couplings, yielding the diagonalized counterpart of the
-    closed-form solver for the mixture engine."""
+    closed-form solver for the mixture engine.
+
+    Like :func:`thermalqubits.closed_form.phase_propagator`, it maps an
+    (M, N+1) stack of coefficient rows to an (M, 4 (N+3)) stack.
+    """
 
     def solver(coefficients: np.ndarray, label: str, t: float) -> np.ndarray:
         return _evolve_coefficients(coefficients, label, t, couplings)
@@ -216,7 +230,7 @@ def oracle_reduced_density(
         for n, p_n in enumerate(probs):
             if p_n == 0.0:
                 continue
-            block, w, v = _block_eigh(couplings, _EXCITATION[label] + n)
+            block, w, v = block_eigh(couplings, _EXCITATION[label] + n)
             evolved = _evolve_start(w, v, block.basis.index((label, n)), t)
             for i, (lab_i, f_i) in enumerate(block.basis):
                 qi = ATOM_LABELS.index(lab_i)

@@ -27,7 +27,7 @@ from typing import Iterable, Protocol
 import numpy as np
 
 from .closed_form import ATOM_LABELS
-from .fock_thermal import ThermalFieldSpec, make_phase_state
+from .fock_thermal import ThermalFieldSpec, phase_state_rows
 from .reduction import TwoQubitDensity
 
 __all__ = [
@@ -42,12 +42,14 @@ __all__ = [
 
 
 class PureStatePropagator(Protocol):
-    """Evolves one phase state against one partner basis state.
+    """Evolves a stack of phase states against one partner basis state.
 
-    Takes the field coefficients C_0 .. C_N, the partner's starting basis
-    label and the time; returns the flat joint vector over
-    (partner basis) x (Fock 0 .. N+2).  Must preserve the squared norm to
-    1e-12 and reduce to the plain embedding at t = 0.
+    Takes an (M, N+1) stack of field coefficients, row k holding C_0 .. C_N
+    of one phase state, the partner's starting basis label and the time;
+    returns the (M, P (N+3)) stack of flat joint vectors over
+    (partner basis) x (Fock 0 .. N+2), row k evolved from row k.  A 1-D row
+    is the M = 1 case and gives one flat vector.  Each row must preserve
+    its squared norm to 1e-12 and reduce to the plain embedding at t = 0.
     :func:`thermalqubits.closed_form.phase_propagator` builds one from a
     coupling pair; :func:`thermalqubits.oracle.numeric_propagator` builds
     the independently diagonalized counterpart.
@@ -104,7 +106,7 @@ def reconstruct_field_density(
         nodes = [(math.pi * (k + 0.5) / count, 1.0 / count) for k in range(count)]
     else:
         raise ValueError(f"interval must be 'full' or 'half', got {interval!r}")
-    rows = np.array([make_phase_state(spec, phi).coefficients for phi, _ in nodes])
+    rows = phase_state_rows(spec, np.array([phi for phi, _ in nodes]))
     weights = np.array([w for _, w in nodes])
     matrix = (rows.T * weights) @ rows.conj()
     exact = interval == "full" and count >= 2 * spec.truncation + 3
@@ -142,8 +144,9 @@ def evolve_mixed(
     """Joint density at time t from a diagonal partner mixture in the field.
 
     ``partner_mixture`` lists (weight, starting label) pairs with weights
-    summing to one; each start is driven through every phase node by the
-    solver and the projectors are averaged with fixed summation order, so
+    summing to one.  The phase states of all grid nodes go to the solver as
+    one (M, N+1) stack, so each start with nonzero weight costs one solver
+    call, and the projectors are averaged with fixed summation order, so
     repeated runs agree bitwise.  The default grid of 2 truncation + 3
     nodes exceeds every photon-number difference the evolved states can
     hold, making the average exact rather than approximate.
@@ -158,24 +161,25 @@ def evolve_mixed(
     if count is None:
         count = 2 * spec.truncation + 3
     nodes = quadrature_nodes(count)
+    node_weights = np.array([w for _, w in nodes])
     fock_dim = spec.truncation + 3
 
-    node_coeffs = [make_phase_state(spec, phi).coefficients for phi, _ in nodes]
-    vectors = []
-    vector_weights = []
+    rows = phase_state_rows(spec, np.array([phi for phi, _ in nodes]))
+    stacks = []
+    stack_weights = []
     for w_label, label in pairs:
         if w_label == 0.0:
             continue
-        for coeffs, (_, w_node) in zip(node_coeffs, nodes):
-            vectors.append(np.asarray(solver(coeffs, label, t), dtype=complex))
-            vector_weights.append(w_label * w_node)
-    v = np.array(vectors)
-    if v.shape[1] % fock_dim != 0:
-        raise ValueError(
-            f"solver output length {v.shape[1]} is not a multiple of the "
-            f"Fock dimension {fock_dim}"
-        )
-    matrix = (v.T * np.array(vector_weights)) @ v.conj()
+        out = np.asarray(solver(rows, label, t), dtype=complex)
+        if out.shape[:-1] != (count,) or out.shape[-1] % fock_dim != 0:
+            raise ValueError(
+                f"solver output shape {out.shape} is not {count} rows, one per "
+                f"node, of a multiple of the Fock dimension {fock_dim}"
+            )
+        stacks.append(out)
+        stack_weights.append(w_label * node_weights)
+    v = np.concatenate(stacks)
+    matrix = (v.T * np.concatenate(stack_weights)) @ v.conj()
     partner_dim = v.shape[1] // fock_dim
     labels = ATOM_LABELS if partner_dim == 4 else tuple(
         str(q) for q in range(partner_dim)

@@ -13,6 +13,8 @@ from thermalqubits import (
     make_phase_state,
     manifold_spectrum,
     phase_propagator,
+    phase_state_rows,
+    quadrature_nodes,
 )
 from thermalqubits.checks import spectrum_defect
 from thermalqubits.closed_form import _assemble
@@ -277,3 +279,17 @@ def test_propagator_closure_matches_the_direct_call():
         solver(z.coefficients, "gg", 3.3),
         _assemble(z.coefficients, "gg", 3.3, ASYM),
     )
+
+
+@pytest.mark.parametrize("label", ["ee", "eg", "gg"])
+@pytest.mark.parametrize("nbar", [0.0, 1e-6, 0.5])
+def test_stacked_assembly_equals_row_by_row_calls(label, nbar):
+    # nbar 0 and 1e-6 give truncations 0 and 1, where a gg start's lower
+    # arrival rows fall partly or wholly below Fock 0
+    spec = ThermalFieldSpec(nbar)
+    rows = phase_state_rows(spec, np.array([phi for phi, _ in quadrature_nodes(9)]))
+    stacked = _assemble(rows, label, 2.7, ASYM)
+    assert stacked.shape == (9, 4 * (spec.truncation + 3))
+    for row, out in zip(rows, stacked):
+        assert np.array_equal(out, _assemble(row, label, 2.7, ASYM))
+    assert np.array_equal(phase_propagator(ASYM)(rows, label, 2.7), stacked)

@@ -9,7 +9,9 @@ from thermalqubits import (
     ThermalFieldSpec,
     make_phase_state,
     mean_photons_from_temperature,
+    phase_state_rows,
     photon_probability,
+    quadrature_nodes,
     truncation_for_tolerance,
 )
 
@@ -171,3 +173,18 @@ def test_vacuum_phase_state_is_trivial():
     z = make_phase_state(ThermalFieldSpec(0.0), 2.2)
     assert z.n_max == 0
     assert z.coefficients[0] == 1.0 + 0.0j
+
+
+@pytest.mark.parametrize("nbar", [0.5, 2.0, 20.0])
+@pytest.mark.parametrize("count", [7, 67, None])
+def test_phase_state_rows_equal_single_phase_states(nbar, count):
+    # one row per grid angle, each bit-equal to the phase state built alone
+    # and to the formula sqrt(p(n)) exp(i n phi) written out per angle
+    spec = ThermalFieldSpec(nbar)
+    nodes = quadrature_nodes(count or 2 * spec.truncation + 3)
+    rows = phase_state_rows(spec, np.array([phi for phi, _ in nodes]))
+    assert rows.shape == (len(nodes), spec.truncation + 1)
+    n = np.arange(spec.truncation + 1)
+    for row, (phi, _) in zip(rows, nodes):
+        assert np.array_equal(row, make_phase_state(spec, phi).coefficients)
+        assert np.array_equal(row, np.sqrt(spec.probabilities()) * np.exp(1j * n * phi))

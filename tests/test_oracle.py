@@ -10,6 +10,8 @@ from thermalqubits import (
     CouplingPair,
     ThermalFieldSpec,
     make_phase_state,
+    phase_state_rows,
+    quadrature_nodes,
     reduced_density,
 )
 from thermalqubits.oracle import (
@@ -147,3 +149,15 @@ def test_reduced_density_trace_and_hermiticity():
     )
     assert rho.trace == pytest.approx(spec.retained_mass(), abs=1e-12)
     assert np.abs(rho.matrix - rho.matrix.conj().T).max() < 1e-15
+
+
+@pytest.mark.parametrize("label", ["ee", "eg", "ge", "gg"])
+@pytest.mark.parametrize("nbar", [0.0, 1e-6, 0.5])
+def test_stacked_propagation_equals_row_by_row_calls(label, nbar):
+    spec = ThermalFieldSpec(nbar, 1e-8)
+    rows = phase_state_rows(spec, np.array([phi for phi, _ in quadrature_nodes(9)]))
+    solver = numeric_propagator(CouplingPair(1.3, 0.4))
+    stacked = solver(rows, label, 2.7)
+    assert stacked.shape == (9, 4 * (spec.truncation + 3))
+    for row, out in zip(rows, stacked):
+        assert np.array_equal(out, solver(row, label, 2.7))

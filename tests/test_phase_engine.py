@@ -12,6 +12,7 @@ from thermalqubits import (
     ThermalFieldSpec,
     TwoQubitDensity,
     evolve_mixed,
+    make_phase_state,
     partial_trace_field,
     phase_propagator,
     quadrature_nodes,
@@ -187,10 +188,9 @@ def test_engine_accepts_other_partner_dimensions():
     fock_dim = spec.truncation + 3
 
     def idle(coeffs, label, t):
-        out = np.zeros(2 * fock_dim, dtype=complex)
-        start = int(label) * fock_dim
-        out[start : start + len(coeffs)] = coeffs
-        return out
+        out = np.zeros(coeffs.shape[:-1] + (2, fock_dim), dtype=complex)
+        out[..., int(label), : coeffs.shape[-1]] = coeffs
+        return out.reshape(coeffs.shape[:-1] + (2 * fock_dim,))
 
     joint = evolve_mixed(idle, spec, [(1.0, "0")], 0.0)
     assert joint.atom_labels == ("0", "1")
@@ -236,3 +236,48 @@ def test_both_solvers_agree_inside_the_engine():
     a = evolve_mixed(phase_propagator(pair), spec, [(1.0, "eg")], t).matrix
     b = evolve_mixed(numeric_propagator(pair), spec, [(1.0, "eg")], t).matrix
     assert np.abs(a - b).max() < 1e-11
+
+
+def _per_node_reference(solver, spec, pairs, t):
+    """The grid average with one solver call per (label, node)."""
+    vectors = []
+    weights = []
+    for w_label, label in pairs:
+        if w_label == 0.0:
+            continue
+        for phi, w_node in quadrature_nodes(2 * spec.truncation + 3):
+            vectors.append(solver(make_phase_state(spec, phi).coefficients, label, t))
+            weights.append(w_label * w_node)
+    v = np.array(vectors)
+    return (v.T * np.array(weights)) @ v.conj()
+
+
+def test_stacked_engine_matches_a_per_node_loop():
+    spec = ThermalFieldSpec(1.0, 1e-6)
+    pair = CouplingPair(1.4, 0.5)
+    pairs = [(0.2, "ee"), (0.0, "eg"), (0.5, "gg"), (0.3, "eg")]
+    closed = phase_propagator(pair)
+    assert np.array_equal(
+        evolve_mixed(closed, spec, pairs, 3.3).matrix,
+        _per_node_reference(closed, spec, pairs, 3.3),
+    )
+    oracle = numeric_propagator(pair)
+    pairs = [(0.4, "ge"), (0.6, "ee")]
+    gap = evolve_mixed(oracle, spec, pairs, 3.3).matrix - _per_node_reference(
+        oracle, spec, pairs, 3.3
+    )
+    assert np.abs(gap).max() < 1e-13
+
+
+def test_one_solver_call_per_weighted_label():
+    spec = ThermalFieldSpec(0.5, 1e-6)
+    inner = phase_propagator(CouplingPair.from_gamma(0.3))
+    calls = []
+
+    def solver(coeffs, label, t):
+        calls.append((label, coeffs.shape))
+        return inner(coeffs, label, t)
+
+    evolve_mixed(solver, spec, [(0.5, "ee"), (0.0, "eg"), (0.5, "gg")], 1.0, count=11)
+    shape = (11, spec.truncation + 1)
+    assert calls == [("ee", shape), ("gg", shape)]
