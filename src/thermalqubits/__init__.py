@@ -40,6 +40,7 @@ from .phase_engine import (
     JointDensity,
     PureStatePropagator,
     evolve_mixed,
+    mixed_reduced_density,
     partial_trace_field,
     quadrature_nodes,
     reconstruct_field_density,
@@ -67,6 +68,7 @@ __all__ = [
     "make_phase_state",
     "manifold_spectrum",
     "mean_photons_from_temperature",
+    "mixed_reduced_density",
     "negativity",
     "partial_trace_field",
     "phase_propagator",

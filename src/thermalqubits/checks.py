@@ -5,7 +5,9 @@ same input and returns the largest disagreement it saw, as a float.  The
 ``validate`` subcommand and the acceptance tests both call these, each on
 its own grid and against its own threshold; neither re-derives a measured
 number.  The routes themselves stay apart: this module only puts their
-outputs side by side.
+outputs side by side.  Each route takes the whole time array or block
+table in one call, so a check costs one call per route, not one per time
+point or block.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 from .closed_form import CouplingPair, amplitude_table, manifold_spectrum, phase_propagator
 from .entanglement import closed_form_negativity, negativity
 from .fock_thermal import ThermalFieldSpec
-from .oracle import block_eigh, oracle_reduced_density
-from .phase_engine import evolve_mixed, partial_trace_field, reconstruct_field_density
+from .oracle import block_table, jacobi_eigh, oracle_reduced_density
+from .phase_engine import mixed_reduced_density, reconstruct_field_density
 from .reduction import AtomicMixtureSpec, TwoQubitDensity, reduced_density
 
 __all__ = [
@@ -51,15 +53,16 @@ def spectrum_defect(couplings: CouplingPair, n_max: int) -> float:
     +-Omega_minus of blocks 0 .. n_max and the Jacobi eigenvalues of the
     same blocks built entry by entry.
 
-    The eigenvalues come from the oracle's cache, so the blocks diagonalized
-    here are the ones the oracle route evolves with.
+    All n_max + 1 blocks come from one :func:`block_table` and are
+    diagonalized as one stack, with the rotations the oracle route applies
+    to each of them.
     """
+    w, _ = jacobi_eigh(block_table(couplings, n_max))
     worst = 0.0
     for n in range(n_max + 1):
-        _, w, _ = block_eigh(couplings, n + 2)
         s = manifold_spectrum(n, couplings)
         op, om = s.Omega_plus.real, s.Omega_minus.real
-        worst = max(worst, float(np.abs(w - np.sort([-op, -om, om, op])).max()))
+        worst = max(worst, float(np.abs(w[n] - np.sort([-op, -om, om, op])).max()))
     return worst
 
 
@@ -78,16 +81,12 @@ def route_gap(
     the result is the maximum over all of them.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    solver = phase_propagator(couplings)
     pairs = [(w, label) for label, w in mixture.weights().items()]
     closed = reduced_density(spec, mixture, couplings, times).matrix
-    worst = 0.0
-    for t, c in zip(times.tolist(), closed):
-        quad = partial_trace_field(evolve_mixed(solver, spec, pairs, t, count)).matrix
-        direct = oracle_reduced_density(spec, mixture, couplings, t).matrix
-        gaps = (c - quad, c - direct, quad - direct)
-        worst = max(worst, *(float(np.abs(gap).max()) for gap in gaps))
-    return worst
+    quad = mixed_reduced_density(phase_propagator(couplings), spec, pairs, times, count).matrix
+    direct = oracle_reduced_density(spec, mixture, couplings, times).matrix
+    gaps = (closed - quad, closed - direct, quad - direct)
+    return max(float(np.abs(gap).max()) for gap in gaps)
 
 
 def field_reconstruction_residuals(
@@ -107,7 +106,16 @@ def field_reconstruction_residuals(
     )
 
 
-def negativity_route_gap(densities: Iterable[TwoQubitDensity]) -> float:
-    """Largest gap between the eigenvalue negativity and the X-state closed form."""
-    gaps = (abs(negativity(rho).xi - closed_form_negativity(rho)) for rho in densities)
-    return max(gaps, default=0.0)
+def negativity_route_gap(densities: TwoQubitDensity | Iterable[TwoQubitDensity]) -> float:
+    """Largest gap between the eigenvalue negativity and the X-state closed form.
+
+    ``densities`` is a TwoQubitDensity stack or an iterable of single ones;
+    both routes score the whole stack in one call each.
+    """
+    if not isinstance(densities, TwoQubitDensity):
+        matrices = [rho.matrix for rho in densities]
+        if not matrices:
+            return 0.0
+        densities = TwoQubitDensity(np.array(matrices))
+    gaps = np.abs(negativity(densities).xi - closed_form_negativity(densities))
+    return float(np.max(gaps))

@@ -40,7 +40,7 @@ from . import checks
 from .closed_form import CouplingPair, phase_propagator
 from .entanglement import negativity
 from .fock_thermal import ThermalFieldSpec
-from .phase_engine import evolve_mixed
+from .phase_engine import evolve_mixed, node_chunk_length
 from .reduction import AtomicMixtureSpec, TwoQubitDensity, reduced_density
 
 __all__ = [
@@ -94,35 +94,59 @@ CHUNK_BUDGET = 2048
 # Largest planned working set, in bytes; a run that would need more is
 # refused as a config error before anything is allocated.  Every run in the
 # tests and the benchmark plans under 100 MB (validate at nbar 5, N = 126,
-# plans 42 MB), so 1 GiB leaves them a factor of ten, while nbar 1e6
-# (N ~ 2.3e7, 8.2 GiB of tables) or a joint run at nbar 20 plan more.
+# plans 12 MB), so 1 GiB leaves them a factor of ten, while nbar 1e6
+# (N ~ 2.3e7, 8.2 GiB of tables), a joint run at nbar 20 or validate
+# from nbar 118 up plan more.
 MAX_WORK_BYTES = 2**30
+
+# Time points at which validate compares the routes.
+VALIDATE_PROBES = 7
 
 # Peak bytes per planned entry, measured with tracemalloc and rounded up.
 # Reduced mode counts the amplitude-table entries of one chunk (tables and
-# their temporaries), joint and validate the entries of the joint density
-# and the evolved vectors; joint also renders each entry as JSON text.
-_ENTRY_BYTES = {"reduced": 384, "joint": 128, "validate": 64}
+# their temporaries), joint the entries of the joint density and the
+# evolved vectors, which it also renders as JSON text, and validate the
+# entries of one node chunk of evolved vectors and of the oracle's tables.
+_ENTRY_BYTES = {"reduced": 384, "joint": 128, "validate": 72}
 # Peak bytes per time point of a reduced series: its row and its CSV line.
 _ROW_BYTES = 896
+# Peak bytes per entry of validate's field reconstruction: the phase-state
+# rows and the reconstructed (N + 1) x (N + 1) field density.
+_FIELD_BYTES = 48
+# Allocation of every run that no entry count covers (argument parsing,
+# first calls into numpy): 0.25 MB for run and 1.2 MB for validate at
+# nbar 0, rounded up.
+_RUN_BYTES = 2**21
 
 
 def work_bytes(truncation: int, steps: int, mode: str, nodes: int | None = None) -> int:
     """Estimated peak allocation of a run, computed without allocating it.
 
     A reduced series holds one chunk of amplitude tables and every finished
-    row.  Joint and validate hold the joint density, (4 (N + 3))^2 entries,
-    plus M evolved vectors of length 4 (N + 3) for each of up to three
-    start labels, M being the phase-grid size.
+    row.  A joint run holds the joint density, (4 (N + 3))^2 entries, plus
+    M evolved vectors of length 4 (N + 3) for each of up to three start
+    labels, M being the phase-grid size.  Validate runs its checks one
+    after another, so its peak is the larger of two stages: the route
+    comparison (one node chunk of evolved vectors, the oracle's block
+    table and its evolved amplitudes at every probe time) and the field
+    reconstruction (M phase-state rows and the field density, each with
+    N + 1 columns).  Every run adds a fixed ``_RUN_BYTES``.
     """
     levels = truncation + 1
     if mode == "reduced":
         chunk = min(steps, max(1, CHUNK_BUDGET // levels))
-        return _ENTRY_BYTES[mode] * chunk * levels + _ROW_BYTES * steps
+        return _RUN_BYTES + _ENTRY_BYTES[mode] * chunk * levels + _ROW_BYTES * steps
     dim = 4 * (truncation + 3)
     if nodes is None:
         nodes = 2 * truncation + 3
-    return _ENTRY_BYTES[mode] * (dim * dim + 3 * nodes * dim)
+    if mode == "joint":
+        return _RUN_BYTES + _ENTRY_BYTES[mode] * (dim * dim + 3 * nodes * dim)
+    chunk = min(nodes, node_chunk_length(truncation)) * dim
+    oracle = 16 * (truncation + 3) + 4 * min(steps, VALIDATE_PROBES) * levels
+    field = levels * (nodes + levels)
+    return _RUN_BYTES + max(
+        _ENTRY_BYTES[mode] * (chunk + oracle), _FIELD_BYTES * field
+    )
 
 
 def _key(default: object, parse: Callable[[str], object], help: str, flag: str = ""):
@@ -410,25 +434,24 @@ def render_joint(cfg: RunConfig) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _random_x_state(rng: np.random.Generator) -> TwoQubitDensity:
-    populations = rng.random(4) + 1e-3
-    populations = populations / populations.sum()
-    magnitude = math.sqrt(populations[1] * populations[2]) * rng.random()
-    phase = math.tau * rng.random()
-    return TwoQubitDensity.from_components(
-        populations[0],
-        populations[1],
-        populations[2],
-        populations[3],
-        magnitude * complex(math.cos(phase), math.sin(phase)),
-    )
+def _random_x_states(rng: np.random.Generator, count: int) -> TwoQubitDensity:
+    """A stack of ``count`` random X states, six uniform draws per state."""
+    draws = rng.random((count, 6))
+    populations = draws[:, :4] + 1e-3
+    populations = populations / populations.sum(axis=1, keepdims=True)
+    magnitude = np.sqrt(populations[:, 1] * populations[:, 2]) * draws[:, 4]
+    # libm cos and sin per state, so each state equals the one a
+    # state-by-state loop over the same draws would build, bit for bit
+    phases = (math.tau * draws[:, 5]).tolist()
+    unit = np.array([complex(math.cos(phase), math.sin(phase)) for phase in phases])
+    return TwoQubitDensity.from_components(*populations.T, magnitude * unit)
 
 
 def render_validation(cfg: RunConfig) -> str:
     """Worst cross-route discrepancies on the configured system."""
     field = cfg.field()
     couplings = cfg.couplings()
-    probes = np.linspace(cfg.t_min, cfg.t_max, min(cfg.steps, 7))
+    probes = np.linspace(cfg.t_min, cfg.t_max, min(cfg.steps, VALIDATE_PROBES))
     rng = np.random.default_rng(0)
     full_err, half_err = checks.field_reconstruction_residuals(field, cfg.node_count())
     lines = {
@@ -440,7 +463,7 @@ def render_validation(cfg: RunConfig) -> str:
         "field reconstruction, full period": full_err,
         "field reconstruction, half period": half_err,
         "negativity, closed form vs eigenvalues": checks.negativity_route_gap(
-            _random_x_state(rng) for _ in range(200)
+            _random_x_states(rng, 200)
         ),
     }
     return "".join(f"{label}: {value:.3e}\n" for label, value in lines.items())

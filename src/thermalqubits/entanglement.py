@@ -87,7 +87,9 @@ def negativity(rho: TwoQubitDensity | np.ndarray) -> NegativityResult:
     return NegativityResult(xi=xi, negative_eigenvalues=negative, upsilon=upsilon)
 
 
-def closed_form_gamma(B_ee: float, B_gg: float, B_coh: complex) -> float:
+def closed_form_gamma(
+    B_ee: float | np.ndarray, B_gg: float | np.ndarray, B_coh: complex | np.ndarray
+) -> float | np.ndarray:
     """The one partial-transpose eigenvalue of an X state that can go negative.
 
     The partial transpose sends the eg/ge coherence to the ee/gg corner, so
@@ -95,17 +97,25 @@ def closed_form_gamma(B_ee: float, B_gg: float, B_coh: complex) -> float:
     coherence magnitude:
 
         (B_ee + B_gg - sqrt((B_ee - B_gg)^2 + 4 |B_coh|^2)) / 2
+
+    Scalar components give a float, arrays one value per entry.
     """
-    spread = np.hypot(B_ee - B_gg, 2.0 * abs(B_coh))
-    return float((B_ee + B_gg - spread) / 2.0)
+    # |B_coh| as the hypot of its parts, which is what abs() of one complex
+    # computes; numpy's vectorized complex abs can differ in the last bit,
+    # and a stack must score exactly as its members do one at a time
+    spread = np.hypot(B_ee - B_gg, 2.0 * np.hypot(np.real(B_coh), np.imag(B_coh)))
+    gamma = (B_ee + B_gg - spread) / 2.0
+    return float(gamma) if np.ndim(gamma) == 0 else gamma
 
 
-def closed_form_negativity(rho: TwoQubitDensity) -> float:
-    """Negativity from :func:`closed_form_gamma`, same floor as the general route."""
+def closed_form_negativity(rho: TwoQubitDensity) -> float | np.ndarray:
+    """Negativity from :func:`closed_form_gamma`, same floor as the general route.
+
+    One density gives a float, a stack of T densities an array of length T.
+    """
     gamma = closed_form_gamma(rho.B_ee, rho.B_gg, rho.B_coh)
-    if gamma >= _NEGATIVE_EIGENVALUE_FLOOR:
-        return 0.0
-    return -2.0 * gamma
+    xi = np.where(gamma >= _NEGATIVE_EIGENVALUE_FLOOR, 0.0, -2.0 * gamma)
+    return float(xi) if xi.ndim == 0 else xi
 
 
 def upsilon_witness(rho: TwoQubitDensity) -> float | np.ndarray:

@@ -12,12 +12,19 @@ Blocks are labelled by the total excitation count E (atomic excitations
 plus photons).  E = 0 is the single state |gg, 0>, E = 1 couples
 {|eg, 0>, |ge, 0>, |gg, 1>}, and every E >= 2 couples the four states
 {|ee, n>, |eg, n+1>, |ge, n+1>, |gg, n+2>} with n = E - 2.
+
+The work is done on stacks.  :func:`block_table` writes the four-state
+blocks E = 2 .. N+2 as one (N+1, 4, 4) array, :func:`jacobi_eigh`
+diagonalizes a whole stack with the same rotations it would apply to each
+block alone, and the evolution of a (T, K, 4) stack of starts is one array
+expression.  Nothing is cached between calls: a caller that evolves many
+times builds its table once and keeps it (:func:`numeric_propagator` does,
+in its closure).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -28,7 +35,7 @@ from .reduction import AtomicMixtureSpec, TwoQubitDensity
 
 __all__ = [
     "ManifoldBlock",
-    "block_eigh",
+    "block_table",
     "build_block",
     "evolve_block",
     "jacobi_eigh",
@@ -37,6 +44,14 @@ __all__ = [
 ]
 
 _EXCITATION = {"ee": 2, "eg": 1, "ge": 1, "gg": 0}
+
+# Basis of the four-state block E = n + 2: (atomic label, photons - n).
+_LAYOUT = (("ee", 0), ("eg", 1), ("ge", 1), ("gg", 2))
+# Per basis position: its row in ATOM_LABELS and its photon offset.
+_ARRIVAL = np.array([ATOM_LABELS.index(label) for label, _ in _LAYOUT])
+_PHOTON = np.array([offset for _, offset in _LAYOUT])
+# Position of each start label in the layout.
+_POSITION = {label: k for k, (label, _) in enumerate(_LAYOUT)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,6 +65,34 @@ class ManifoldBlock:
     excitation: int
     basis: tuple[tuple[str, int], ...]
     hamiltonian: np.ndarray
+
+
+def _four_state_blocks(couplings: CouplingPair, n: np.ndarray) -> np.ndarray:
+    """Hamiltonians of the blocks E = n + 2, one 4x4 per entry of ``n``."""
+    l1, l2 = couplings.lambda1, couplings.lambda2
+    lower = np.sqrt(n + 1.0)
+    upper = np.sqrt(n + 2.0)
+    a = l2 * lower
+    b = l1 * lower
+    c = l1 * upper
+    d = l2 * upper
+    h = np.zeros(n.shape + (4, 4))
+    h[..., 0, 1] = h[..., 1, 0] = a
+    h[..., 0, 2] = h[..., 2, 0] = b
+    h[..., 1, 3] = h[..., 3, 1] = c
+    h[..., 2, 3] = h[..., 3, 2] = d
+    return h
+
+
+def block_table(couplings: CouplingPair, n_max: int) -> np.ndarray:
+    """Hamiltonians of the four-state blocks E = 2 .. n_max + 2 as one stack.
+
+    Entry [n] is the block of |ee, n>, in the basis order ee, eg, ge, gg of
+    :func:`build_block`; the shape is (n_max + 1, 4, 4).
+    """
+    if n_max < 0 or n_max != int(n_max):
+        raise ValueError(f"photon cutoff must be a nonnegative integer, got {n_max}")
+    return _four_state_blocks(couplings, np.arange(int(n_max) + 1))
 
 
 def build_block(excitation: int, couplings: CouplingPair) -> ManifoldBlock:
@@ -70,127 +113,162 @@ def build_block(excitation: int, couplings: CouplingPair) -> ManifoldBlock:
         )
     else:
         n = excitation - 2
-        basis = (("ee", n), ("eg", n + 1), ("ge", n + 1), ("gg", n + 2))
-        a = l2 * np.sqrt(n + 1)
-        b = l1 * np.sqrt(n + 1)
-        c = l1 * np.sqrt(n + 2)
-        d = l2 * np.sqrt(n + 2)
-        h = np.array(
-            [
-                [0.0, a, b, 0.0],
-                [a, 0.0, 0.0, c],
-                [b, 0.0, 0.0, d],
-                [0.0, c, d, 0.0],
-            ]
-        )
+        basis = tuple((label, n + offset) for label, offset in _LAYOUT)
+        h = _four_state_blocks(couplings, np.array([n]))[0]
     return ManifoldBlock(excitation=excitation, basis=basis, hamiltonian=h)
 
 
 def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
-    """Eigendecomposition of a small real symmetric matrix by cyclic Jacobi.
+    """Eigendecomposition of small real symmetric matrices by cyclic Jacobi.
 
-    Returns (w, v) with eigenvalues ascending and matrix = v @ diag(w) @ v.T.
-    Each sweep zeroes every off-diagonal pair once with an explicit plane
-    rotation; quadratic convergence makes 60 sweeps a formality for the
-    4x4 blocks this module produces.
+    ``matrix`` is one (s, s) matrix or a (..., s, s) stack of them.  Returns
+    (w, v) with eigenvalues ascending along the last axis and
+    matrix = v @ diag(w) @ v.T for every block.  Each sweep zeroes every
+    off-diagonal pair (p, q) once with a plane rotation that touches rows
+    and columns p and q only.  A block stops rotating once its off-diagonal
+    norm drops below ``tol`` times its scale, so every block of a stack
+    goes through exactly the rotations it would go through alone, and the
+    result is bitwise the same.  Quadratic convergence makes 60 sweeps a
+    formality for the 4x4 blocks this module produces.
     """
     a = np.array(matrix, dtype=float, copy=True)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-13 * (1.0 + np.abs(a).max())):
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"need a square matrix or a stack of them, got shape {a.shape}")
+    magnitude = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    asymmetry = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    if np.any(asymmetry > 1e-13 * (1.0 + magnitude)):
         raise ValueError("matrix is not symmetric")
-    size = a.shape[0]
-    v = np.eye(size)
-    scale = max(1.0, np.abs(a).max())
+    size = a.shape[-1]
+    v = np.broadcast_to(np.eye(size), a.shape).copy()
+    threshold = tol * np.maximum(1.0, magnitude)
+    pairs = [(p, q) for p in range(size - 1) for q in range(p + 1, size)]
     for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol * scale:
+        off = np.zeros(a.shape[:-2])
+        for p, q in pairs:
+            off = off + a[..., p, q] ** 2
+        rotating = np.sqrt(off) > threshold
+        if not rotating.any():
             break
-        for p in range(size - 1):
-            for q in range(p + 1, size):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta >= 0.0:
-                    tan = 1.0 / (theta + np.sqrt(theta * theta + 1.0))
-                else:
-                    tan = -1.0 / (-theta + np.sqrt(theta * theta + 1.0))
-                cos = 1.0 / np.sqrt(tan * tan + 1.0)
-                sin = tan * cos
-                g = np.eye(size)
-                g[p, p] = cos
-                g[q, q] = cos
-                g[p, q] = sin
-                g[q, p] = -sin
-                a = g.T @ a @ g
-                v = v @ g
+        for p, q in pairs:
+            active = rotating & (a[..., p, q] != 0.0)
+            if active.any():
+                _rotate(a, v, p, q, active)
     else:
         raise RuntimeError("Jacobi sweep did not converge")
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    w = np.diagonal(a, axis1=-2, axis2=-1)
+    order = np.argsort(w, axis=-1, kind="stable")
+    return (
+        np.take_along_axis(w, order, axis=-1),
+        np.take_along_axis(v, order[..., None, :], axis=-1),
+    )
 
 
-@lru_cache(maxsize=4096)
-def block_eigh(couplings: CouplingPair, excitation: int):
-    """(block, w, v) of one excitation block, diagonalized once and cached.
+def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int, active: np.ndarray) -> None:
+    """Zero a[p, q] of every active block by one plane rotation, in place.
 
-    ``w`` and ``v`` are the :func:`jacobi_eigh` eigenvalues and eigenvectors
-    of the block's Hamiltonian, read-only because every caller shares them.
+    a <- g.T a g and v <- v g, with g holding cos at (p, p) and (q, q), sin
+    at (p, q) and -sin at (q, p).  The diagonal moves by -+ tan a[p, q] and
+    the other entries of rows and columns p and q rotate in the
+    tau = sin / (1 + cos) form, which keeps rounding small.  Inactive blocks
+    get tan = 0 and are left exactly as they were.
     """
-    block = build_block(excitation, couplings)
-    w, v = jacobi_eigh(block.hamiltonian)
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return block, w, v
+    apq = a[..., p, q]
+    theta = (a[..., q, q] - a[..., p, p]) / (2.0 * np.where(active, apq, 1.0))
+    root = np.sqrt(theta * theta + 1.0)
+    sign = np.where(theta >= 0.0, 1.0, -1.0)
+    tan = np.where(active, sign / (np.abs(theta) + root), 0.0)
+    cos = 1.0 / np.sqrt(tan * tan + 1.0)
+    sin = (tan * cos)[..., None]
+    tau = (sin[..., 0] / (1.0 + cos))[..., None]
+    shift = tan * apq
+    rest = [r for r in range(a.shape[-1]) if r not in (p, q)]
+    rp, rq = a[..., rest, p], a[..., rest, q]
+    a[..., rest, p] = a[..., p, rest] = rp - sin * (rq + tau * rp)
+    a[..., rest, q] = a[..., q, rest] = rq + sin * (rp - tau * rq)
+    a[..., p, p] -= shift
+    a[..., q, q] += shift
+    a[..., p, q] = a[..., q, p] = np.where(active, 0.0, apq)
+    vp, vq = v[..., :, p].copy(), v[..., :, q].copy()
+    v[..., :, p] = vp - sin * (vq + tau * vp)
+    v[..., :, q] = vq + sin * (vp - tau * vq)
 
 
-def _evolve_start(w: np.ndarray, v: np.ndarray, start: int, t: float) -> np.ndarray:
-    """exp(-i H t) on basis state ``start`` of a block with H = v diag(w) v^T."""
-    return v @ (np.exp(-1j * w * t) * v[start, :])
+def _evolve_start(w: np.ndarray, v: np.ndarray, start: int, t) -> np.ndarray:
+    """exp(-i H t) on basis state ``start`` of each block H = v diag(w) v^T.
+
+    ``w`` is (K, s) and ``v`` (K, s, s); a scalar ``t`` gives the (K, s)
+    evolved columns, a 1-D array of T times a (T, K, s) stack.
+    """
+    phases = np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float), w))
+    return np.einsum("kim,...km->...ki", v, phases * v[:, start, :])
 
 
 def evolve_block(block: ManifoldBlock, t: float, initial: int) -> np.ndarray:
     """exp(-i H t) applied to basis state ``initial`` of the block.
 
-    Diagonalizes on the spot rather than through the cache so a single
-    call can be followed end to end.
+    The one-block case of the stacked evolution, diagonalized on the spot
+    so a single call can be followed end to end.
     """
     if not 0 <= initial < len(block.basis):
         raise ValueError(
             f"initial index {initial} outside block of size {len(block.basis)}"
         )
-    w, v = jacobi_eigh(block.hamiltonian)
-    return _evolve_start(w, v, initial, t)
+    w, v = jacobi_eigh(block.hamiltonian[None])
+    return _evolve_start(w, v, initial, t)[0]
 
 
-def _evolve_coefficients(
-    coefficients: np.ndarray, label: str, t: float, couplings: CouplingPair
-) -> np.ndarray:
-    """Evolve the field superposition sum C_n |label, n> block by block.
+def _diagonalized_blocks(couplings: CouplingPair, n_max: int):
+    """(w, v) of every block E = 0 .. n_max + 2, indexed by E.
 
-    ``coefficients`` is one row of C_0..C_N or a stack of rows along its
-    leading axes; each block is evolved once for all of them.  Each result
-    row is a flat joint vector with layout q * (n_max + 3) + f, the same as
-    the closed-form assembly.  This route also accepts a "ge" start, which
-    the closed-form tables refuse.
+    The small blocks E = 0 and 1 are padded to four states in the layout
+    of the others: |gg, 0> at the gg position, and {eg0, ge0, gg1} at the
+    eg, ge and gg positions.  The padding states have no coupling, so their
+    amplitudes stay exact zeros and never reach the trace.
+    """
+    h = np.zeros((n_max + 3, 4, 4))
+    h[1, 1:, 1:] = build_block(1, couplings).hamiltonian
+    h[2:] = block_table(couplings, n_max)
+    return jacobi_eigh(h)
+
+
+def _start_amplitudes(w, v, label: str, n_max: int, t) -> np.ndarray:
+    """Evolved block amplitudes from |label, n> for n = 0 .. n_max.
+
+    Shape (n_max + 1, 4) for a scalar ``t``, (T, n_max + 1, 4) for T
+    times; position i of row n sits on arrival ATOM_LABELS[_ARRIVAL[i]]
+    with n + _EXCITATION[label] - 2 + _PHOTON[i] photons.
     """
     if label not in _EXCITATION:
         raise ValueError(f"unknown atomic start {label!r}")
+    blocks = slice(_EXCITATION[label], _EXCITATION[label] + n_max + 1)
+    return _evolve_start(w[blocks], v[blocks], _POSITION[label], t)
+
+
+def _evolve_coefficients(coefficients: np.ndarray, label: str, t: float, eigen) -> np.ndarray:
+    """Evolve the field superposition sum C_n |label, n> block by block.
+
+    ``coefficients`` is one row of C_0..C_N or a stack of rows along its
+    leading axes; each block is evolved once for all of them, with the
+    (w, v) tables of :func:`_diagonalized_blocks`.  Each result row is a
+    flat joint vector with layout q * (n_max + 3) + f, the same as the
+    closed-form assembly.  This route also accepts a "ge" start, which the
+    closed-form tables refuse.
+    """
     coefficients = np.asarray(coefficients)
     stack = coefficients.shape[:-1]
     n_max = coefficients.shape[-1] - 1
     fock_dim = n_max + 3
+    amps = _start_amplitudes(*eigen, label, n_max, t)
     out = np.zeros(stack + (4, fock_dim), dtype=complex)
-    for n in range(n_max + 1):
-        c_n = coefficients[..., n]
-        if not np.any(c_n):
-            continue
-        block, w, v = block_eigh(couplings, _EXCITATION[label] + n)
-        evolved = _evolve_start(w, v, block.basis.index((label, n)), t)
-        for (arrival, f), amp in zip(block.basis, evolved):
-            out[..., ATOM_LABELS.index(arrival), f] += c_n * amp
+    for i, (q, offset) in enumerate(zip(_ARRIVAL, _PHOTON)):
+        # start n arrives with n + shift photons; a negative count is a
+        # padding state of the small blocks, whose amplitude is zero
+        shift = _EXCITATION[label] - 2 + offset
+        first = max(0, -shift)
+        if first <= n_max:
+            out[..., q, first + shift : n_max + 1 + shift] = (
+                coefficients[..., first:] * amps[first:, i]
+            )
     return out.reshape(stack + (4 * fock_dim,))
 
 
@@ -201,11 +279,19 @@ def numeric_propagator(
     closed-form solver for the mixture engine.
 
     Like :func:`thermalqubits.closed_form.phase_propagator`, it maps an
-    (M, N+1) stack of coefficient rows to an (M, 4 (N+3)) stack.
+    (M, N+1) stack of coefficient rows to an (M, 4 (N+3)) stack.  The
+    blocks are diagonalized on the first call and kept in the closure; a
+    later call with more photon levels diagonalizes the larger table.
     """
+    eigen = None
+    held = -1
 
     def solver(coefficients: np.ndarray, label: str, t: float) -> np.ndarray:
-        return _evolve_coefficients(coefficients, label, t, couplings)
+        nonlocal eigen, held
+        n_max = np.shape(coefficients)[-1] - 1
+        if n_max > held:
+            eigen, held = _diagonalized_blocks(couplings, n_max), n_max
+        return _evolve_coefficients(coefficients, label, t, eigen)
 
     return solver
 
@@ -214,29 +300,27 @@ def oracle_reduced_density(
     spec: ThermalFieldSpec,
     mixture: AtomicMixtureSpec,
     couplings: CouplingPair,
-    t: float,
+    t: float | np.ndarray,
 ) -> TwoQubitDensity:
-    """Atomic density at time t from a diagonal photon-number mixture.
+    """Atomic density from a diagonal photon-number mixture, by diagonalization.
 
-    Each (label, n) start evolves inside its own block and is traced over
-    the field on the spot; since a block never holds the same photon number
-    twice with one atomic label, the trace is a short explicit double loop.
+    A scalar ``t`` gives one 4x4 density, a 1-D array of T times a
+    (T, 4, 4) stack.  Every (label, n) start evolves inside its own block,
+    all of them as one (T, N+1, 4) stack per label, and the field trace
+    pairs two block positions exactly when their photon offsets agree.
     """
-    rho = np.zeros((4, 4), dtype=complex)
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"times must be a scalar or a 1-D array, got shape {times.shape}")
     probs = spec.probabilities()
+    eigen = _diagonalized_blocks(couplings, spec.truncation)
+    same_photons = _PHOTON[:, None] == _PHOTON[None, :]
+    block_rho = np.zeros(times.shape + (4, 4), dtype=complex)
     for label, w_label in mixture.weights().items():
         if w_label == 0.0:
             continue
-        for n, p_n in enumerate(probs):
-            if p_n == 0.0:
-                continue
-            block, w, v = block_eigh(couplings, _EXCITATION[label] + n)
-            evolved = _evolve_start(w, v, block.basis.index((label, n)), t)
-            for i, (lab_i, f_i) in enumerate(block.basis):
-                qi = ATOM_LABELS.index(lab_i)
-                for j, (lab_j, f_j) in enumerate(block.basis):
-                    if f_i != f_j:
-                        continue
-                    qj = ATOM_LABELS.index(lab_j)
-                    rho[qi, qj] += w_label * p_n * evolved[i] * np.conj(evolved[j])
+        amps = _start_amplitudes(*eigen, label, spec.truncation, times)
+        block_rho += np.einsum("n,...ni,...nj->...ij", w_label * probs, amps, amps.conj())
+    rho = np.zeros_like(block_rho)
+    rho[..., _ARRIVAL[:, None], _ARRIVAL[None, :]] = np.where(same_photons, block_rho, 0.0)
     return TwoQubitDensity(matrix=rho)

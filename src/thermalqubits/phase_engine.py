@@ -16,6 +16,13 @@ The engine itself never touches the interaction: evolution is delegated to
 a solver obeying :class:`PureStatePropagator`, so the same averaging drives
 the closed-form amplitudes, the diagonalized reference, or any partner
 system with the same product layout.
+
+Two averages share one node loop.  :func:`evolve_mixed` keeps the whole
+joint density at one time, a (P (N+3))^2 matrix.  When only the partner
+state is wanted, :func:`mixed_reduced_density` traces out the field from
+each evolved chunk of nodes before it is averaged, takes a whole array of
+times, and holds one chunk of evolved vectors at a time, never the joint
+matrix.
 """
 
 from __future__ import annotations
@@ -35,10 +42,24 @@ __all__ = [
     "JointDensity",
     "PureStatePropagator",
     "evolve_mixed",
+    "mixed_reduced_density",
+    "node_chunk_length",
     "partial_trace_field",
     "quadrature_nodes",
     "reconstruct_field_density",
 ]
+
+
+# Joint-vector entries (nodes x four partner states x Fock levels) that
+# :func:`mixed_reduced_density` evolves per solver call.  It bounds the
+# working set of one node chunk; the chunk length follows from the
+# truncation and never changes the result beyond rounding.
+NODE_CHUNK_ENTRIES = 2**20
+
+
+def node_chunk_length(truncation: int) -> int:
+    """Phase-grid nodes per solver call of :func:`mixed_reduced_density`."""
+    return max(1, NODE_CHUNK_ENTRIES // (4 * (truncation + 3)))
 
 
 class PureStatePropagator(Protocol):
@@ -134,6 +155,55 @@ class JointDensity:
         return float(np.real(np.trace(self.matrix)))
 
 
+def _weighted_starts(partner_mixture: Iterable[tuple[float, str]]) -> list[tuple[float, str]]:
+    """The (weight, label) pairs with nonzero weight, after checking that the
+    weights form a distribution."""
+    pairs = [(float(w), label) for w, label in partner_mixture]
+    for w, label in pairs:
+        if w < 0.0:
+            raise ValueError(f"weight of {label!r} is negative: {w}")
+    total = math.fsum(w for w, _ in pairs)
+    if abs(total - 1.0) > 1e-10:
+        raise ValueError(f"partner weights must sum to 1, got {total}")
+    return [(w, label) for w, label in pairs if w != 0.0]
+
+
+def _evolved_nodes(
+    solver: PureStatePropagator,
+    spec: ThermalFieldSpec,
+    partner_mixture: Iterable[tuple[float, str]],
+    times: Iterable[float],
+    count: int,
+    chunk: int,
+):
+    """Evolve the grid's phase states, ``chunk`` nodes at a time.
+
+    Yields (time index, weights, evolved stack) for every node chunk,
+    weighted start label and time, in that nesting order.  The phase-state
+    rows of a chunk are built once and go to the solver as one stack;
+    ``weights`` are the chunk's node weights times the label weight, one
+    per row of the (K, P (N+3)) evolved stack.
+    """
+    pairs = _weighted_starts(partner_mixture)
+    times = list(times)
+    nodes = quadrature_nodes(count)
+    phis = np.array([phi for phi, _ in nodes])
+    node_weights = np.array([w for _, w in nodes])
+    fock_dim = spec.truncation + 3
+    for first in range(0, count, chunk):
+        rows = phase_state_rows(spec, phis[first : first + chunk])
+        weights = node_weights[first : first + chunk]
+        for w_label, label in pairs:
+            for k, t in enumerate(times):
+                out = np.asarray(solver(rows, label, t), dtype=complex)
+                if out.shape[:-1] != (len(rows),) or out.shape[-1] % fock_dim != 0:
+                    raise ValueError(
+                        f"solver output shape {out.shape} is not {len(rows)} rows, one "
+                        f"per node, of a multiple of the Fock dimension {fock_dim}"
+                    )
+                yield k, w_label * weights, out
+
+
 def evolve_mixed(
     solver: PureStatePropagator,
     spec: ThermalFieldSpec,
@@ -146,45 +216,75 @@ def evolve_mixed(
     ``partner_mixture`` lists (weight, starting label) pairs with weights
     summing to one.  The phase states of all grid nodes go to the solver as
     one (M, N+1) stack, so each start with nonzero weight costs one solver
-    call, and the projectors are averaged with fixed summation order, so
-    repeated runs agree bitwise.  The default grid of 2 truncation + 3
-    nodes exceeds every photon-number difference the evolved states can
-    hold, making the average exact rather than approximate.
+    call, and the projectors are averaged in one product with fixed
+    summation order, so repeated runs agree bitwise.  The default grid of
+    2 truncation + 3 nodes exceeds every photon-number difference the
+    evolved states can hold, making the average exact rather than
+    approximate.  For the partner state alone, :func:`mixed_reduced_density`
+    traces out the field before averaging and never builds this matrix.
     """
-    pairs = [(float(w), label) for w, label in partner_mixture]
-    for w, label in pairs:
-        if w < 0.0:
-            raise ValueError(f"weight of {label!r} is negative: {w}")
-    total = math.fsum(w for w, _ in pairs)
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"partner weights must sum to 1, got {total}")
     if count is None:
         count = 2 * spec.truncation + 3
-    nodes = quadrature_nodes(count)
-    node_weights = np.array([w for _, w in nodes])
+    evolved = list(_evolved_nodes(solver, spec, partner_mixture, [t], count, count))
+    v = np.concatenate([out for _, _, out in evolved])
+    matrix = (v.T * np.concatenate([w for _, w, _ in evolved])) @ v.conj()
     fock_dim = spec.truncation + 3
-
-    rows = phase_state_rows(spec, np.array([phi for phi, _ in nodes]))
-    stacks = []
-    stack_weights = []
-    for w_label, label in pairs:
-        if w_label == 0.0:
-            continue
-        out = np.asarray(solver(rows, label, t), dtype=complex)
-        if out.shape[:-1] != (count,) or out.shape[-1] % fock_dim != 0:
-            raise ValueError(
-                f"solver output shape {out.shape} is not {count} rows, one per "
-                f"node, of a multiple of the Fock dimension {fock_dim}"
-            )
-        stacks.append(out)
-        stack_weights.append(w_label * node_weights)
-    v = np.concatenate(stacks)
-    matrix = (v.T * np.concatenate(stack_weights)) @ v.conj()
     partner_dim = v.shape[1] // fock_dim
     labels = ATOM_LABELS if partner_dim == 4 else tuple(
         str(q) for q in range(partner_dim)
     )
     return JointDensity(matrix=matrix, fock_dim=fock_dim, atom_labels=labels)
+
+
+def mixed_reduced_density(
+    solver: PureStatePropagator,
+    spec: ThermalFieldSpec,
+    partner_mixture: Iterable[tuple[float, str]],
+    times: float | np.ndarray,
+    count: int | None = None,
+) -> TwoQubitDensity | np.ndarray:
+    """Partner density at each time, with the field traced out before the
+    grid average.
+
+    The same average as ``partial_trace_field(evolve_mixed(...))``, but each
+    evolved stack is reduced on arrival: a chunk of K nodes adds
+    sum_k w_k Tr_F |v_k><v_k| as one (P, K F) @ (K F, P) product, so no
+    joint matrix is ever formed.  Nodes go to the solver in chunks of about
+    NODE_CHUNK_ENTRIES joint-vector entries, one call per chunk, start label
+    and time, and the chunk sums are added with one rounding per entry, so
+    the chunk length moves the result by rounding inside a chunk only.  The
+    average stays explicit and weighted, so a grid coarser than 2 N + 3
+    nodes shows its error here as it does in the joint density.
+
+    A scalar time gives one P x P density, a 1-D array of T times a stack
+    of T.  A four-state partner comes back as a TwoQubitDensity, anything
+    else as a bare array.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim > 1 or times.size == 0:
+        raise ValueError(f"need a time or a 1-D array of times, got shape {times.shape}")
+    if count is None:
+        count = 2 * spec.truncation + 3
+    fock_dim = spec.truncation + 3
+    chunk = node_chunk_length(spec.truncation)
+    flat = np.atleast_1d(times).tolist()
+    terms: list[list[np.ndarray]] = [[] for _ in flat]
+    for k, weights, v in _evolved_nodes(solver, spec, partner_mixture, flat, count, chunk):
+        x = v.reshape(len(weights), -1, fock_dim).transpose(1, 0, 2)
+        x = x.reshape(x.shape[0], -1)
+        terms[k].append((x * np.repeat(weights, fock_dim)) @ x.conj().T)
+    rho = np.array([_exact_sum(np.array(chunks)) for chunks in terms])
+    if times.ndim == 0:
+        rho = rho[0]
+    return TwoQubitDensity(rho) if rho.shape[-1] == 4 else rho
+
+
+def _exact_sum(stack: np.ndarray) -> np.ndarray:
+    """Sum of a (C, ...) complex stack over its first axis, each entry
+    rounded once, so the order in which the chunks arrive does not matter."""
+    columns = stack.reshape(len(stack), -1).T
+    sums = [complex(math.fsum(c.real), math.fsum(c.imag)) for c in columns]
+    return np.array(sums).reshape(stack.shape[1:])
 
 
 def partial_trace_field(rho: JointDensity) -> TwoQubitDensity | np.ndarray:

@@ -55,7 +55,7 @@ def test_spectrum_defect_sees_a_shifted_frequency(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "route", ["reduced_density", "partial_trace_field", "oracle_reduced_density"]
+    "route", ["reduced_density", "mixed_reduced_density", "oracle_reduced_density"]
 )
 def test_route_gap_sees_each_perturbed_route(route, monkeypatch):
     assert checks.route_gap(SPEC, MIX, PAIR, TIMES) <= 1e-10
@@ -98,3 +98,35 @@ def test_negativity_route_gap_sees_a_shifted_closed_form(monkeypatch):
     original = checks.closed_form_negativity
     monkeypatch.setattr(checks, "closed_form_negativity", lambda rho: original(rho) + PLANT)
     assert checks.negativity_route_gap(states) == pytest.approx(PLANT, abs=1e-12)
+
+
+def test_each_route_runs_once_per_time_array(monkeypatch):
+    calls = []
+    for name in (
+        "reduced_density",
+        "mixed_reduced_density",
+        "oracle_reduced_density",
+        "jacobi_eigh",
+    ):
+        original = getattr(checks, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(checks, name, counting)
+    checks.route_gap(SPEC, MIX, PAIR, TIMES)
+    assert sorted(calls) == ["mixed_reduced_density", "oracle_reduced_density", "reduced_density"]
+    calls.clear()
+    checks.spectrum_defect(PAIR, 12)
+    assert calls == ["jacobi_eigh"]
+
+
+def test_negativity_route_gap_takes_a_stack_or_single_states():
+    states = [
+        TwoQubitDensity.from_components(0.4, 0.3, 0.2, 0.1, 0.1j),
+        TwoQubitDensity.from_components(0.1, 0.4, 0.4, 0.1, 0.35 * math.sqrt(2.0)),
+    ]
+    stack = TwoQubitDensity(np.array([rho.matrix for rho in states]))
+    assert checks.negativity_route_gap(stack) == checks.negativity_route_gap(states)
+    assert checks.negativity_route_gap([]) == 0.0

@@ -7,7 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from thermalqubits import ThermalFieldSpec, cli, negativity, reduced_density
+from thermalqubits import (
+    ThermalFieldSpec,
+    TwoQubitDensity,
+    cli,
+    negativity,
+    phase_engine,
+    reduced_density,
+)
 from thermalqubits.cli import (
     CSV_HEADER,
     ConfigError,
@@ -238,18 +245,46 @@ def test_file_key_and_flag_parse_to_the_same_config(key, tmp_path):
 def test_work_estimate_follows_the_planned_arrays():
     n, dim, nodes = 99, 4 * 102, 2 * 99 + 3
     joint = dim * dim + 3 * nodes * dim
-    assert cli.work_bytes(n, 10, "joint") == cli._ENTRY_BYTES["joint"] * joint
-    assert cli.work_bytes(n, 10, "validate") == cli._ENTRY_BYTES["validate"] * joint
-    assert cli.work_bytes(n, 10, "joint", 7) == cli._ENTRY_BYTES["joint"] * (
+    assert cli.work_bytes(n, 10, "joint") == cli._RUN_BYTES + cli._ENTRY_BYTES["joint"] * joint
+    assert cli.work_bytes(n, 10, "joint", 7) == cli._RUN_BYTES + cli._ENTRY_BYTES["joint"] * (
         dim * dim + 3 * 7 * dim
     )
     # 2048 // 100 = 20 times per chunk, but only 10 steps to take
     assert cli.work_bytes(n, 10, "reduced") == (
-        cli._ENTRY_BYTES["reduced"] * 10 * 100 + cli._ROW_BYTES * 10
+        cli._RUN_BYTES + cli._ENTRY_BYTES["reduced"] * 10 * 100 + cli._ROW_BYTES * 10
     )
     assert cli.work_bytes(n, 1000, "reduced") == (
-        cli._ENTRY_BYTES["reduced"] * 20 * 100 + cli._ROW_BYTES * 1000
+        cli._RUN_BYTES + cli._ENTRY_BYTES["reduced"] * 20 * 100 + cli._ROW_BYTES * 1000
     )
+
+
+def test_validate_estimate_is_its_larger_stage(monkeypatch):
+    n, dim, nodes = 99, 4 * 102, 2 * 99 + 3
+    oracle = 16 * 102 + 4 * 7 * 100
+    field = 100 * (nodes + 100)
+    # the whole grid fits one chunk: the route stage is larger
+    routes = cli._ENTRY_BYTES["validate"] * (nodes * dim + oracle)
+    assert routes > cli._FIELD_BYTES * field
+    assert cli.work_bytes(n, 1001, "validate") == cli._RUN_BYTES + routes
+    # three steps probe three times
+    assert cli.work_bytes(n, 3, "validate") == cli._RUN_BYTES + cli._ENTRY_BYTES[
+        "validate"
+    ] * (nodes * dim + 16 * 102 + 4 * 3 * 100)
+    # chunks of 5 nodes: the field reconstruction is larger
+    monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", 5 * dim + 1)
+    assert cli.work_bytes(n, 1001, "validate") == cli._RUN_BYTES + cli._FIELD_BYTES * field
+    assert cli.work_bytes(n, 1001, "validate", 3) == cli._RUN_BYTES + max(
+        cli._ENTRY_BYTES["validate"] * (3 * dim + oracle), cli._FIELD_BYTES * 100 * 103
+    )
+
+
+def test_validate_has_no_joint_density_term():
+    # the plan grows with N^2 through the field matrix only, far below the
+    # (4 (N + 3))^2 joint density, so nbar 100 fits the limit
+    n = ThermalFieldSpec(100.0).truncation
+    assert cli.work_bytes(n, 1001, "validate") < cli.MAX_WORK_BYTES
+    assert cli.work_bytes(n, 1001, "validate") < cli._FIELD_BYTES * (4 * (n + 3)) ** 2
+    assert load_config(None, {"nbar": 100.0, "mode": "validate"}).nbar == 100.0
 
 
 @pytest.mark.parametrize(
@@ -257,7 +292,7 @@ def test_work_estimate_follows_the_planned_arrays():
     [
         ["run", "--nbar", "1e6"],
         ["run", "--nbar", "100", "--mode", "joint"],
-        ["validate", "--nbar", "100"],
+        ["validate", "--nbar", "200"],
         ["run", "--nbar", "0.5", "--steps", "100000000"],
         ["run", "--nbar", "0.5", "--mode", "joint", "--quadrature-nodes", "10000000"],
     ],
@@ -480,3 +515,18 @@ def test_validate_subcommand_overrides_the_mode(capsys):
     )
     assert rc == 0
     assert "unitarity defect" in capsys.readouterr().out
+
+
+def test_random_x_states_draw_the_per_state_stream():
+    # six draws per state, in the order a one-state-at-a-time loop takes them
+    stack = cli._random_x_states(np.random.default_rng(0), 200)
+    rng = np.random.default_rng(0)
+    for rho in stack.matrix:
+        populations = rng.random(4) + 1e-3
+        populations = populations / populations.sum()
+        magnitude = math.sqrt(populations[1] * populations[2]) * rng.random()
+        phase = math.tau * rng.random()
+        expected = TwoQubitDensity.from_components(
+            *populations, magnitude * complex(math.cos(phase), math.sin(phase))
+        )
+        assert np.array_equal(rho, expected.matrix)

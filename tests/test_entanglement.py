@@ -148,3 +148,15 @@ def test_shape_and_hermiticity_are_checked():
     bad[0, 1] = 0.1
     with pytest.raises(ValueError, match="Hermitian"):
         negativity(bad)
+
+
+def test_closed_form_negativity_scores_a_stack_like_single_states():
+    rng = np.random.default_rng(5)
+    states = [random_x_state(rng) for _ in range(50)]
+    states.append(TwoQubitDensity(bell_density()))
+    stack = TwoQubitDensity(np.array([rho.matrix for rho in states]))
+    scores = closed_form_negativity(stack)
+    assert isinstance(scores, np.ndarray) and scores.shape == (51,)
+    assert scores.tolist() == [closed_form_negativity(rho) for rho in states]
+    gammas = closed_form_gamma(stack.B_ee, stack.B_gg, stack.B_coh)
+    assert gammas.tolist() == [closed_form_gamma(r.B_ee, r.B_gg, r.B_coh) for r in states]

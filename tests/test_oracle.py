@@ -1,6 +1,8 @@
 """The diagonalization route: block layout, Jacobi sweeps and evolution."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from thermalqubits import (
     quadrature_nodes,
     reduced_density,
 )
+from thermalqubits import oracle
 from thermalqubits.oracle import (
+    block_table,
     build_block,
     evolve_block,
     jacobi_eigh,
@@ -161,3 +165,134 @@ def test_stacked_propagation_equals_row_by_row_calls(label, nbar):
     assert stacked.shape == (9, 4 * (spec.truncation + 3))
     for row, out in zip(rows, stacked):
         assert np.array_equal(out, solver(row, label, 2.7))
+
+
+GAMMAS = [0.0, 1e-9, 0.3, 1.0 - 1e-6]
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_block_table_rows_are_the_built_blocks(gamma):
+    pair = CouplingPair.from_gamma(gamma)
+    table = block_table(pair, 40)
+    assert table.shape == (41, 4, 4)
+    for n in (0, 1, 17, 40):
+        assert np.array_equal(table[n], build_block(n + 2, pair).hamiltonian)
+
+
+def test_block_table_refuses_a_bad_cutoff():
+    with pytest.raises(ValueError):
+        block_table(CouplingPair(1.0, 1.0), -1)
+    with pytest.raises(ValueError):
+        block_table(CouplingPair(1.0, 1.0), 2.5)
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_stacked_jacobi_is_bitwise_the_one_block_calls(gamma):
+    table = block_table(CouplingPair.from_gamma(gamma), 60)
+    w, v = jacobi_eigh(table)
+    assert w.shape == (61, 4) and v.shape == (61, 4, 4)
+    for n, block in enumerate(table):
+        w1, v1 = jacobi_eigh(block[None])
+        assert np.array_equal(w1[0], w[n]) and np.array_equal(v1[0], v[n])
+        w2, v2 = jacobi_eigh(block)
+        assert np.array_equal(w2, w[n]) and np.array_equal(v2, v[n])
+
+
+def test_stacked_jacobi_handles_blocks_converging_at_different_sweeps():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((5, 4, 4))
+    stack = (a + a.swapaxes(-1, -2)) / 2.0
+    stack[1] = np.diag([3.0, -1.0, 2.0, 0.5])  # converged before any rotation
+    stack[2] = 0.0
+    w, v = jacobi_eigh(stack)
+    for k in range(5):
+        w1, v1 = jacobi_eigh(stack[k])
+        assert np.array_equal(w1, w[k]) and np.array_equal(v1, v[k])
+        assert np.allclose(v[k] @ np.diag(w[k]) @ v[k].T, stack[k], atol=1e-13)
+    assert np.array_equal(w[1], [-1.0, 0.5, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_stacked_jacobi_eigenvalues_match_lapack(gamma):
+    # numpy's eigvalsh is a test-only reference.  Against a 40-digit
+    # reference eigvalsh itself misses by up to 8.5 ulp of the block scale
+    # on these blocks and the Jacobi sweep by up to 3.8, so the two are
+    # compared at 4e-15 of the scale rather than at one rounding.
+    table = block_table(CouplingPair.from_gamma(gamma), 300)
+    w, v = jacobi_eigh(table)
+    scale = np.abs(table).max(axis=(-2, -1))
+    gap = np.abs(w - np.linalg.eigvalsh(table)).max(axis=-1)
+    assert np.all(gap <= 4e-15 * scale)
+    reconstructed = v @ (w[..., None] * v.swapaxes(-1, -2))
+    assert np.abs(reconstructed - table).max() <= 1e-14 * scale.max()
+
+
+def test_time_array_oracle_matches_per_time_calls():
+    spec = ThermalFieldSpec(2.0, 1e-8)
+    mix = AtomicMixtureSpec(0.8, 0.3)
+    pair = CouplingPair.from_gamma(0.45)
+    times = np.array([0.0, 0.7, 3.1, 12.5, 40.0])
+    stack = oracle_reduced_density(spec, mix, pair, times)
+    assert stack.matrix.shape == (5, 4, 4)
+    for t, rho in zip(times, stack.matrix):
+        single = oracle_reduced_density(spec, mix, pair, float(t)).matrix
+        assert single.shape == (4, 4)
+        assert np.abs(single - rho).max() < 1e-14
+
+
+def test_oracle_refuses_a_time_matrix():
+    with pytest.raises(ValueError):
+        oracle_reduced_density(
+            ThermalFieldSpec(0.5), AtomicMixtureSpec(0.5, 0.5), CouplingPair(1.0, 1.0),
+            np.zeros((2, 2)),
+        )
+
+
+def test_propagator_diagonalizes_once(monkeypatch):
+    spec = ThermalFieldSpec(0.5, 1e-8)
+    rows = phase_state_rows(spec, np.array([0.0, 1.0, 2.0]))
+    shapes = []
+    original = oracle.jacobi_eigh
+
+    def counting(matrix, *args, **kwargs):
+        shapes.append(np.shape(matrix))
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "jacobi_eigh", counting)
+    solver = numeric_propagator(CouplingPair(1.3, 0.4))
+    for label, t in (("ee", 1.0), ("gg", 2.0), ("ge", 0.5)):
+        solver(rows, label, t)
+    assert shapes == [(spec.truncation + 3, 4, 4)]
+    # blocks E = 0 .. N + 2, padded to four states
+    solver(rows[:, :3], "gg", 1.0)
+    assert shapes == [(spec.truncation + 3, 4, 4)]
+    # more photon levels need a larger table, built once more
+    solver(np.ones((1, spec.truncation + 5)), "eg", 1.0)
+    assert shapes[1:] == [(spec.truncation + 7, 4, 4)]
+
+
+def test_oracle_keeps_nothing_between_calls():
+    spec = ThermalFieldSpec(1.0, 1e-8)
+    mix = AtomicMixtureSpec(0.8, 0.3)
+    times = np.linspace(0.0, 10.0, 7)
+
+    def run(k):
+        pair = CouplingPair(1.0 + 1e-3 * k, 0.5)
+        oracle_reduced_density(spec, mix, pair, times)
+        numeric_propagator(pair)(np.ones((2, spec.truncation + 1)), "ee", 1.0)
+
+    run(0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run(1)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(2, 52):
+            run(k)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # one table at this size is about 7 kB; 50 retained tables would be 350 kB
+    assert grown < 4096

@@ -19,7 +19,9 @@ from thermalqubits import (
     reconstruct_field_density,
     reduced_density,
 )
+from thermalqubits import phase_engine
 from thermalqubits.oracle import numeric_propagator
+from thermalqubits.phase_engine import mixed_reduced_density
 
 
 def test_single_node_grid():
@@ -281,3 +283,114 @@ def test_one_solver_call_per_weighted_label():
     evolve_mixed(solver, spec, [(0.5, "ee"), (0.0, "eg"), (0.5, "gg")], 1.0, count=11)
     shape = (11, spec.truncation + 1)
     assert calls == [("ee", shape), ("gg", shape)]
+
+
+MIX = AtomicMixtureSpec(0.9, 0.4)
+MIX_PAIRS = [(w, label) for label, w in MIX.weights().items()]
+TRACE_PAIR = CouplingPair(1.4, 0.55)
+TRACE_TIMES = np.array([0.0, 1.3, 7.9])
+
+
+def _traced_joint(solver, spec, times, count=None):
+    """The reduced route through the joint density, one time at a time."""
+    return np.array(
+        [
+            partial_trace_field(evolve_mixed(solver, spec, MIX_PAIRS, t, count)).matrix
+            for t in times
+        ]
+    )
+
+
+@pytest.mark.parametrize("nbar", [0.5, 2.0, 20.0])
+@pytest.mark.parametrize("make_solver", [phase_propagator, numeric_propagator])
+def test_trace_first_average_equals_the_traced_joint_density(nbar, make_solver):
+    spec = ThermalFieldSpec(nbar, 1e-8)
+    solver = make_solver(TRACE_PAIR)
+    rho = mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES)
+    assert isinstance(rho, TwoQubitDensity)
+    assert rho.matrix.shape == (3, 4, 4)
+    assert np.abs(rho.matrix - _traced_joint(solver, spec, TRACE_TIMES)).max() < 1e-15
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_coarse_grid_error_shows_on_both_reduced_routes(count):
+    spec = ThermalFieldSpec(2.0, 1e-8)
+    assert count < 2 * spec.truncation + 3
+    solver = phase_propagator(TRACE_PAIR)
+    rho = mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES, count).matrix
+    joint = _traced_joint(solver, spec, TRACE_TIMES, count)
+    assert np.abs(rho - joint).max() < 1e-15
+    exact = reduced_density(spec, MIX, TRACE_PAIR, TRACE_TIMES).matrix
+    # aliased coherences of photon difference 1 or 2 reach the atoms
+    assert np.abs(rho - exact).max() > 1e-2
+    assert np.abs(joint - exact).max() > 1e-2
+
+
+@pytest.mark.parametrize("make_solver", [phase_propagator, numeric_propagator])
+def test_chunk_length_changes_nothing_but_rounding(make_solver, monkeypatch):
+    spec = ThermalFieldSpec(2.0, 1e-8)
+    row = 4 * (spec.truncation + 3)
+    solver = make_solver(TRACE_PAIR)
+    results = []
+    for nodes in (1, 7, 2 * spec.truncation + 3):
+        monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", nodes * row)
+        assert phase_engine.node_chunk_length(spec.truncation) == nodes
+        results.append(mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES).matrix)
+    for rho in results[1:]:
+        assert np.abs(rho - results[0]).max() < 1e-15
+
+
+def test_trace_first_calls_the_solver_once_per_chunk_label_and_time(monkeypatch):
+    spec = ThermalFieldSpec(0.5, 1e-6)
+    monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", 10 * 4 * (spec.truncation + 3))
+    inner = phase_propagator(CouplingPair.from_gamma(0.3))
+    calls = []
+
+    def solver(coeffs, label, t):
+        calls.append((label, t, coeffs.shape[0]))
+        return inner(coeffs, label, t)
+
+    pairs = [(0.5, "ee"), (0.0, "eg"), (0.5, "gg")]
+    mixed_reduced_density(solver, spec, pairs, np.array([1.0, 2.0]), count=25)
+    expected = [
+        (label, t, rows)
+        for rows in (10, 10, 5)
+        for label in ("ee", "gg")
+        for t in (1.0, 2.0)
+    ]
+    assert calls == expected
+
+
+def test_trace_first_takes_one_time_or_an_array():
+    spec = ThermalFieldSpec(0.5, 1e-6)
+    solver = phase_propagator(TRACE_PAIR)
+    stack = mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES).matrix
+    for t, rho in zip(TRACE_TIMES, stack):
+        single = mixed_reduced_density(solver, spec, MIX_PAIRS, float(t))
+        assert single.matrix.shape == (4, 4)
+        assert np.array_equal(single.matrix, rho)
+
+
+def test_trace_first_checks_its_inputs():
+    spec = ThermalFieldSpec(0.5, 1e-6)
+    solver = phase_propagator(TRACE_PAIR)
+    with pytest.raises(ValueError, match="sum"):
+        mixed_reduced_density(solver, spec, [(0.7, "ee")], 1.0)
+    with pytest.raises(ValueError, match="1-D"):
+        mixed_reduced_density(solver, spec, MIX_PAIRS, np.zeros((2, 2)))
+
+
+def test_trace_first_returns_a_bare_matrix_for_other_partners():
+    spec = ThermalFieldSpec(0.5, 1e-6)
+    fock_dim = spec.truncation + 3
+
+    def idle(coeffs, label, t):
+        out = np.zeros(coeffs.shape[:-1] + (2, fock_dim), dtype=complex)
+        out[..., int(label), : coeffs.shape[-1]] = coeffs
+        return out.reshape(coeffs.shape[:-1] + (2 * fock_dim,))
+
+    rho = mixed_reduced_density(idle, spec, [(0.25, "0"), (0.75, "1")], np.array([0.0, 1.0]))
+    assert isinstance(rho, np.ndarray)
+    assert rho.shape == (2, 2, 2)
+    expected = np.diag([0.25, 0.75]) * spec.retained_mass()
+    assert np.abs(rho - expected).max() < 1e-15
