@@ -27,9 +27,7 @@ from .entanglement import (
     upsilon_witness,
 )
 from .fock_thermal import (
-    PhaseState,
     ThermalFieldSpec,
-    make_phase_state,
     mean_photons_from_temperature,
     phase_state_rows,
     photon_probability,
@@ -57,7 +55,6 @@ __all__ = [
     "JointDensity",
     "ManifoldSpectrum",
     "NegativityResult",
-    "PhaseState",
     "PureStatePropagator",
     "ThermalFieldSpec",
     "TwoQubitDensity",
@@ -65,7 +62,6 @@ __all__ = [
     "closed_form_gamma",
     "closed_form_negativity",
     "evolve_mixed",
-    "make_phase_state",
     "manifold_spectrum",
     "mean_photons_from_temperature",
     "mixed_reduced_density",

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .closed_form import CouplingPair, amplitude_table, manifold_spectrum, phase_propagator
+from .closed_form import CouplingPair, _spectrum, amplitude_table, phase_propagator
 from .entanglement import closed_form_negativity, negativity
 from .fock_thermal import ThermalFieldSpec
 from .oracle import block_table, jacobi_eigh, oracle_reduced_density
@@ -53,17 +53,16 @@ def spectrum_defect(couplings: CouplingPair, n_max: int) -> float:
     +-Omega_minus of blocks 0 .. n_max and the Jacobi eigenvalues of the
     same blocks built entry by entry.
 
-    All n_max + 1 blocks come from one :func:`block_table` and are
+    The blocks E = 2 .. n_max + 2 of one :func:`block_table` are
     diagonalized as one stack, with the rotations the oracle route applies
-    to each of them.
+    to each of them, and the closed-form frequencies of all of them come
+    from one spectrum array call.
     """
-    w, _ = jacobi_eigh(block_table(couplings, n_max))
-    worst = 0.0
-    for n in range(n_max + 1):
-        s = manifold_spectrum(n, couplings)
-        op, om = s.Omega_plus.real, s.Omega_minus.real
-        worst = max(worst, float(np.abs(w[n] - np.sort([-op, -om, om, op])).max()))
-    return worst
+    w, _ = jacobi_eigh(block_table(couplings, n_max)[2:])
+    *_, omega_plus_sq, omega_minus_sq = _spectrum(np.arange(n_max + 1), couplings)
+    op, om = np.sqrt(omega_plus_sq), np.sqrt(omega_minus_sq)
+    reference = np.sort(np.stack([-op, -om, om, op], axis=-1), axis=-1)
+    return float(np.abs(w - reference).max())
 
 
 def route_gap(

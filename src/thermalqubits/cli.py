@@ -40,7 +40,7 @@ from . import checks
 from .closed_form import CouplingPair, phase_propagator
 from .entanglement import negativity
 from .fock_thermal import ThermalFieldSpec
-from .phase_engine import evolve_mixed, node_chunk_length
+from .phase_engine import evolve_mixed, exact_node_count, node_chunk_length
 from .reduction import AtomicMixtureSpec, TwoQubitDensity, reduced_density
 
 __all__ = [
@@ -138,7 +138,7 @@ def work_bytes(truncation: int, steps: int, mode: str, nodes: int | None = None)
         return _RUN_BYTES + _ENTRY_BYTES[mode] * chunk * levels + _ROW_BYTES * steps
     dim = 4 * (truncation + 3)
     if nodes is None:
-        nodes = 2 * truncation + 3
+        nodes = exact_node_count(truncation)
     if mode == "joint":
         return _RUN_BYTES + _ENTRY_BYTES[mode] * (dim * dim + 3 * nodes * dim)
     chunk = min(nodes, node_chunk_length(truncation)) * dim

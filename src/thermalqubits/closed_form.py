@@ -267,36 +267,46 @@ def amplitude_table(
     return np.stack([x1 + 0j, x2 + 0j, x3 + 0j, x4 + 0j])
 
 
-def _assemble(
-    coefficients: np.ndarray, label: str, t: float, couplings: CouplingPair
-) -> np.ndarray:
-    """Joint atoms+field vectors from field coefficients C_0..C_N at time t.
+def _joint_vectors(coefficients: np.ndarray, table: np.ndarray, shifts) -> np.ndarray:
+    """Flat joint vectors from field coefficients and arrival amplitudes.
 
     ``coefficients`` is one row of C_0..C_N or a stack of rows along its
-    leading axes; every row shares one amplitude table.  Each result row is
-    flat with layout q * (n_max + 3) + f, q running over ATOM_LABELS and f
-    over Fock levels 0 .. n_max + 2; the extra two levels hold the photons
-    released by an "ee" start at the truncation edge.
+    leading axes.  Row q of the (4, N+1) ``table`` holds the amplitude on
+    arrival ATOM_LABELS[q] from each start n = 0 .. N, which lands on Fock
+    level n + shifts[q].  Each result row is flat with layout
+    q * (N + 3) + f, f running over Fock levels 0 .. N + 2; the extra two
+    levels hold the photons released by an "ee" start at the truncation
+    edge.  Both solvers place their own amplitudes through this one
+    function.
     """
     coefficients = np.asarray(coefficients)
     stack = coefficients.shape[:-1]
     n_max = coefficients.shape[-1] - 1
     fock_dim = n_max + 3
-    table = amplitude_table(label, n_max, t, couplings)
-    shifts = _ARRIVAL_SHIFTS[label]
     out = np.zeros(stack + (4, fock_dim), dtype=complex)
-    for q in range(4):
-        contrib = coefficients * table[q]
-        off = shifts[q]
-        if off >= 0:
-            out[..., q, off : off + n_max + 1] = contrib
-        else:
-            # entries that would land below Fock 0 carry a sqrt(n) or
-            # sqrt(n(n-1)) factor and are exact zeros; drop them (possibly
-            # all of them, when the cutoff sits below the shift)
-            keep = max(0, n_max + 1 + off)
-            out[..., q, :keep] = contrib[..., n_max + 1 - keep :]
+    for q, shift in enumerate(shifts):
+        # entries that would land below Fock 0 are exact zeros (a sqrt(n)
+        # or sqrt(n(n-1)) factor here, an uncoupled padding state in the
+        # oracle); drop them, possibly all of them when the cutoff sits
+        # below the shift
+        first = max(0, -shift)
+        if first <= n_max:
+            out[..., q, first + shift : n_max + 1 + shift] = (
+                coefficients[..., first:] * table[q, first:]
+            )
     return out.reshape(stack + (4 * fock_dim,))
+
+
+def _assemble(
+    coefficients: np.ndarray, label: str, t: float, couplings: CouplingPair
+) -> np.ndarray:
+    """Joint atoms+field vectors from field coefficients C_0..C_N at time t.
+
+    Every row of ``coefficients`` shares one amplitude table, placed by
+    :func:`_joint_vectors`.
+    """
+    table = amplitude_table(label, np.shape(coefficients)[-1] - 1, t, couplings)
+    return _joint_vectors(coefficients, table, _ARRIVAL_SHIFTS[label])
 
 
 def phase_propagator(couplings: CouplingPair) -> Callable[[np.ndarray, str, float], np.ndarray]:

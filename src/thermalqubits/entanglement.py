@@ -124,7 +124,10 @@ def upsilon_witness(rho: TwoQubitDensity) -> float | np.ndarray:
     Negative exactly when :func:`closed_form_gamma` is negative, i.e. when
     the central coherence outweighs the corner populations; it carries the
     sign of the entanglement decision without its magnitude.  A stack of
-    densities gives one value per density.  :func:`negativity` reports
-    this same expression as its ``upsilon``.
+    densities gives one value per density.  One density is scored as a
+    stack of one, so it gets the bits of its entry in any stack, and
+    :func:`negativity` reports this same value as its ``upsilon``.
     """
-    return rho.B_ee * rho.B_gg - abs(rho.B_coh) ** 2
+    stack = TwoQubitDensity(rho.matrix.reshape(-1, 4, 4))
+    upsilon = stack.B_ee * stack.B_gg - abs(stack.B_coh) ** 2
+    return float(upsilon[0]) if rho.matrix.ndim == 2 else upsilon

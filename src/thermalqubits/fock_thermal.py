@@ -7,9 +7,10 @@ number distribution
 
 which is diagonal in the Fock basis.  The same mixture can be written as a
 uniform average of pure "phase states" over one full period of the phase
-angle; :func:`phase_state_rows` builds the pure members at an array of
-angles, :func:`make_phase_state` the one at a single angle, and the grid
-average lives in :mod:`thermalqubits.phase_engine`.
+angle.  :func:`phase_state_rows` builds the pure members at an array of
+angles, one row each, so a single phase state is
+``phase_state_rows(spec, [phi])[0]``; the grid average lives in
+:mod:`thermalqubits.phase_engine`.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "PhaseState",
     "ThermalFieldSpec",
-    "make_phase_state",
     "mean_photons_from_temperature",
     "phase_state_rows",
     "photon_probability",
@@ -129,44 +128,14 @@ class ThermalFieldSpec:
         return math.fsum(self.probabilities())
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseState:
-    """Pure phase state of the field: C_n = sqrt(p(n)) exp(i n phi).
-
-    ``coefficients[n]`` holds C_n for n = 0 .. truncation; ``phi`` is the
-    angle reduced into [0, 2 pi).  The squared norm equals the retained
-    mass, 1 minus the truncation tail, not exactly 1.
-    """
-
-    phi: float
-    coefficients: np.ndarray
-
-    @property
-    def n_max(self) -> int:
-        return len(self.coefficients) - 1
-
-
 def phase_state_rows(spec: ThermalFieldSpec, phis: np.ndarray) -> np.ndarray:
     """Phase-state coefficients at each angle, one row per angle.
 
     Row k holds C_n = sqrt(p(n)) exp(i n phis[k]) for n = 0 .. truncation,
     so the result has shape (len(phis), truncation + 1).  The angles are
-    used as given, not reduced.
+    used as given, not reduced.  Each row's squared norm is the retained
+    mass, 1 minus the truncation tail, not exactly 1.
     """
     n = np.arange(spec.truncation + 1)
     phis = np.asarray(phis, dtype=float)
     return np.sqrt(spec.probabilities()) * np.exp(1j * n * phis[:, None])
-
-
-def make_phase_state(spec: ThermalFieldSpec, phi: float) -> PhaseState:
-    """Build the phase state of ``spec`` at angle ``phi``.
-
-    The angle is reduced into [0, 2 pi) by fmod, which is exact in floating
-    point, so angles differing by a representable multiple of the period
-    give bit-identical coefficients.
-    """
-    reduced = math.fmod(phi, math.tau)
-    if reduced < 0.0:
-        reduced += math.tau
-    coeffs = phase_state_rows(spec, np.array([reduced]))[0]
-    return PhaseState(phi=reduced, coefficients=coeffs)

@@ -42,6 +42,7 @@ __all__ = [
     "JointDensity",
     "PureStatePropagator",
     "evolve_mixed",
+    "exact_node_count",
     "mixed_reduced_density",
     "node_chunk_length",
     "partial_trace_field",
@@ -79,15 +80,25 @@ class PureStatePropagator(Protocol):
     def __call__(self, coefficients: np.ndarray, label: str, t: float) -> np.ndarray: ...
 
 
-def quadrature_nodes(count: int) -> list[tuple[float, float]]:
+def exact_node_count(truncation: int) -> int:
+    """Default grid size, 2 N + 3 nodes, on which the phase average is exact.
+
+    It exceeds every photon-number difference that states evolved out of
+    the truncated field can hold, Fock levels 0 .. N + 2.
+    """
+    return 2 * truncation + 3
+
+
+def quadrature_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` equally spaced angles over [0, 2 pi), each weighted 1/count.
 
-    The left-endpoint grid is the periodic trapezoid rule, exact for any
-    trigonometric polynomial of degree below ``count``.
+    Returns the (angles, weights) arrays.  The left-endpoint grid is the
+    periodic trapezoid rule, exact for any trigonometric polynomial of
+    degree below ``count``.
     """
     if count < 1:
         raise ValueError(f"need at least one node, got {count}")
-    return [(math.tau * k / count, 1.0 / count) for k in range(count)]
+    return math.tau * np.arange(count) / count, np.full(count, 1.0 / count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,25 +123,23 @@ def reconstruct_field_density(
 
     On the full interval the result is the diagonal photon-number mixture
     up to rounding once ``count`` exceeds the largest coherence the grid
-    must cancel; the reported ``exact`` flag uses the 2 N + 3 threshold
-    that also covers states evolved out of the truncated field.  On the
-    half interval (midpoint grid on [0, pi]) the odd coherences never
-    cancel, whatever the count, and the surviving entries are the point.
+    must cancel; the reported ``exact`` flag uses the threshold of
+    :func:`exact_node_count`, which also covers states evolved out of the
+    truncated field.  On the half interval (midpoint grid on [0, pi]) the
+    odd coherences never cancel, whatever the count, and the surviving
+    entries are the point.
     """
-    if count is None:
-        count = 2 * spec.truncation + 3
-    if interval == "full":
-        nodes = quadrature_nodes(count)
-    elif interval == "half":
-        if count < 1:
-            raise ValueError(f"need at least one node, got {count}")
-        nodes = [(math.pi * (k + 0.5) / count, 1.0 / count) for k in range(count)]
-    else:
+    if interval not in ("full", "half"):
         raise ValueError(f"interval must be 'full' or 'half', got {interval!r}")
-    rows = phase_state_rows(spec, np.array([phi for phi, _ in nodes]))
-    weights = np.array([w for _, w in nodes])
+    exact_count = exact_node_count(spec.truncation)
+    if count is None:
+        count = exact_count
+    phis, weights = quadrature_nodes(count)
+    if interval == "half":
+        phis = math.pi * (np.arange(count) + 0.5) / count
+    rows = phase_state_rows(spec, phis)
     matrix = (rows.T * weights) @ rows.conj()
-    exact = interval == "full" and count >= 2 * spec.truncation + 3
+    exact = interval == "full" and count >= exact_count
     return FieldReconstruction(
         matrix=matrix, exact=exact, interval=interval, node_count=count
     )
@@ -186,9 +195,7 @@ def _evolved_nodes(
     """
     pairs = _weighted_starts(partner_mixture)
     times = list(times)
-    nodes = quadrature_nodes(count)
-    phis = np.array([phi for phi, _ in nodes])
-    node_weights = np.array([w for _, w in nodes])
+    phis, node_weights = quadrature_nodes(count)
     fock_dim = spec.truncation + 3
     for first in range(0, count, chunk):
         rows = phase_state_rows(spec, phis[first : first + chunk])
@@ -218,13 +225,13 @@ def evolve_mixed(
     one (M, N+1) stack, so each start with nonzero weight costs one solver
     call, and the projectors are averaged in one product with fixed
     summation order, so repeated runs agree bitwise.  The default grid of
-    2 truncation + 3 nodes exceeds every photon-number difference the
-    evolved states can hold, making the average exact rather than
+    :func:`exact_node_count` nodes exceeds every photon-number difference
+    the evolved states can hold, making the average exact rather than
     approximate.  For the partner state alone, :func:`mixed_reduced_density`
     traces out the field before averaging and never builds this matrix.
     """
     if count is None:
-        count = 2 * spec.truncation + 3
+        count = exact_node_count(spec.truncation)
     evolved = list(_evolved_nodes(solver, spec, partner_mixture, [t], count, count))
     v = np.concatenate([out for _, _, out in evolved])
     matrix = (v.T * np.concatenate([w for _, w, _ in evolved])) @ v.conj()
@@ -264,7 +271,7 @@ def mixed_reduced_density(
     if times.ndim > 1 or times.size == 0:
         raise ValueError(f"need a time or a 1-D array of times, got shape {times.shape}")
     if count is None:
-        count = 2 * spec.truncation + 3
+        count = exact_node_count(spec.truncation)
     fock_dim = spec.truncation + 3
     chunk = node_chunk_length(spec.truncation)
     flat = np.atleast_1d(times).tolist()

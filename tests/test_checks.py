@@ -44,13 +44,15 @@ def test_column_norm_defect_sees_a_scaled_table(monkeypatch):
 
 def test_spectrum_defect_sees_a_shifted_frequency(monkeypatch):
     assert checks.spectrum_defect(PAIR, 12) <= 1e-11
-    original = checks.manifold_spectrum
+    original = checks._spectrum
 
-    def shifted(n, couplings):
-        s = original(n, couplings)
-        return dataclasses.replace(s, Omega_plus=s.Omega_plus + PLANT) if n == 3 else s
+    def shifted(m, couplings):
+        # move Omega_plus of block 3 alone by PLANT
+        *rest, omega_plus_sq, omega_minus_sq = original(m, couplings)
+        omega_plus = np.sqrt(omega_plus_sq) + np.where(m == 3, PLANT, 0.0)
+        return (*rest, omega_plus**2, omega_minus_sq)
 
-    monkeypatch.setattr(checks, "manifold_spectrum", shifted)
+    monkeypatch.setattr(checks, "_spectrum", shifted)
     assert checks.spectrum_defect(PAIR, 12) == pytest.approx(PLANT, abs=1e-12)
 
 

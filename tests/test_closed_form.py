@@ -10,7 +10,6 @@ from thermalqubits import (
     CouplingPair,
     ThermalFieldSpec,
     amplitude_table,
-    make_phase_state,
     manifold_spectrum,
     phase_propagator,
     phase_state_rows,
@@ -18,6 +17,7 @@ from thermalqubits import (
 )
 from thermalqubits.checks import spectrum_defect
 from thermalqubits.closed_form import _assemble
+from thermalqubits.oracle import numeric_propagator
 
 SYM = CouplingPair.from_gamma(0.0)
 ASYM = CouplingPair.from_gamma(0.5)
@@ -188,24 +188,27 @@ def test_table_column_equals_single_amplitude_call():
 
 
 def test_amplitudes_match_the_diagonalized_blocks():
-    from thermalqubits.oracle import build_block, evolve_block
-
-    offsets = {"ee": 2, "eg": 1, "gg": 0}
+    # unit coefficient rows start the oracle from each |label, n> alone;
+    # arrival q of start n must hold amplitude_table's entry [q, n] on Fock
+    # level n + excitation - 2 + offset, and nothing else anywhere
+    n_max = 30
     for gamma in (0.0, 0.1, 0.5, 0.9, 1.0):
         pair = CouplingPair.from_gamma(gamma)
-        for label, offset in offsets.items():
-            for n in (0, 1, 7, 30):
-                for t in (0.5, 2.0, 7.3):
-                    block = build_block(offset + n, pair)
-                    evolved = evolve_block(block, t, block.basis.index((label, n)))
-                    by_label = dict(zip(ATOM_LABELS, amplitudes(label, n, t, pair).tolist()))
-                    seen = set()
-                    for (arrival, _), amp in zip(block.basis, evolved):
-                        seen.add(arrival)
-                        assert amp == pytest.approx(by_label[arrival], abs=1e-11)
-                    # arrivals absent from the block are structural zeros
-                    for arrival in set(ATOM_LABELS) - seen:
-                        assert by_label[arrival] == 0.0
+        solver = numeric_propagator(pair)
+        for label, excitation in (("ee", 2), ("eg", 1), ("gg", 0)):
+            for t in (0.5, 2.0, 7.3):
+                evolved = solver(np.eye(n_max + 1), label, t).reshape(n_max + 1, 4, n_max + 3)
+                table = amplitude_table(label, n_max, t, pair)
+                expected = np.zeros_like(evolved)
+                for q, offset in enumerate((0, 1, 1, 2)):
+                    for n in range(n_max + 1):
+                        photons = n + excitation - 2 + offset
+                        if photons >= 0:
+                            expected[n, q, photons] = table[q, n]
+                        else:
+                            # arrivals absent from the block are structural zeros
+                            assert table[q, n] == 0.0
+                assert np.abs(evolved - expected).max() <= 1e-11
 
 
 def test_tiny_asymmetry_stays_close_to_the_symmetric_point():
@@ -264,8 +267,8 @@ def test_vacuum_ground_start_assembles_without_arrivals_below_zero():
 
 def test_propagated_phase_state_keeps_its_norm():
     spec = ThermalFieldSpec(1.0, 1e-8)
-    z = make_phase_state(spec, 1.1)
-    out = phase_propagator(ASYM)(z.coefficients, "ee", 4.2)
+    coeffs = phase_state_rows(spec, [1.1])[0]
+    out = phase_propagator(ASYM)(coeffs, "ee", 4.2)
     assert out.shape == (4 * (spec.truncation + 3),)
     norm = float(np.vdot(out, out).real)
     assert norm == pytest.approx(spec.retained_mass(), abs=1e-12)
@@ -273,12 +276,9 @@ def test_propagated_phase_state_keeps_its_norm():
 
 def test_propagator_closure_matches_the_direct_call():
     spec = ThermalFieldSpec(0.5)
-    z = make_phase_state(spec, 2.0)
+    coeffs = phase_state_rows(spec, [2.0])[0]
     solver = phase_propagator(ASYM)
-    assert np.array_equal(
-        solver(z.coefficients, "gg", 3.3),
-        _assemble(z.coefficients, "gg", 3.3, ASYM),
-    )
+    assert np.array_equal(solver(coeffs, "gg", 3.3), _assemble(coeffs, "gg", 3.3, ASYM))
 
 
 @pytest.mark.parametrize("label", ["ee", "eg", "gg"])
@@ -287,7 +287,7 @@ def test_stacked_assembly_equals_row_by_row_calls(label, nbar):
     # nbar 0 and 1e-6 give truncations 0 and 1, where a gg start's lower
     # arrival rows fall partly or wholly below Fock 0
     spec = ThermalFieldSpec(nbar)
-    rows = phase_state_rows(spec, np.array([phi for phi, _ in quadrature_nodes(9)]))
+    rows = phase_state_rows(spec, quadrature_nodes(9)[0])
     stacked = _assemble(rows, label, 2.7, ASYM)
     assert stacked.shape == (9, 4 * (spec.truncation + 3))
     for row, out in zip(rows, stacked):

@@ -70,6 +70,18 @@ def test_stack_gives_the_single_matrix_results():
     assert np.array_equal(negativity(stack.matrix).xi, res.xi)
 
 
+def test_single_witness_is_bitwise_its_stack_entry():
+    # one density is scored as a stack of one, so a single call, its entry
+    # in a stack call and negativity's upsilon carry the same bits
+    rng = np.random.default_rng(5)
+    singles = [random_x_state(rng) for _ in range(500)]
+    stacked = upsilon_witness(TwoQubitDensity(np.stack([rho.matrix for rho in singles])))
+    for k, rho in enumerate(singles):
+        one = upsilon_witness(rho)
+        assert isinstance(one, float)
+        assert one == stacked[k] == negativity(rho).upsilon
+
+
 def test_rounding_residue_is_floored_to_zero():
     rho = TwoQubitDensity.from_components(0.0, 0.5, 0.5, 0.0, 2.5e-13)
     assert negativity(rho).xi == 0.0

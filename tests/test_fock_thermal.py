@@ -7,13 +7,13 @@ import pytest
 
 from thermalqubits import (
     ThermalFieldSpec,
-    make_phase_state,
     mean_photons_from_temperature,
     phase_state_rows,
     photon_probability,
     quadrature_nodes,
     truncation_for_tolerance,
 )
+from thermalqubits.phase_engine import exact_node_count
 
 
 def test_mean_photons_small_ratio_keeps_precision():
@@ -142,37 +142,20 @@ def test_probabilities_positive_and_decreasing():
 
 def test_phase_state_norm_equals_retained_mass():
     spec = ThermalFieldSpec(1.0, 1e-6)
-    z = make_phase_state(spec, 0.3)
-    norm = float(np.vdot(z.coefficients, z.coefficients).real)
+    z = phase_state_rows(spec, [0.3])[0]
+    norm = float(np.vdot(z, z).real)
     assert norm == pytest.approx(spec.retained_mass(), abs=1e-14)
-
-
-def test_phase_state_angle_reduction_is_bit_exact():
-    # fmod is exact, so a full-period shift must not move a single bit
-    spec = ThermalFieldSpec(0.5)
-    for k in range(4):
-        phi = k * math.tau / 4.0
-        a = make_phase_state(spec, phi)
-        b = make_phase_state(spec, phi + math.tau)
-        assert np.array_equal(a.coefficients, b.coefficients)
-        assert a.phi == b.phi
-
-
-def test_negative_angles_reduce_into_the_period():
-    z = make_phase_state(ThermalFieldSpec(0.5), -math.pi / 2.0)
-    assert 0.0 <= z.phi < math.tau
-    assert z.phi == pytest.approx(3.0 * math.pi / 2.0, rel=1e-15)
 
 
 def test_phase_state_cutoff_matches_the_spec():
     spec = ThermalFieldSpec(1.0, 1e-6)
-    assert make_phase_state(spec, 1.0).n_max == spec.truncation == 19
+    assert phase_state_rows(spec, [1.0]).shape == (1, spec.truncation + 1)
+    assert spec.truncation == 19
 
 
 def test_vacuum_phase_state_is_trivial():
-    z = make_phase_state(ThermalFieldSpec(0.0), 2.2)
-    assert z.n_max == 0
-    assert z.coefficients[0] == 1.0 + 0.0j
+    z = phase_state_rows(ThermalFieldSpec(0.0), [2.2])[0]
+    assert z.tolist() == [1.0 + 0.0j]
 
 
 @pytest.mark.parametrize("nbar", [0.5, 2.0, 20.0])
@@ -181,10 +164,10 @@ def test_phase_state_rows_equal_single_phase_states(nbar, count):
     # one row per grid angle, each bit-equal to the phase state built alone
     # and to the formula sqrt(p(n)) exp(i n phi) written out per angle
     spec = ThermalFieldSpec(nbar)
-    nodes = quadrature_nodes(count or 2 * spec.truncation + 3)
-    rows = phase_state_rows(spec, np.array([phi for phi, _ in nodes]))
-    assert rows.shape == (len(nodes), spec.truncation + 1)
+    phis, _ = quadrature_nodes(count or exact_node_count(spec.truncation))
+    rows = phase_state_rows(spec, phis)
+    assert rows.shape == (len(phis), spec.truncation + 1)
     n = np.arange(spec.truncation + 1)
-    for row, (phi, _) in zip(rows, nodes):
-        assert np.array_equal(row, make_phase_state(spec, phi).coefficients)
+    for row, phi in zip(rows, phis):
+        assert np.array_equal(row, phase_state_rows(spec, [phi])[0])
         assert np.array_equal(row, np.sqrt(spec.probabilities()) * np.exp(1j * n * phi))

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from thermalqubits import (
+    ATOM_LABELS,
     AtomicMixtureSpec,
     CouplingPair,
     ThermalFieldSpec,
-    make_phase_state,
     phase_state_rows,
     quadrature_nodes,
     reduced_density,
@@ -19,8 +19,6 @@ from thermalqubits import (
 from thermalqubits import oracle
 from thermalqubits.oracle import (
     block_table,
-    build_block,
-    evolve_block,
     jacobi_eigh,
     numeric_propagator,
     oracle_reduced_density,
@@ -28,23 +26,23 @@ from thermalqubits.oracle import (
 
 
 def test_empty_block_is_the_lone_ground_state():
-    block = build_block(0, CouplingPair(1.5, 0.5))
-    assert block.basis == (("gg", 0),)
-    assert block.hamiltonian.shape == (1, 1)
-    assert block.hamiltonian[0, 0] == 0.0
+    # E = 0 holds |gg, 0> at the gg position; its padding states are uncoupled
+    table = block_table(CouplingPair(1.5, 0.5), 3)
+    assert table.shape == (6, 4, 4)
+    assert np.array_equal(table[0], np.zeros((4, 4)))
 
 
 def test_single_excitation_block_layout():
-    block = build_block(1, CouplingPair(1.5, 0.5))
-    assert block.basis == (("eg", 0), ("ge", 0), ("gg", 1))
-    expected = np.array([[0.0, 0.0, 1.5], [0.0, 0.0, 0.5], [1.5, 0.5, 0.0]])
-    assert np.array_equal(block.hamiltonian, expected)
+    # E = 1 couples {eg0, ge0, gg1} at the eg, ge and gg positions
+    block = block_table(CouplingPair(1.5, 0.5), 0)[1]
+    expected = np.zeros((4, 4))
+    expected[1:, 1:] = [[0.0, 0.0, 1.5], [0.0, 0.0, 0.5], [1.5, 0.5, 0.0]]
+    assert np.array_equal(block, expected)
 
 
 def test_higher_blocks_scale_with_photon_number():
-    block = build_block(5, CouplingPair(2.0, 1.0))
-    assert block.basis == (("ee", 3), ("eg", 4), ("ge", 4), ("gg", 5))
-    h = block.hamiltonian
+    # E = 5 couples |ee, 3>, |eg, 4>, |ge, 4>, |gg, 5>
+    h = block_table(CouplingPair(2.0, 1.0), 3)[5]
     assert h[0, 1] == pytest.approx(1.0 * 2.0)
     assert h[0, 2] == pytest.approx(2.0 * 2.0)
     assert h[1, 3] == pytest.approx(2.0 * math.sqrt(5.0))
@@ -52,11 +50,6 @@ def test_higher_blocks_scale_with_photon_number():
     assert np.array_equal(h, h.T)
     # no direct ee-gg matrix element, no eg-ge element
     assert h[0, 3] == 0.0 and h[1, 2] == 0.0
-
-
-def test_negative_excitation_is_refused():
-    with pytest.raises(ValueError):
-        build_block(-1, CouplingPair(1.0, 1.0))
 
 
 def test_jacobi_agrees_with_the_two_by_two_closed_form():
@@ -88,40 +81,40 @@ def test_jacobi_rejects_nonsquare_and_nonsymmetric_input():
 def test_two_photon_block_spectrum_for_equal_couplings():
     # E = 2, lambda1 = lambda2 = lam: eigenvalues 0, 0 and +-lam sqrt(6)
     lam = 1.3
-    w, _ = jacobi_eigh(build_block(2, CouplingPair(lam, lam)).hamiltonian)
+    w, _ = jacobi_eigh(block_table(CouplingPair(lam, lam), 0)[2])
     expected = np.sort([-lam * math.sqrt(6.0), 0.0, 0.0, lam * math.sqrt(6.0)])
     np.testing.assert_allclose(w, expected, rtol=0.0, atol=1e-13)
 
 
+def _unit_starts(pair, label, n_max, t):
+    """Joint vectors evolved from each |label, n> alone, as (n, arrival, Fock)."""
+    evolved = numeric_propagator(pair)(np.eye(n_max + 1), label, t)
+    return evolved.reshape(n_max + 1, 4, n_max + 3)
+
+
 def test_block_evolution_starts_at_the_basis_state():
-    block = build_block(4, CouplingPair(1.2, 0.4))
-    for start in range(4):
-        vec = evolve_block(block, 0.0, start)
-        expected = np.zeros(4, dtype=complex)
-        expected[start] = 1.0
-        assert np.allclose(vec, expected, atol=1e-13)
+    pair = CouplingPair(1.2, 0.4)
+    for row, label in enumerate(ATOM_LABELS):
+        evolved = _unit_starts(pair, label, 4, 0.0)
+        for n in range(5):
+            expected = np.zeros((4, 7), dtype=complex)
+            expected[row, n] = 1.0
+            assert np.allclose(evolved[n], expected, atol=1e-13)
 
 
 def test_block_evolution_preserves_norm():
-    block = build_block(3, CouplingPair(1.7, 0.2))
-    for t in (0.5, 2.0, 7.3, 19.0):
-        vec = evolve_block(block, t, 1)
-        assert abs(float(np.vdot(vec, vec).real) - 1.0) < 1e-13
-
-
-def test_block_evolution_checks_the_start_index():
-    block = build_block(1, CouplingPair(1.0, 1.0))
-    with pytest.raises(ValueError):
-        evolve_block(block, 1.0, 3)
-    with pytest.raises(ValueError):
-        evolve_block(block, 1.0, -1)
+    pair = CouplingPair(1.7, 0.2)
+    for label in ATOM_LABELS:
+        for t in (0.5, 2.0, 7.3, 19.0):
+            norms = np.sum(np.abs(_unit_starts(pair, label, 6, t)) ** 2, axis=(1, 2))
+            assert np.abs(norms - 1.0).max() < 1e-13
 
 
 def test_swapping_labels_swaps_the_couplings():
     # a ge start under (l1, l2) is an eg start under (l2, l1) with the
     # middle arrival rows exchanged
     spec = ThermalFieldSpec(0.5, 1e-8)
-    coeffs = make_phase_state(spec, 0.9).coefficients
+    coeffs = phase_state_rows(spec, [0.9])[0]
     a = numeric_propagator(CouplingPair(1.5, 0.5))(coeffs, "ge", 2.1).reshape(4, -1)
     b = numeric_propagator(CouplingPair(0.5, 1.5))(coeffs, "eg", 2.1).reshape(4, -1)
     assert np.abs(a[0] - b[0]).max() < 1e-13
@@ -159,7 +152,7 @@ def test_reduced_density_trace_and_hermiticity():
 @pytest.mark.parametrize("nbar", [0.0, 1e-6, 0.5])
 def test_stacked_propagation_equals_row_by_row_calls(label, nbar):
     spec = ThermalFieldSpec(nbar, 1e-8)
-    rows = phase_state_rows(spec, np.array([phi for phi, _ in quadrature_nodes(9)]))
+    rows = phase_state_rows(spec, quadrature_nodes(9)[0])
     solver = numeric_propagator(CouplingPair(1.3, 0.4))
     stacked = solver(rows, label, 2.7)
     assert stacked.shape == (9, 4 * (spec.truncation + 3))
@@ -172,11 +165,21 @@ GAMMAS = [0.0, 1e-9, 0.3, 1.0 - 1e-6]
 
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_block_table_rows_are_the_built_blocks(gamma):
+    # every row equals the block written out entry by entry, and a row
+    # does not depend on the cutoff of the table it sits in
     pair = CouplingPair.from_gamma(gamma)
+    l1, l2 = pair.lambda1, pair.lambda2
     table = block_table(pair, 40)
-    assert table.shape == (41, 4, 4)
-    for n in (0, 1, 17, 40):
-        assert np.array_equal(table[n], build_block(n + 2, pair).hamiltonian)
+    assert table.shape == (43, 4, 4)
+    assert np.array_equal(block_table(pair, 17), table[:20])
+    for n in (-1, 0, 1, 17, 40):
+        lower, upper = math.sqrt(max(n + 1, 0)), math.sqrt(n + 2)
+        block = np.zeros((4, 4))
+        block[0, 1] = block[1, 0] = l2 * lower
+        block[0, 2] = block[2, 0] = l1 * lower
+        block[1, 3] = block[3, 1] = l1 * upper
+        block[2, 3] = block[3, 2] = l2 * upper
+        assert np.array_equal(table[n + 2], block)
 
 
 def test_block_table_refuses_a_bad_cutoff():
@@ -190,7 +193,7 @@ def test_block_table_refuses_a_bad_cutoff():
 def test_stacked_jacobi_is_bitwise_the_one_block_calls(gamma):
     table = block_table(CouplingPair.from_gamma(gamma), 60)
     w, v = jacobi_eigh(table)
-    assert w.shape == (61, 4) and v.shape == (61, 4, 4)
+    assert w.shape == (63, 4) and v.shape == (63, 4, 4)
     for n, block in enumerate(table):
         w1, v1 = jacobi_eigh(block[None])
         assert np.array_equal(w1[0], w[n]) and np.array_equal(v1[0], v[n])
@@ -263,7 +266,7 @@ def test_propagator_diagonalizes_once(monkeypatch):
     for label, t in (("ee", 1.0), ("gg", 2.0), ("ge", 0.5)):
         solver(rows, label, t)
     assert shapes == [(spec.truncation + 3, 4, 4)]
-    # blocks E = 0 .. N + 2, padded to four states
+    # a smaller cutoff reuses the table it holds
     solver(rows[:, :3], "gg", 1.0)
     assert shapes == [(spec.truncation + 3, 4, 4)]
     # more photon levels need a larger table, built once more

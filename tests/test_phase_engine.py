@@ -12,9 +12,9 @@ from thermalqubits import (
     ThermalFieldSpec,
     TwoQubitDensity,
     evolve_mixed,
-    make_phase_state,
     partial_trace_field,
     phase_propagator,
+    phase_state_rows,
     quadrature_nodes,
     reconstruct_field_density,
     reduced_density,
@@ -25,13 +25,22 @@ from thermalqubits.phase_engine import mixed_reduced_density
 
 
 def test_single_node_grid():
-    assert quadrature_nodes(1) == [(0.0, 1.0)]
+    phis, weights = quadrature_nodes(1)
+    assert phis.tolist() == [0.0] and weights.tolist() == [1.0]
 
 
 def test_four_node_grid_is_exact():
-    nodes = quadrature_nodes(4)
-    assert [phi for phi, _ in nodes] == [0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0]
-    assert [w for _, w in nodes] == [0.25] * 4
+    phis, weights = quadrature_nodes(4)
+    assert phis.tolist() == [0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0]
+    assert weights.tolist() == [0.25] * 4
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 97, 598, 599, 4001, 10007])
+def test_grid_arrays_equal_the_per_node_formulas(count):
+    # the array grids round exactly as the per-node expressions do
+    phis, weights = quadrature_nodes(count)
+    assert phis.tolist() == [math.tau * k / count for k in range(count)]
+    assert weights.tolist() == [1.0 / count] * count
 
 
 def test_empty_grids_are_refused():
@@ -247,8 +256,8 @@ def _per_node_reference(solver, spec, pairs, t):
     for w_label, label in pairs:
         if w_label == 0.0:
             continue
-        for phi, w_node in quadrature_nodes(2 * spec.truncation + 3):
-            vectors.append(solver(make_phase_state(spec, phi).coefficients, label, t))
+        for phi, w_node in zip(*quadrature_nodes(2 * spec.truncation + 3)):
+            vectors.append(solver(phase_state_rows(spec, [phi])[0], label, t))
             weights.append(w_label * w_node)
     v = np.array(vectors)
     return (v.T * np.array(weights)) @ v.conj()
