@@ -207,7 +207,7 @@ def numeric_propagator(
     def solver(coefficients: np.ndarray, label: str, t: float) -> np.ndarray:
         nonlocal eigen, held
         n_max = np.shape(coefficients)[-1] - 1
-        if n_max > held:
+        if eigen is None or n_max > held:
             eigen, held = jacobi_eigh(block_table(couplings, n_max)), n_max
         return _evolve_coefficients(coefficients, label, t, eigen)
 

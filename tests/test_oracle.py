@@ -52,6 +52,17 @@ def test_higher_blocks_scale_with_photon_number():
     assert h[0, 3] == 0.0 and h[1, 2] == 0.0
 
 
+def test_negative_excitation_is_refused():
+    # the top block of a table is E = n_max + 2, so no table or solver call
+    # may ask for blocks without a start of photon number 0 or more
+    pair = CouplingPair(1.0, 1.0)
+    for n_max in (-1, -3):
+        with pytest.raises(ValueError):
+            block_table(pair, n_max)
+    with pytest.raises(ValueError):
+        numeric_propagator(pair)(np.zeros(0), "gg", 1.0)
+
+
 def test_jacobi_agrees_with_the_two_by_two_closed_form():
     w, v = jacobi_eigh(np.array([[2.0, 1.0], [1.0, 3.0]]))
     half_gap = math.sqrt(1.25)
