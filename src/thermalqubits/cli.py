@@ -36,8 +36,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import checks
-from .closed_form import CouplingPair, phase_propagator
+from . import checks, reduction
+from .closed_form import CouplingPair, _spectrum, phase_propagator
 from .entanglement import negativity
 from .fock_thermal import ThermalFieldSpec
 from .phase_engine import evolve_mixed, exact_node_count, node_chunk_length
@@ -86,11 +86,6 @@ MODES = ("reduced", "joint", "validate")
 
 _COUPLING_KEYS = ("gamma", "lambda1", "lambda2")
 
-# Amplitude-table entries (time points x photon levels) evaluated per pass
-# of a reduced-mode series.  It bounds the working set of one chunk of the
-# time axis; the chunk length follows from the truncation.
-CHUNK_BUDGET = 2048
-
 # Largest planned working set, in bytes; a run that would need more is
 # refused as a config error before anything is allocated.  Every run in the
 # tests and the benchmark plans under 100 MB (validate at nbar 5, N = 126,
@@ -102,11 +97,11 @@ MAX_WORK_BYTES = 2**30
 # Time points at which validate compares the routes.
 VALIDATE_PROBES = 7
 
-# Peak bytes per planned entry, measured with tracemalloc and rounded up.
-# Reduced mode counts the amplitude-table entries of one chunk (tables and
-# their temporaries), joint the entries of the joint density and the
-# evolved vectors, which it also renders as JSON text, and validate the
-# entries of one node chunk of evolved vectors and of the oracle's tables.
+# Peak bytes per planned entry, measured with tracemalloc and rounded up:
+# reduced, the amplitude-table entries of one chunk (188 B each in full
+# chunks; 376 B per photon level, coefficients included, at one time per chunk
+# from N = 1024); joint, the joint density and evolved vectors, rendered as JSON
+# text too; validate, one node chunk of evolved vectors and the oracle's tables.
 _ENTRY_BYTES = {"reduced": 384, "joint": 128, "validate": 72}
 # Peak bytes per time point of a reduced series: its row and its CSV line.
 _ROW_BYTES = 896
@@ -134,7 +129,7 @@ def work_bytes(truncation: int, steps: int, mode: str, nodes: int | None = None)
     """
     levels = truncation + 1
     if mode == "reduced":
-        chunk = min(steps, max(1, CHUNK_BUDGET // levels))
+        chunk = min(steps, max(1, reduction.CHUNK_BUDGET // levels))
         return _RUN_BYTES + _ENTRY_BYTES[mode] * chunk * levels + _ROW_BYTES * steps
     dim = 4 * (truncation + 3)
     if nodes is None:
@@ -200,10 +195,19 @@ class RunConfig:
         if not has_gamma and not has_pair:
             object.__setattr__(self, "gamma", 0.0)
         try:
-            self.couplings()
+            couplings = self.couplings()
             truncation = self.field().truncation
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # products grow with the block index; amplitude factors stay below 16 Omega_+^2
+        l1, l2 = couplings.lambda1, couplings.lambda2
+        with np.errstate(over="ignore", invalid="ignore"):
+            top = _spectrum(truncation, couplings)
+            finite = np.isfinite([*top, 16.0 * top[3]]).all()
+        squares = (l1 * l1, l2 * l2, 16.0 * l1 * l1 * l2 * l2) if l2 else (l1 * l1,)
+        if not finite or min(squares) < sys.float_info.min:
+            raise ConfigError(f"couplings lambda1 = {l1} and lambda2 = {l2} leave "
+                              f"the double range at photon cutoff {truncation}")
         if self.steps < 1:
             raise ConfigError(f"steps must be at least 1, got {self.steps}")
         if self.t_max < self.t_min:
@@ -361,36 +365,14 @@ def _emit(cfg: RunConfig, text: str) -> None:
 
 
 def timeseries_rows(cfg: RunConfig) -> list[tuple[float, ...]]:
-    """Rows of the reduced-mode table, one 9-tuple per configured time.
-
-    The times are taken in chunks of CHUNK_BUDGET // (truncation + 1); each
-    chunk is one reduced-density stack and one negativity call.  Every
-    row depends on its own time only, so the chunk length never changes
-    the output.
-    """
-    field = cfg.field()
-    couplings = cfg.couplings()
-    mixture = cfg.mixture()
+    """One 9-tuple per configured time, from one density stack and one negativity call."""
     times = cfg.times()
-    chunk = max(1, CHUNK_BUDGET // (field.truncation + 1))
-    rows: list[tuple[float, ...]] = []
-    for start in range(0, len(times), chunk):
-        t = times[start : start + chunk]
-        rho = reduced_density(field, mixture, couplings, t)
-        result = negativity(rho)
-        columns = (
-            t,
-            result.xi,
-            result.upsilon,
-            rho.B_ee,
-            rho.B_egeg,
-            rho.B_gege,
-            rho.B_gg,
-            rho.B_coh.real,
-            rho.B_coh.imag,
-        )
-        rows.extend(zip(*(column.tolist() for column in columns)))
-    return rows
+    rho = reduced_density(cfg.field(), cfg.mixture(), cfg.couplings(), times)
+    result = negativity(rho)
+    columns = np.array((times, result.xi, result.upsilon, rho.B_ee, rho.B_egeg,
+                        rho.B_gege, rho.B_gg, rho.B_coh.real, rho.B_coh.imag))
+    del rho, result  # the stacks go before the row objects are built
+    return list(zip(*columns.tolist()))
 
 
 def _render_rows(cfg: RunConfig, rows: Sequence[tuple[float, ...]]) -> str:

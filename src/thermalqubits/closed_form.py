@@ -26,8 +26,8 @@ Index -2 is the empty block (both atoms and the field in the ground state),
 where Omega_plus = 0 and Omega_minus^2 = -(l1^2+l2^2) is negative; every
 term carrying Omega_minus there is dropped: nothing evolves.
 
-Amplitude tables broadcast over a 1-D array of times, so a whole time
-series is one array expression per start label.
+Amplitude tables broadcast over a 1-D array of times.  A series shares each
+block's cos/sin among |ee, n>, |eg, n+1> and |gg, n+2>, all in block n.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -155,23 +154,88 @@ def manifold_spectrum(n: int, couplings: CouplingPair) -> ManifoldSpectrum:
     )
 
 
-@lru_cache(maxsize=64)
-def _spectrum_arrays(couplings: CouplingPair, m_max: int):
-    """Block spectra for m = -2 .. m_max as read-only arrays indexed by m + 2."""
-    out = _spectrum(np.arange(-2, m_max + 1), couplings)
-    for arr in out:
-        arr.setflags(write=False)
+def _block_trig(t: np.ndarray, omegas) -> list[np.ndarray]:
+    """[cos Omega_+ t, sin(Omega_+ t)/Omega_+, cos Omega_- t, sin(Omega_- t)/Omega_-].
+
+    Column m + 2 is block m of ``omegas`` = (Omega_+, Omega_-) over blocks -2 .. M,
+    ``t`` a scalar or a (T, 1) column; the empty block's Omega_- terms are zeros.
+    """
+    out = []
+    for omega in omegas:
+        x = t * omega
+        small = np.abs(x) < 1e-4
+        x2 = x * x
+        series = t * (1.0 - x2 / 6.0 + x2 * x2 / 120.0)
+        out += [np.cos(x), np.where(small, series, np.sin(x) / np.where(small, 1.0, omega))]
+    out[2][..., 0] = out[3][..., 0] = 0.0
     return out
 
 
-def _sin_ratio(t: np.ndarray, omega_sq: np.ndarray) -> np.ndarray:
-    """sin(t sqrt(omega_sq)) / sqrt(omega_sq), continuous through omega = 0."""
-    omega = np.sqrt(omega_sq)
-    x = t * omega
-    small = np.abs(x) < 1e-4
-    x2 = x * x
-    series = t * (1.0 - x2 / 6.0 + x2 * x2 / 120.0)
-    return np.where(small, series, np.sin(x) / np.where(small, 1.0, omega))
+def _label_rows(label: str, n_max: int, spectrum, couplings: CouplingPair):
+    """One start label's time-independent coefficients, bound to its four rows.
+
+    They meet the :func:`_block_trig` columns at the label's block shift.  Sin
+    prefactors are imaginary (real part exactly 0.0) and fill the imaginary part.
+    """
+    cols = slice(_BLOCK_SHIFT[label] + 2, _BLOCK_SHIFT[label] + n_max + 3)
+    gap, mu_p, mu_m = (arr[cols] for arr in spectrum[:3])
+    l1, l2 = couplings.lambda1, couplings.lambda2
+    n = np.arange(n_max + 1)
+    if label == "ee":
+        w = -mu_m / (2.0 * gap)
+        p2 = (-1j * l2 * np.sqrt(n + 1) / (2.0 * gap)).imag.copy()
+        a2, b2 = 4.0 * l1 * l1 * (n + 2) - mu_m, 4.0 * l1 * l1 * (n + 2) - mu_p
+        p3 = (-1j * l1 * np.sqrt(n + 1) / (2.0 * gap)).imag.copy()
+        a3, b3 = 4.0 * l2 * l2 * (n + 2) - mu_m, 4.0 * l2 * l2 * (n + 2) - mu_p
+        c = 2.0 * l1 * l2 * np.sqrt((n + 1) * (n + 2)) / gap
+        def rows(re, im, cos_p, g_p, cos_m, g_m):
+            re[0], re[3] = w * cos_p + (1.0 - w) * cos_m, c * (cos_p - cos_m)
+            im[1], im[2] = p2 * (a2 * g_p - b2 * g_m), p3 * (a3 * g_p - b3 * g_m)
+    elif label == "eg":
+        p1 = (1j * l2 * np.sqrt(n) / (2.0 * gap)).imag.copy()
+        a1, b1 = mu_m - 4.0 * l1 * l1 * (n + 1), 4.0 * l1 * l1 * (n + 1) - mu_p
+        w = (l1 * l1 - l2 * l2 + gap) / (2.0 * gap)
+        c = l1 * l2 * (2 * n + 1) / gap
+        p4 = (1j * l1 * np.sqrt(n + 1) / (2.0 * gap)).imag.copy()
+        a4, b4 = mu_m + 4.0 * l2 * l2 * n, mu_p + 4.0 * l2 * l2 * n
+        def rows(re, im, cos_p, g_p, cos_m, g_m):
+            re[1], re[2] = w * cos_p + (1.0 - w) * cos_m, c * (cos_p - cos_m)
+            im[0], im[3] = p1 * (a1 * g_p + b1 * g_m), p4 * (a4 * g_m - b4 * g_p)
+    else:
+        c = 2.0 * l1 * l2 * np.sqrt(n * (n - 1)) / gap
+        p2 = (-1j * l1 * np.sqrt(n) / (2.0 * gap)).imag.copy()
+        a2, b2 = 4.0 * l2 * l2 * (n - 1) + mu_p, 4.0 * l2 * l2 * (n - 1) + mu_m
+        p3 = (-1j * l2 * np.sqrt(n) / (2.0 * gap)).imag.copy()
+        a3, b3 = 4.0 * l1 * l1 * (n - 1) + mu_p, 4.0 * l1 * l1 * (n - 1) + mu_m
+        w = mu_p / (2.0 * gap)
+        def rows(re, im, cos_p, g_p, cos_m, g_m):
+            re[0], re[3] = c * (cos_p - cos_m), w * cos_p + (1.0 - w) * cos_m
+            im[1], im[2] = p2 * (a2 * g_p - b2 * g_m), p3 * (a3 * g_p - b3 * g_m)
+
+    def table(trig):
+        out = np.zeros((4,) + trig[0][..., cols].shape, dtype=complex)
+        rows(out.real, out.imag, *(f[..., cols] for f in trig))
+        out += 0j  # every zero is +0.0, whichever product made it
+        return out
+
+    return table
+
+
+def _amplitude_tables(labels, n_max: int, couplings: CouplingPair):
+    """Bind the spectrum and the labels' coefficients; the callable returned takes
+    a time or a 1-D time array and yields each label's table from one trig call.
+    """
+    spectrum = _spectrum(np.arange(-2, n_max + 1), couplings)
+    tables = [_label_rows(label, n_max, spectrum, couplings) for label in labels]
+    # each square root once; the empty block's imaginary Omega_minus is never used
+    omegas = (np.sqrt(spectrum[3]), np.sqrt(np.maximum(spectrum[4], 0.0)))
+    def evaluate(t: float | np.ndarray):
+        t = np.asarray(t, dtype=float)
+        if t.ndim > 1:
+            raise ValueError(f"times must be a scalar or a 1-D array, got shape {t.shape}")
+        trig = _block_trig(t[:, None] if t.ndim else t, omegas)
+        return (table(trig) for table in tables)
+    return evaluate
 
 
 def amplitude_table(
@@ -201,70 +265,7 @@ def amplitude_table(
         raise ValueError(f"unknown atomic start {label!r}")
     if n_max < 0 or n_max != int(n_max):
         raise ValueError(f"photon cutoff must be a nonnegative integer, got {n_max}")
-    t = np.asarray(t, dtype=float)
-    if t.ndim > 1:
-        raise ValueError(f"times must be a scalar or a 1-D array, got shape {t.shape}")
-    if t.ndim == 1:
-        t = t[:, None]
-
-    shift = _BLOCK_SHIFT[label]
-    n = np.arange(n_max + 1)
-    m = n + shift
-    gap, mu_p, mu_m, op2, om2 = (
-        arr[m + 2] for arr in _spectrum_arrays(couplings, n_max)
-    )
-    l1, l2 = couplings.lambda1, couplings.lambda2
-
-    empty = m == -2
-    om2_safe = np.where(empty, 0.0, om2)
-    cos_p = np.cos(t * np.sqrt(op2))
-    cos_m = np.where(empty, 0.0, np.cos(t * np.sqrt(om2_safe)))
-    g_p = _sin_ratio(t, op2)
-    g_m = np.where(empty, 0.0, _sin_ratio(t, om2_safe))
-
-    if label == "ee":
-        w1 = -mu_m / (2.0 * gap)
-        x1 = w1 * cos_p + (1.0 - w1) * cos_m
-        x2 = (
-            -1j * l2 * np.sqrt(n + 1) / (2.0 * gap)
-            * ((4.0 * l1 * l1 * (n + 2) - mu_m) * g_p
-               - (4.0 * l1 * l1 * (n + 2) - mu_p) * g_m)
-        )
-        x3 = (
-            -1j * l1 * np.sqrt(n + 1) / (2.0 * gap)
-            * ((4.0 * l2 * l2 * (n + 2) - mu_m) * g_p
-               - (4.0 * l2 * l2 * (n + 2) - mu_p) * g_m)
-        )
-        x4 = 2.0 * l1 * l2 * np.sqrt((n + 1) * (n + 2)) / gap * (cos_p - cos_m)
-    elif label == "eg":
-        x1 = (
-            1j * l2 * np.sqrt(n) / (2.0 * gap)
-            * ((mu_m - 4.0 * l1 * l1 * (n + 1)) * g_p
-               + (4.0 * l1 * l1 * (n + 1) - mu_p) * g_m)
-        )
-        w2 = (l1 * l1 - l2 * l2 + gap) / (2.0 * gap)
-        x2 = w2 * cos_p + (1.0 - w2) * cos_m
-        x3 = l1 * l2 * (2 * n + 1) / gap * (cos_p - cos_m)
-        x4 = (
-            1j * l1 * np.sqrt(n + 1) / (2.0 * gap)
-            * ((mu_m + 4.0 * l2 * l2 * n) * g_m
-               - (mu_p + 4.0 * l2 * l2 * n) * g_p)
-        )
-    else:
-        x1 = 2.0 * l1 * l2 * np.sqrt(n * (n - 1)) / gap * (cos_p - cos_m)
-        x2 = (
-            -1j * l1 * np.sqrt(n) / (2.0 * gap)
-            * ((4.0 * l2 * l2 * (n - 1) + mu_p) * g_p
-               - (4.0 * l2 * l2 * (n - 1) + mu_m) * g_m)
-        )
-        x3 = (
-            -1j * l2 * np.sqrt(n) / (2.0 * gap)
-            * ((4.0 * l1 * l1 * (n - 1) + mu_p) * g_p
-               - (4.0 * l1 * l1 * (n - 1) + mu_m) * g_m)
-        )
-        w4 = mu_p / (2.0 * gap)
-        x4 = w4 * cos_p + (1.0 - w4) * cos_m
-    return np.stack([x1 + 0j, x2 + 0j, x3 + 0j, x4 + 0j])
+    return next(_amplitude_tables([label], n_max, couplings)(t))
 
 
 def _joint_vectors(coefficients: np.ndarray, table: np.ndarray, shifts) -> np.ndarray:

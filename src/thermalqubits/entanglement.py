@@ -36,7 +36,9 @@ def _as_stack(rho: TwoQubitDensity | np.ndarray) -> tuple[np.ndarray, bool]:
     if m.shape[-2:] != (4, 4) or m.ndim not in (2, 3):
         raise ValueError(f"need a 4x4 density matrix or a stack of them, got shape {m.shape}")
     stack = m.reshape(-1, 4, 4)
-    if np.abs(stack - stack.conj().swapaxes(-1, -2)).max() > 1e-8:
+    # entry pair by entry pair, so a whole series makes no stack-sized temporaries
+    upper = [(i, j) for i in range(4) for j in range(i, 4)]
+    if max(np.abs(stack[:, i, j] - np.conj(stack[:, j, i])).max() for i, j in upper) > 1e-8:
         raise ValueError("density matrix is not Hermitian")
     return stack, m.ndim == 2
 
@@ -71,8 +73,10 @@ def negativity(rho: TwoQubitDensity | np.ndarray) -> NegativityResult:
     times; the transpose is taken over the second qubit.
     """
     m, single = _as_stack(rho)
-    pt = m.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
-    eigs = np.linalg.eigvalsh(pt)
+    # 256 densities per eigenvalue call, so a long series makes no big copies
+    pt = m.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2)
+    blocks = (pt[k : k + 256].reshape(-1, 4, 4) for k in range(0, len(pt), 256))
+    eigs = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
     eigs = np.where((eigs > _NEGATIVE_EIGENVALUE_FLOOR) & (eigs < 0.0), 0.0, eigs)
     negative = np.minimum(eigs, 0.0)
     # the leading 0.0 turns the empty case into +0.0 rather than -0.0

@@ -11,9 +11,11 @@ from thermalqubits import (
     ThermalFieldSpec,
     TwoQubitDensity,
     cli,
+    closed_form,
     negativity,
     phase_engine,
     reduced_density,
+    reduction,
 )
 from thermalqubits.cli import (
     CSV_HEADER,
@@ -157,7 +159,7 @@ def _per_time_rows(cfg):
 
 def test_chunked_series_matches_per_time_scalar_calls():
     cfg = RunConfig(nbar=1.0, gamma=0.4, theta=0.6, vartheta=0.3, t_max=30.0, steps=301)
-    chunk = cli.CHUNK_BUDGET // (cfg.field().truncation + 1)
+    chunk = reduction.CHUNK_BUDGET // (cfg.field().truncation + 1)
     assert cfg.steps > 3 * chunk
     rows = np.array(timeseries_rows(cfg))
     assert rows.shape == (301, 9)
@@ -168,19 +170,62 @@ def test_rows_do_not_depend_on_the_chunk_length(monkeypatch):
     cfg = RunConfig(nbar=0.7, gamma=0.8, theta=1.0, vartheta=0.5, t_max=12.0, steps=97)
     reference = timeseries_rows(cfg)
     for budget in (1, 7 * (cfg.field().truncation + 1) - 1, 10**9):
-        monkeypatch.setattr(cli, "CHUNK_BUDGET", budget)
+        monkeypatch.setattr(reduction, "CHUNK_BUDGET", budget)
         assert timeseries_rows(cfg) == reference
 
 
 def test_zero_time_row_keeps_its_exact_zeros(monkeypatch):
     # t = 0 shares its chunk with later times, which have nonzero coherence
-    monkeypatch.setattr(cli, "CHUNK_BUDGET", 10**9)
+    monkeypatch.setattr(reduction, "CHUNK_BUDGET", 10**9)
     rows = timeseries_rows(small_config(theta=0.9, vartheta=0.4))
     t, _, _, _, _, b_gege, _, re_coh, im_coh = rows[0]
     assert t == 0.0
     assert b_gege == 0.0
     assert re_coh == 0.0 and im_coh == 0.0
     assert any(row[7] != 0.0 for row in rows[1:])
+
+
+def test_series_is_one_density_call_and_one_trig_call_per_chunk(monkeypatch):
+    calls = {"reduced": 0, "negativity": 0, "trig": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "reduced_density", counted("reduced", cli.reduced_density))
+    monkeypatch.setattr(cli, "negativity", counted("negativity", cli.negativity))
+    monkeypatch.setattr(closed_form, "_block_trig", counted("trig", closed_form._block_trig))
+    cfg = RunConfig(nbar=1.0, gamma=0.4, theta=0.6, vartheta=0.3, t_max=30.0, steps=301)
+    assert all(cfg.mixture().weights().values())
+    chunk = reduction.CHUNK_BUDGET // (cfg.field().truncation + 1)
+    timeseries_rows(cfg)
+    assert calls == {"reduced": 1, "negativity": 1, "trig": math.ceil(301 / chunk)}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--lambda1", "1e200", "--lambda2", "1e200"],
+        ["run", "--lambda1", "1e-200", "--lambda2", "1e-300"],
+        ["validate", "--lambda1", "1e150", "--lambda2", "1e150"],
+    ],
+)
+def test_couplings_outside_the_double_range_are_config_errors(argv, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rendered a run with unresolvable couplings")
+
+    for name in ("run_timeseries", "render_joint", "render_validation"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert main(argv) == 2
+    assert "leave the double range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-9, 1.0 - 1e-6, 1.0])
+def test_the_gamma_family_stays_accepted_at_nbar_100(gamma):
+    assert RunConfig(nbar=100.0, gamma=gamma).couplings().lambda1 == 1.0 + gamma
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Field traced out: mixture weights and the X-shaped atomic density."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from thermalqubits import (
     CouplingPair,
     ThermalFieldSpec,
     TwoQubitDensity,
+    amplitude_table,
     negativity,
     reduced_density,
+    reduction,
 )
 
 
@@ -148,3 +152,54 @@ def test_array_sums_match_the_diagonalized_reference_at_nbar_100():
     closed = reduced_density(spec, mix, pair, np.array([1e3]))
     numeric = oracle_reduced_density(spec, mix, pair, 1e3)
     assert np.abs(closed.matrix[0] - numeric.matrix).max() <= 1e-10
+
+
+def _per_label_reference(spec, mixture, couplings, times):
+    """The density summed from one amplitude table per start label."""
+    probs = spec.probabilities()
+    populations = np.zeros((4,) + times.shape)
+    coherence = np.zeros(times.shape, dtype=complex)
+    for label, w_label in mixture.weights().items():
+        if w_label == 0.0:
+            continue
+        table = amplitude_table(label, spec.truncation, times, couplings)
+        scaled = w_label * probs
+        populations += np.sum(np.abs(table) ** 2 * scaled, axis=-1)
+        coherence += np.sum(scaled * table[1] * np.conj(table[2]), axis=-1)
+    return TwoQubitDensity.from_components(*populations, coherence).matrix
+
+
+@pytest.mark.parametrize("nbar", [0.5, 2.0, 20.0, 100.0])
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0 - 1e-6])
+def test_shared_trig_is_bitwise_the_per_label_tables(nbar, gamma, monkeypatch):
+    spec = ThermalFieldSpec(nbar)
+    pair = CouplingPair.from_gamma(gamma)
+    times = np.array([0.0, 1e-6, 0.3, 2.5, 7.0, 19.0, 40.0, 1e3, 3e4])
+    levels = spec.truncation + 1
+    for theta, vartheta in ((0.9, 0.4), (0.0, 0.0)):
+        mix = AtomicMixtureSpec(theta, vartheta)
+        reference = _per_label_reference(spec, mix, pair, times).tobytes()
+        for budget in (1, 7 * levels - 1, 10**9):
+            monkeypatch.setattr(reduction, "CHUNK_BUDGET", budget)
+            assert reduced_density(spec, mix, pair, times).matrix.tobytes() == reference
+
+
+def test_repeated_calls_retain_no_memory():
+    # every benchmark op draws new couplings; nothing keyed on them may outlive its call
+    spec = ThermalFieldSpec(50.0)
+    mix = AtomicMixtureSpec(0.9, 0.4)
+    times = np.linspace(0.0, 10.0, 3)
+    reduced_density(spec, mix, CouplingPair.from_gamma(0.5), times)
+    # collections also empty the interpreter's free lists, which hold
+    # released tuples and are not retained by the call
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(50):
+            reduced_density(spec, mix, CouplingPair.from_gamma(0.01 + 0.019 * k), times)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 4096
