@@ -99,10 +99,12 @@ VALIDATE_PROBES = 7
 
 # Peak bytes per planned entry, measured with tracemalloc and rounded up:
 # reduced, the amplitude-table entries of one chunk (188 B each in full
-# chunks; 376 B per photon level, coefficients included, at one time per chunk
-# from N = 1024); joint, the joint density and evolved vectors, rendered as JSON
-# text too; validate, one node chunk of evolved vectors and the oracle's tables.
-_ENTRY_BYTES = {"reduced": 384, "joint": 128, "validate": 72}
+# chunks; at one time per chunk, from N = 1024, the coefficients of three
+# start labels make it 405 B per photon level at nbar 100 and 385 B at
+# nbar 1000, covered here without _RUN_BYTES); joint, the joint density and
+# evolved vectors, rendered as JSON text too; validate, one node chunk of
+# evolved vectors and the oracle's tables.
+_ENTRY_BYTES = {"reduced": 416, "joint": 128, "validate": 72}
 # Peak bytes per time point of a reduced series: its row and its CSV line.
 _ROW_BYTES = 896
 # Peak bytes per entry of validate's field reconstruction: the phase-state
@@ -129,7 +131,7 @@ def work_bytes(truncation: int, steps: int, mode: str, nodes: int | None = None)
     """
     levels = truncation + 1
     if mode == "reduced":
-        chunk = min(steps, max(1, reduction.CHUNK_BUDGET // levels))
+        chunk = min(steps, reduction.chunk_length(truncation))
         return _RUN_BYTES + _ENTRY_BYTES[mode] * chunk * levels + _ROW_BYTES * steps
     dim = 4 * (truncation + 3)
     if nodes is None:
@@ -516,17 +518,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    entries: list[dict[str, object] | None] = [None] * len(args.configs)
-    parsed: list[tuple[int, str, RunConfig]] = []
-    for index, path in enumerate(args.configs):
+    entries = []
+    for path in args.configs:
         try:
-            parsed.append((index, path, load_config(path, {})))
+            job = (path, load_config(path, {}))
         except ConfigError as exc:
-            entries[index] = _failed_entry(path, "", exc)
-    if parsed:
-        summary = run_sweep([(path, cfg) for _, path, cfg in parsed])
-        for (index, _, _), entry in zip(parsed, summary["jobs"]):
-            entries[index] = entry
+            entries.append(_failed_entry(path, "", exc))
+        else:
+            entries += run_sweep([job])["jobs"]
     summary = _sweep_summary(entries)
     text = json.dumps(summary, indent=2) + "\n"
     if args.summary:

@@ -298,27 +298,17 @@ def _joint_vectors(coefficients: np.ndarray, table: np.ndarray, shifts) -> np.nd
     return out.reshape(stack + (4 * fock_dim,))
 
 
-def _assemble(
-    coefficients: np.ndarray, label: str, t: float, couplings: CouplingPair
-) -> np.ndarray:
-    """Joint atoms+field vectors from field coefficients C_0..C_N at time t.
-
-    Every row of ``coefficients`` shares one amplitude table, placed by
-    :func:`_joint_vectors`.
-    """
-    table = amplitude_table(label, np.shape(coefficients)[-1] - 1, t, couplings)
-    return _joint_vectors(coefficients, table, _ARRIVAL_SHIFTS[label])
-
-
 def phase_propagator(couplings: CouplingPair) -> Callable[[np.ndarray, str, float], np.ndarray]:
     """Bind the couplings, yielding a solver the mixture engine can drive.
 
-    The returned callable maps (field coefficients, atomic label, t) to the
-    joint vectors of :func:`_assemble`: an (M, N+1) stack of coefficient
-    rows gives an (M, 4 (N+3)) stack, one amplitude table for all of them.
+    The returned callable maps (field coefficients, atomic label, t) to
+    joint vectors: an (M, N+1) stack of coefficient rows gives an
+    (M, 4 (N+3)) stack, one :func:`amplitude_table` placed for all of them
+    by :func:`_joint_vectors`.
     """
 
     def solver(coefficients: np.ndarray, label: str, t: float) -> np.ndarray:
-        return _assemble(coefficients, label, t, couplings)
+        table = amplitude_table(label, np.shape(coefficients)[-1] - 1, t, couplings)
+        return _joint_vectors(coefficients, table, _ARRIVAL_SHIFTS[label])
 
     return solver

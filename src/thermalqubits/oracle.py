@@ -84,7 +84,7 @@ def block_table(couplings: CouplingPair, n_max: int) -> np.ndarray:
     return h
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
+def jacobi_eigh(matrix: np.ndarray):
     """Eigendecomposition of small real symmetric matrices by cyclic Jacobi.
 
     ``matrix`` is one (s, s) matrix or a (..., s, s) stack of them.  Returns
@@ -92,7 +92,7 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
     matrix = v @ diag(w) @ v.T for every block.  Each sweep zeroes every
     off-diagonal pair (p, q) once with a plane rotation that touches rows
     and columns p and q only.  A block stops rotating once its off-diagonal
-    norm drops below ``tol`` times its scale, so every block of a stack
+    norm drops below 1e-14 times its scale, so every block of a stack
     goes through exactly the rotations it would go through alone, and the
     result is bitwise the same.  Quadratic convergence makes 60 sweeps a
     formality for the 4x4 blocks this module produces.
@@ -106,9 +106,9 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60):
         raise ValueError("matrix is not symmetric")
     size = a.shape[-1]
     v = np.broadcast_to(np.eye(size), a.shape).copy()
-    threshold = tol * np.maximum(1.0, magnitude)
+    threshold = 1e-14 * np.maximum(1.0, magnitude)
     pairs = [(p, q) for p in range(size - 1) for q in range(p + 1, size)]
-    for _ in range(max_sweeps):
+    for _ in range(60):
         off = np.zeros(a.shape[:-2])
         for p, q in pairs:
             off = off + a[..., p, q] ** 2
@@ -175,21 +175,6 @@ def _start_amplitudes(w, v, label: str, n_max: int, t) -> np.ndarray:
     return np.einsum("kim,...km->...ki", v, phases * v[:, _POSITION[label], :])
 
 
-def _evolve_coefficients(coefficients: np.ndarray, label: str, t: float, eigen) -> np.ndarray:
-    """Evolve the field superposition sum C_n |label, n> block by block.
-
-    ``coefficients`` is one row of C_0..C_N or a stack of rows along its
-    leading axes; each block is evolved once for all of them, with the
-    (w, v) tables of a diagonalized :func:`block_table`, and the rows are
-    placed into flat joint vectors as the closed-form assembly places
-    them.  This route also accepts a "ge" start, which the closed-form
-    tables refuse.
-    """
-    coefficients = np.asarray(coefficients)
-    amps = _start_amplitudes(*eigen, label, coefficients.shape[-1] - 1, t)
-    return _joint_vectors(coefficients, amps.T, _EXCITATION[label] - 2 + _PHOTON)
-
-
 def numeric_propagator(
     couplings: CouplingPair,
 ) -> Callable[[np.ndarray, str, float], np.ndarray]:
@@ -197,9 +182,13 @@ def numeric_propagator(
     closed-form solver for the mixture engine.
 
     Like :func:`thermalqubits.closed_form.phase_propagator`, it maps an
-    (M, N+1) stack of coefficient rows to an (M, 4 (N+3)) stack.  The
-    blocks are diagonalized on the first call and kept in the closure; a
-    later call with more photon levels diagonalizes the larger table.
+    (M, N+1) stack of coefficient rows to an (M, 4 (N+3)) stack, evolving
+    each block once for all rows and placing the amplitudes with
+    ``_joint_vectors`` at this route's own photon shifts.  It also accepts
+    a "ge" start, which the closed-form tables refuse.  The blocks are
+    diagonalized on the first call and kept in the closure; a later call
+    with more photon levels diagonalizes the larger table, and one with
+    fewer reuses the held one.
     """
     eigen = None
     held = -1
@@ -209,7 +198,8 @@ def numeric_propagator(
         n_max = np.shape(coefficients)[-1] - 1
         if eigen is None or n_max > held:
             eigen, held = jacobi_eigh(block_table(couplings, n_max)), n_max
-        return _evolve_coefficients(coefficients, label, t, eigen)
+        amps = _start_amplitudes(*eigen, label, n_max, t)
+        return _joint_vectors(coefficients, amps.T, _EXCITATION[label] - 2 + _PHOTON)
 
     return solver
 

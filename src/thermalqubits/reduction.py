@@ -25,12 +25,18 @@ from .fock_thermal import ThermalFieldSpec
 __all__ = [
     "AtomicMixtureSpec",
     "TwoQubitDensity",
+    "chunk_length",
     "reduced_density",
 ]
 
 # Amplitude-table entries (time points x photon levels) per chunk of a series;
 # it bounds the working set, and the chunk length follows from the truncation.
 CHUNK_BUDGET = 2048
+
+
+def chunk_length(truncation: int) -> int:
+    """Time points per chunk of a :func:`reduced_density` series."""
+    return max(1, CHUNK_BUDGET // (truncation + 1))
 
 
 @dataclass(frozen=True)
@@ -132,9 +138,9 @@ def reduced_density(
     summed over photon components.  No phase average is needed: every
     product that survives the field trace pairs equal photon numbers,
     where the phases cancel.  A scalar ``t`` gives one density, a 1-D
-    array of times a stack, computed CHUNK_BUDGET // (truncation + 1)
-    times at a time.  Each time's sums run over its own table row, so no
-    density depends on the chunk length or on the other times.
+    array of times a stack, computed :func:`chunk_length` times at a
+    time.  Each time's sums run over its own table row, so no density
+    depends on the chunk length or on the other times.
     """
     times = np.asarray(t, dtype=float)
     if times.ndim == 0:
@@ -144,7 +150,7 @@ def reduced_density(
     tables = _amplitude_tables(list(weights), spec.truncation, couplings)
     populations = np.zeros((4, len(times)))
     coherence = np.zeros(len(times), dtype=complex)
-    chunk = max(1, CHUNK_BUDGET // (spec.truncation + 1))
+    chunk = chunk_length(spec.truncation)
     for start in range(0, len(times), chunk):
         part = slice(start, start + chunk)
         label_tables = tables(times[part])

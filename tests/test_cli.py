@@ -1,8 +1,10 @@
 """Configuration parsing, output plumbing and the command entry point."""
 
 import dataclasses
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,7 +161,7 @@ def _per_time_rows(cfg):
 
 def test_chunked_series_matches_per_time_scalar_calls():
     cfg = RunConfig(nbar=1.0, gamma=0.4, theta=0.6, vartheta=0.3, t_max=30.0, steps=301)
-    chunk = reduction.CHUNK_BUDGET // (cfg.field().truncation + 1)
+    chunk = reduction.chunk_length(cfg.field().truncation)
     assert cfg.steps > 3 * chunk
     rows = np.array(timeseries_rows(cfg))
     assert rows.shape == (301, 9)
@@ -200,7 +202,7 @@ def test_series_is_one_density_call_and_one_trig_call_per_chunk(monkeypatch):
     monkeypatch.setattr(closed_form, "_block_trig", counted("trig", closed_form._block_trig))
     cfg = RunConfig(nbar=1.0, gamma=0.4, theta=0.6, vartheta=0.3, t_max=30.0, steps=301)
     assert all(cfg.mixture().weights().values())
-    chunk = reduction.CHUNK_BUDGET // (cfg.field().truncation + 1)
+    chunk = reduction.chunk_length(cfg.field().truncation)
     timeseries_rows(cfg)
     assert calls == {"reduced": 1, "negativity": 1, "trig": math.ceil(301 / chunk)}
 
@@ -301,6 +303,22 @@ def test_work_estimate_follows_the_planned_arrays():
     assert cli.work_bytes(n, 1000, "reduced") == (
         cli._RUN_BYTES + cli._ENTRY_BYTES["reduced"] * 20 * 100 + cli._ROW_BYTES * 1000
     )
+
+
+@pytest.mark.parametrize("nbar", [100.0, 1000.0])
+def test_reduced_entry_term_covers_the_measured_peak(nbar):
+    # one time per chunk from N = 1024, and all three start labels bound:
+    # the per-level arrays set the peak, with no help from _RUN_BYTES
+    cfg = RunConfig(nbar=nbar, steps=3, gamma=0.3, theta=0.9, vartheta=0.4)
+    render_timeseries(cfg)  # warm-up: numpy's first-call allocations stay out
+    gc.collect()
+    tracemalloc.start()
+    try:
+        render_timeseries(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cli.work_bytes(cfg.field().truncation, 3, "reduced") - cli._RUN_BYTES
 
 
 def test_validate_estimate_is_its_larger_stage(monkeypatch):

@@ -16,7 +16,7 @@ from thermalqubits import (
     quadrature_nodes,
 )
 from thermalqubits.checks import spectrum_defect
-from thermalqubits.closed_form import _assemble
+from thermalqubits.closed_form import _ARRIVAL_SHIFTS, _joint_vectors
 from thermalqubits.oracle import numeric_propagator
 
 SYM = CouplingPair.from_gamma(0.0)
@@ -278,7 +278,10 @@ def test_propagator_closure_matches_the_direct_call():
     spec = ThermalFieldSpec(0.5)
     coeffs = phase_state_rows(spec, [2.0])[0]
     solver = phase_propagator(ASYM)
-    assert np.array_equal(solver(coeffs, "gg", 3.3), _assemble(coeffs, "gg", 3.3, ASYM))
+    direct = _joint_vectors(
+        coeffs, amplitude_table("gg", spec.truncation, 3.3, ASYM), _ARRIVAL_SHIFTS["gg"]
+    )
+    assert np.array_equal(solver(coeffs, "gg", 3.3), direct)
 
 
 @pytest.mark.parametrize("label", ["ee", "eg", "gg"])
@@ -288,8 +291,8 @@ def test_stacked_assembly_equals_row_by_row_calls(label, nbar):
     # arrival rows fall partly or wholly below Fock 0
     spec = ThermalFieldSpec(nbar)
     rows = phase_state_rows(spec, quadrature_nodes(9)[0])
-    stacked = _assemble(rows, label, 2.7, ASYM)
+    solver = phase_propagator(ASYM)
+    stacked = solver(rows, label, 2.7)
     assert stacked.shape == (9, 4 * (spec.truncation + 3))
     for row, out in zip(rows, stacked):
-        assert np.array_equal(out, _assemble(row, label, 2.7, ASYM))
-    assert np.array_equal(phase_propagator(ASYM)(rows, label, 2.7), stacked)
+        assert np.array_equal(out, solver(row, label, 2.7))
