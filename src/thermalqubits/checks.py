@@ -75,7 +75,7 @@ def route_gap(
     """Largest pairwise entry gap of the three reduced-density routes.
 
     The routes are the closed-form reduction, the phase-state average
-    traced over the field (on ``count`` nodes, None for the exact grid)
+    traced over the field (on ``count`` nodes, None for the default grid)
     and the Jacobi oracle.  ``times`` is one time or a 1-D array of them;
     the result is the maximum over all of them.
     """

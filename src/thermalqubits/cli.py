@@ -178,7 +178,7 @@ class RunConfig:
     t_max: float = _key(25.0, float, "last time")
     steps: int = _key(1001, int, "number of time points")
     quadrature_nodes: int | str = _key(
-        "auto", _parse_nodes, "phase grid size, or 'auto' for the smallest exact one"
+        "auto", _parse_nodes, "phase grid size, or 'auto' for 2N+3 (exact from N+1)"
     )
     mode: str = _key("reduced", str, "what 'run' produces: " + ", ".join(MODES))
     output_path: str = _key("", str, "output file (default: stdout)", flag="--output")
@@ -244,7 +244,7 @@ class RunConfig:
         return [(w, label) for label, w in self.mixture().weights().items()]
 
     def node_count(self) -> int | None:
-        """Explicit grid size, or None to let the engine pick the exact one."""
+        """Explicit grid size, or None to let the engine pick its default."""
         return None if self.quadrature_nodes == "auto" else int(self.quadrature_nodes)
 
     def times(self) -> np.ndarray:

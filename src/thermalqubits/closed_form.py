@@ -269,22 +269,20 @@ def amplitude_table(
 
 
 def _joint_vectors(coefficients: np.ndarray, table: np.ndarray, shifts) -> np.ndarray:
-    """Flat joint vectors from field coefficients and arrival amplitudes.
+    """Joint amplitudes from field coefficients and arrival amplitudes.
 
     ``coefficients`` is one row of C_0..C_N or a stack of rows along its
     leading axes.  Row q of the (4, N+1) ``table`` holds the amplitude on
     arrival ATOM_LABELS[q] from each start n = 0 .. N, which lands on Fock
-    level n + shifts[q].  Each result row is flat with layout
-    q * (N + 3) + f, f running over Fock levels 0 .. N + 2; the extra two
-    levels hold the photons released by an "ee" start at the truncation
-    edge.  Both solvers place their own amplitudes through this one
-    function.
+    level n + shifts[q].  Each row gives a (4, N + 3) array indexed by
+    (arrival, Fock level 0 .. N + 2); the extra two levels hold the photons
+    released by an "ee" start at the truncation edge.  Both solvers place
+    their own amplitudes through this one function.
     """
     coefficients = np.asarray(coefficients)
     stack = coefficients.shape[:-1]
     n_max = coefficients.shape[-1] - 1
-    fock_dim = n_max + 3
-    out = np.zeros(stack + (4, fock_dim), dtype=complex)
+    out = np.zeros(stack + (4, n_max + 3), dtype=complex)
     for q, shift in enumerate(shifts):
         # entries that would land below Fock 0 are exact zeros (a sqrt(n)
         # or sqrt(n(n-1)) factor here, an uncoupled padding state in the
@@ -295,16 +293,16 @@ def _joint_vectors(coefficients: np.ndarray, table: np.ndarray, shifts) -> np.nd
             out[..., q, first + shift : n_max + 1 + shift] = (
                 coefficients[..., first:] * table[q, first:]
             )
-    return out.reshape(stack + (4 * fock_dim,))
+    return out
 
 
 def phase_propagator(couplings: CouplingPair) -> Callable[[np.ndarray, str, float], np.ndarray]:
     """Bind the couplings, yielding a solver the mixture engine can drive.
 
     The returned callable maps (field coefficients, atomic label, t) to
-    joint vectors: an (M, N+1) stack of coefficient rows gives an
-    (M, 4 (N+3)) stack, one :func:`amplitude_table` placed for all of them
-    by :func:`_joint_vectors`.
+    joint amplitudes: an (M, N+1) stack of coefficient rows gives an
+    (M, 4, N+3) stack over (arrival, Fock level), one
+    :func:`amplitude_table` placed for all of them by :func:`_joint_vectors`.
     """
 
     def solver(coefficients: np.ndarray, label: str, t: float) -> np.ndarray:

@@ -68,7 +68,9 @@ def truncation_for_tolerance(nbar: float, eps: float) -> int:
 
     The tail of a geometric distribution is itself geometric, so the cut is
     exact, not an estimate.  nbar = 0 needs no excited states at all, and
-    eps = 1 permits dropping everything past the ground state.
+    eps = 1 permits dropping everything past the ground state.  From
+    nbar = 2**53 on, the ratio nbar/(1+nbar) rounds to 1 and no cut can be
+    computed, so such a field is refused.
     """
     if not math.isfinite(nbar):
         raise ValueError(f"mean photon number must be finite, got {nbar}")
@@ -79,6 +81,10 @@ def truncation_for_tolerance(nbar: float, eps: float) -> int:
     if nbar == 0.0:
         return 0
     r = nbar / (1.0 + nbar)
+    if r == 1.0:
+        raise ValueError(
+            f"mean photon number {nbar} is too large: nbar/(1+nbar) rounds to 1"
+        )
     n = max(0, math.ceil(math.log(eps) / math.log(r)) - 1)
     # The log estimate can land one off at representation boundaries; settle
     # it against the exact predicate.
@@ -109,19 +115,8 @@ class ThermalFieldSpec:
         )
 
     def probabilities(self) -> np.ndarray:
-        """Number distribution p(0..truncation), read-only.
-
-        Computed on the first call and kept, so every time chunk of a run
-        shares one evaluation.
-        """
-        probs = self.__dict__.get("_probabilities")
-        if probs is None:
-            probs = _geometric_distribution(
-                np.arange(self.truncation + 1), self.mean_photons
-            )
-            probs.setflags(write=False)
-            object.__setattr__(self, "_probabilities", probs)
-        return probs
+        """Number distribution p(0..truncation), a fresh array each call."""
+        return _geometric_distribution(np.arange(self.truncation + 1), self.mean_photons)
 
     def retained_mass(self) -> float:
         """Probability kept by the truncation, 1 minus the geometric tail."""

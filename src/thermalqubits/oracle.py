@@ -8,7 +8,7 @@ call LAPACK either; the blocks are at most 4x4 and a plain cyclic Jacobi
 sweep keeps the whole chain inspectable.  Agreement between the two routes
 is then evidence rather than tautology.  The only code the two share is
 plumbing: both solvers place their own arrival amplitudes into joint
-vectors through one helper, each with its own photon shifts.
+amplitude stacks through one helper, each with its own photon shifts.
 
 Blocks are labelled by the total excitation count E (atomic excitations
 plus photons).  E = 0 is the single state |gg, 0>, E = 1 couples
@@ -182,7 +182,7 @@ def numeric_propagator(
     closed-form solver for the mixture engine.
 
     Like :func:`thermalqubits.closed_form.phase_propagator`, it maps an
-    (M, N+1) stack of coefficient rows to an (M, 4 (N+3)) stack, evolving
+    (M, N+1) stack of coefficient rows to an (M, 4, N+3) stack, evolving
     each block once for all rows and placing the amplitudes with
     ``_joint_vectors`` at this route's own photon shifts.  It also accepts
     a "ge" start, which the closed-form tables refuse.  The blocks are

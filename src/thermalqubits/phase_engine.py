@@ -18,11 +18,11 @@ the closed-form amplitudes, the diagonalized reference, or any partner
 system with the same product layout.
 
 Two averages share one node loop.  :func:`evolve_mixed` keeps the whole
-joint density at one time, a (P (N+3))^2 matrix.  When only the partner
-state is wanted, :func:`mixed_reduced_density` traces out the field from
-each evolved chunk of nodes before it is averaged, takes a whole array of
-times, and holds one chunk of evolved vectors at a time, never the joint
-matrix.
+joint density at one time, a (P F)^2 matrix for P partner states and F
+Fock levels.  When only the partner state is wanted,
+:func:`mixed_reduced_density` traces out the field from each evolved chunk
+of nodes before it is averaged, takes a whole array of times, and holds
+one chunk of evolved vectors at a time, never the joint matrix.
 """
 
 from __future__ import annotations
@@ -68,23 +68,25 @@ class PureStatePropagator(Protocol):
 
     Takes an (M, N+1) stack of field coefficients, row k holding C_0 .. C_N
     of one phase state, the partner's starting basis label and the time;
-    returns the (M, P (N+3)) stack of flat joint vectors over
-    (partner basis) x (Fock 0 .. N+2), row k evolved from row k.  A 1-D row
-    is the M = 1 case and gives one flat vector.  Each row must preserve
-    its squared norm to 1e-12 and reduce to the plain embedding at t = 0.
-    :func:`thermalqubits.closed_form.phase_propagator` builds one from a
-    coupling pair; :func:`thermalqubits.oracle.numeric_propagator` builds
-    the independently diagonalized counterpart.
+    returns the (M, P, F) stack of amplitudes over P partner basis states
+    and the F Fock levels the solver needs, entry k evolved from row k.  A
+    1-D row is the M = 1 case and gives one (P, F) array.  Each row must
+    preserve its squared norm to 1e-12 and reduce to the plain embedding at
+    t = 0.  :func:`thermalqubits.closed_form.phase_propagator` builds one
+    from a coupling pair, with P = 4 and F = N+3;
+    :func:`thermalqubits.oracle.numeric_propagator` builds the independently
+    diagonalized counterpart.
     """
 
     def __call__(self, coefficients: np.ndarray, label: str, t: float) -> np.ndarray: ...
 
 
 def exact_node_count(truncation: int) -> int:
-    """Default grid size, 2 N + 3 nodes, on which the phase average is exact.
+    """Default grid size, 2 N + 3 nodes, about twice the exact threshold.
 
-    It exceeds every photon-number difference that states evolved out of
-    the truncated field can hold, Fock levels 0 .. N + 2.
+    The phase enters only through the field levels 0 .. N and the solver is
+    linear, so a full-period average of the field, or of states evolved out
+    of it, is exact from N + 1 nodes on.
     """
     return 2 * truncation + 3
 
@@ -122,24 +124,21 @@ def reconstruct_field_density(
     """Average the field's phase-state projectors on a uniform grid.
 
     On the full interval the result is the diagonal photon-number mixture
-    up to rounding once ``count`` exceeds the largest coherence the grid
-    must cancel; the reported ``exact`` flag uses the threshold of
-    :func:`exact_node_count`, which also covers states evolved out of the
-    truncated field.  On the half interval (midpoint grid on [0, pi]) the
-    odd coherences never cancel, whatever the count, and the surviving
-    entries are the point.
+    up to rounding once ``count`` exceeds the largest photon-number
+    difference N, and the reported ``exact`` flag says so.  On the half
+    interval (midpoint grid on [0, pi]) the odd coherences never cancel,
+    whatever the count, and the surviving entries are the point.
     """
     if interval not in ("full", "half"):
         raise ValueError(f"interval must be 'full' or 'half', got {interval!r}")
-    exact_count = exact_node_count(spec.truncation)
     if count is None:
-        count = exact_count
+        count = exact_node_count(spec.truncation)
     phis, weights = quadrature_nodes(count)
     if interval == "half":
         phis = math.pi * (np.arange(count) + 0.5) / count
     rows = phase_state_rows(spec, phis)
     matrix = (rows.T * weights) @ rows.conj()
-    exact = interval == "full" and count >= exact_count
+    exact = interval == "full" and count > spec.truncation
     return FieldReconstruction(
         matrix=matrix, exact=exact, interval=interval, node_count=count
     )
@@ -191,22 +190,21 @@ def _evolved_nodes(
     weighted start label and time, in that nesting order.  The phase-state
     rows of a chunk are built once and go to the solver as one stack;
     ``weights`` are the chunk's node weights times the label weight, one
-    per row of the (K, P (N+3)) evolved stack.
+    per entry of the (K, P, F) evolved stack.
     """
     pairs = _weighted_starts(partner_mixture)
     times = list(times)
     phis, node_weights = quadrature_nodes(count)
-    fock_dim = spec.truncation + 3
     for first in range(0, count, chunk):
         rows = phase_state_rows(spec, phis[first : first + chunk])
         weights = node_weights[first : first + chunk]
         for w_label, label in pairs:
             for k, t in enumerate(times):
                 out = np.asarray(solver(rows, label, t), dtype=complex)
-                if out.shape[:-1] != (len(rows),) or out.shape[-1] % fock_dim != 0:
+                if out.ndim != 3 or len(out) != len(rows):
                     raise ValueError(
-                        f"solver output shape {out.shape} is not {len(rows)} rows, one "
-                        f"per node, of a multiple of the Fock dimension {fock_dim}"
+                        f"solver output shape {out.shape} is not a (P, F) amplitude "
+                        f"stack with one entry per node, {len(rows)} in all"
                     )
                 yield k, w_label * weights, out
 
@@ -224,19 +222,20 @@ def evolve_mixed(
     summing to one.  The phase states of all grid nodes go to the solver as
     one (M, N+1) stack, so each start with nonzero weight costs one solver
     call, and the projectors are averaged in one product with fixed
-    summation order, so repeated runs agree bitwise.  The default grid of
-    :func:`exact_node_count` nodes exceeds every photon-number difference
-    the evolved states can hold, making the average exact rather than
-    approximate.  For the partner state alone, :func:`mixed_reduced_density`
-    traces out the field before averaging and never builds this matrix.
+    summation order, so repeated runs agree bitwise.  Any grid of more than
+    N nodes makes the average exact rather than approximate; the default
+    is :func:`exact_node_count`.  The partner dimension P and the Fock
+    dimension F are the solver's.  For the partner state alone,
+    :func:`mixed_reduced_density` traces out the field before averaging and
+    never builds this matrix.
     """
     if count is None:
         count = exact_node_count(spec.truncation)
     evolved = list(_evolved_nodes(solver, spec, partner_mixture, [t], count, count))
     v = np.concatenate([out for _, _, out in evolved])
+    _, partner_dim, fock_dim = v.shape
+    v = v.reshape(len(v), -1)
     matrix = (v.T * np.concatenate([w for _, w, _ in evolved])) @ v.conj()
-    fock_dim = spec.truncation + 3
-    partner_dim = v.shape[1] // fock_dim
     labels = ATOM_LABELS if partner_dim == 4 else tuple(
         str(q) for q in range(partner_dim)
     )
@@ -260,8 +259,8 @@ def mixed_reduced_density(
     NODE_CHUNK_ENTRIES joint-vector entries, one call per chunk, start label
     and time, and the chunk sums are added with one rounding per entry, so
     the chunk length moves the result by rounding inside a chunk only.  The
-    average stays explicit and weighted, so a grid coarser than 2 N + 3
-    nodes shows its error here as it does in the joint density.
+    average stays explicit and weighted, so a grid of N nodes or fewer
+    shows its error here as it does in the joint density.
 
     A scalar time gives one P x P density, a 1-D array of T times a stack
     of T.  A four-state partner comes back as a TwoQubitDensity, anything
@@ -272,14 +271,12 @@ def mixed_reduced_density(
         raise ValueError(f"need a time or a 1-D array of times, got shape {times.shape}")
     if count is None:
         count = exact_node_count(spec.truncation)
-    fock_dim = spec.truncation + 3
     chunk = node_chunk_length(spec.truncation)
     flat = np.atleast_1d(times).tolist()
     terms: list[list[np.ndarray]] = [[] for _ in flat]
     for k, weights, v in _evolved_nodes(solver, spec, partner_mixture, flat, count, chunk):
-        x = v.reshape(len(weights), -1, fock_dim).transpose(1, 0, 2)
-        x = x.reshape(x.shape[0], -1)
-        terms[k].append((x * np.repeat(weights, fock_dim)) @ x.conj().T)
+        x = v.transpose(1, 0, 2).reshape(v.shape[1], -1)
+        terms[k].append((x * np.repeat(weights, v.shape[2])) @ x.conj().T)
     rho = np.array([_exact_sum(np.array(chunks)) for chunks in terms])
     if times.ndim == 0:
         rho = rho[0]

@@ -225,6 +225,18 @@ def test_couplings_outside_the_double_range_are_config_errors(argv, monkeypatch,
     assert "leave the double range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["run", "--nbar", "1e16"], ["validate", "--nbar", "1e300"]])
+def test_means_without_a_truncation_are_config_errors(argv, monkeypatch, capsys):
+    # past 2**53 nbar / (1 + nbar) rounds to 1, so no cutoff meets the tail tolerance
+    def refuse(*args, **kwargs):
+        raise AssertionError("rendered a run with no truncation")
+
+    for name in ("run_timeseries", "render_joint", "render_validation"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert main(argv) == 2
+    assert "config error: mean photon number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("gamma", [0.0, 1e-9, 1.0 - 1e-6, 1.0])
 def test_the_gamma_family_stays_accepted_at_nbar_100(gamma):
     assert RunConfig(nbar=100.0, gamma=gamma).couplings().lambda1 == 1.0 + gamma
@@ -358,6 +370,7 @@ def test_validate_has_no_joint_density_term():
         ["validate", "--nbar", "200"],
         ["run", "--nbar", "0.5", "--steps", "100000000"],
         ["run", "--nbar", "0.5", "--mode", "joint", "--quadrature-nodes", "10000000"],
+        ["run", "--nbar", "8.9e15"],
     ],
 )
 def test_oversize_runs_are_refused_before_allocating(argv, monkeypatch, capsys):

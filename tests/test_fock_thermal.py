@@ -1,6 +1,7 @@
 """Thermal number statistics, truncation search and phase states."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,11 +62,9 @@ def test_probability_successive_ratio_is_constant():
         assert ratio == pytest.approx(r, rel=1e-13)
 
 
-def test_distribution_is_computed_once_and_shares_the_scalar_formula():
+def test_distribution_shares_the_scalar_formula():
     spec = ThermalFieldSpec(3.7)
     probs = spec.probabilities()
-    assert spec.probabilities() is probs
-    assert not probs.flags.writeable
     assert probs.tolist() == [photon_probability(n, 3.7) for n in range(spec.truncation + 1)]
 
 
@@ -125,6 +124,13 @@ def test_spec_rejects_bad_tolerance():
 @pytest.mark.parametrize("nbar", [math.nan, math.inf])
 def test_spec_rejects_a_non_finite_mean(nbar):
     with pytest.raises(ValueError, match=f"mean photon number must be finite, got {nbar}"):
+        ThermalFieldSpec(nbar)
+
+
+@pytest.mark.parametrize("nbar", [2.0**53, 1e16, 1e300])
+def test_spec_rejects_a_mean_whose_ratio_rounds_to_one(nbar):
+    # from 2**53 on nbar / (1 + nbar) is 1.0 and the tail never shrinks
+    with pytest.raises(ValueError, match=re.escape(f"mean photon number {nbar} is too large")):
         ThermalFieldSpec(nbar)
 
 

@@ -63,9 +63,16 @@ def test_full_period_average_collapses_to_the_number_mixture():
 
 
 def test_exact_flag_follows_the_grid_threshold():
+    # N + 1 nodes cancel every phase difference of levels 0 .. N
     spec = ThermalFieldSpec(1.0, 1e-6)
-    assert reconstruct_field_density(spec, 41).exact
-    assert not reconstruct_field_density(spec, 40).exact
+    assert spec.truncation == 19
+    target = np.diag(spec.probabilities()).astype(complex)
+    exact = reconstruct_field_density(spec, 20)
+    coarse = reconstruct_field_density(spec, 19)
+    assert exact.exact
+    assert not coarse.exact
+    assert np.abs(exact.matrix - target).max() <= 1e-13
+    assert np.abs(coarse.matrix - target).max() >= 1e-6
     assert not reconstruct_field_density(spec, 41, interval="half").exact
 
 
@@ -180,7 +187,7 @@ def test_solver_output_length_is_checked():
     def broken(coeffs, label, t):
         return np.ones(7, dtype=complex)
 
-    with pytest.raises(ValueError, match="multiple"):
+    with pytest.raises(ValueError, match="amplitude stack"):
         evolve_mixed(broken, spec, [(1.0, "ee")], 0.5)
 
 
@@ -201,12 +208,52 @@ def test_engine_accepts_other_partner_dimensions():
     def idle(coeffs, label, t):
         out = np.zeros(coeffs.shape[:-1] + (2, fock_dim), dtype=complex)
         out[..., int(label), : coeffs.shape[-1]] = coeffs
-        return out.reshape(coeffs.shape[:-1] + (2 * fock_dim,))
+        return out
 
     joint = evolve_mixed(idle, spec, [(1.0, "0")], 0.0)
     assert joint.atom_labels == ("0", "1")
     assert joint.fock_dim == fock_dim
     assert joint.matrix.shape == (2 * fock_dim, 2 * fock_dim)
+
+
+def _jaynes_cummings(g):
+    """One resonant qubit: |e, n> <-> |g, n+1> at frequency g sqrt(n+1).
+
+    Returns the (M, 2, N+2) stack over (e, g) x Fock levels 0 .. N+1.
+    """
+
+    def solver(coeffs, label, t):
+        n = np.arange(coeffs.shape[-1])
+        out = np.zeros(coeffs.shape[:-1] + (2, len(n) + 1), dtype=complex)
+        if label == "e":
+            angle = g * np.sqrt(n + 1) * t
+            out[..., 0, :-1] = coeffs * np.cos(angle)
+            out[..., 1, 1:] = -1j * coeffs * np.sin(angle)
+        else:
+            angle = g * np.sqrt(n) * t
+            out[..., 1, :-1] = coeffs * np.cos(angle)
+            out[..., 0, :-2] = -1j * coeffs[..., 1:] * np.sin(angle[1:])
+        return out
+
+    return solver
+
+
+def test_engine_drives_a_one_qubit_solver_with_its_own_fock_width():
+    spec = ThermalFieldSpec(2.0, 1e-10)
+    g = 1.3
+    solver = _jaynes_cummings(g)
+    times = np.array([0.0, 0.7, 3.1, 12.5])
+    rho = mixed_reduced_density(solver, spec, [(1.0, "e")], times)
+    assert rho.shape == (4, 2, 2)
+    n = np.arange(spec.truncation + 1)
+    for t, excited in zip(times, rho[:, 0, 0].real):
+        expected = math.fsum(spec.probabilities() * np.cos(g * np.sqrt(n + 1) * t) ** 2)
+        assert abs(excited - expected) <= 1e-14
+    for t in times:
+        joint = evolve_mixed(solver, spec, [(0.4, "e"), (0.6, "g")], t)
+        assert joint.fock_dim == spec.truncation + 2
+        traced = partial_trace_field(joint)
+        assert abs(np.trace(traced) - spec.retained_mass()) <= 1e-12
 
 
 def test_partial_trace_inverts_a_product_state():
@@ -259,7 +306,7 @@ def _per_node_reference(solver, spec, pairs, t):
         for phi, w_node in zip(*quadrature_nodes(2 * spec.truncation + 3)):
             vectors.append(solver(phase_state_rows(spec, [phi])[0], label, t))
             weights.append(w_label * w_node)
-    v = np.array(vectors)
+    v = np.array(vectors).reshape(len(vectors), -1)
     return (v.T * np.array(weights)) @ v.conj()
 
 
@@ -396,7 +443,7 @@ def test_trace_first_returns_a_bare_matrix_for_other_partners():
     def idle(coeffs, label, t):
         out = np.zeros(coeffs.shape[:-1] + (2, fock_dim), dtype=complex)
         out[..., int(label), : coeffs.shape[-1]] = coeffs
-        return out.reshape(coeffs.shape[:-1] + (2 * fock_dim,))
+        return out
 
     rho = mixed_reduced_density(idle, spec, [(0.25, "0"), (0.75, "1")], np.array([0.0, 1.0]))
     assert isinstance(rho, np.ndarray)
