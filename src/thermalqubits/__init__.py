@@ -14,9 +14,8 @@ formula-free so the two sides can check each other;
 from .closed_form import (
     ATOM_LABELS,
     CouplingPair,
-    ManifoldSpectrum,
     amplitude_table,
-    manifold_spectrum,
+    block_spectrum,
     phase_propagator,
 )
 from .entanglement import (
@@ -30,7 +29,6 @@ from .fock_thermal import (
     ThermalFieldSpec,
     mean_photons_from_temperature,
     phase_state_rows,
-    photon_probability,
     truncation_for_tolerance,
 )
 from .phase_engine import (
@@ -53,23 +51,21 @@ __all__ = [
     "CouplingPair",
     "FieldReconstruction",
     "JointDensity",
-    "ManifoldSpectrum",
     "NegativityResult",
     "PureStatePropagator",
     "ThermalFieldSpec",
     "TwoQubitDensity",
     "amplitude_table",
+    "block_spectrum",
     "closed_form_gamma",
     "closed_form_negativity",
     "evolve_mixed",
-    "manifold_spectrum",
     "mean_photons_from_temperature",
     "mixed_reduced_density",
     "negativity",
     "partial_trace_field",
     "phase_propagator",
     "phase_state_rows",
-    "photon_probability",
     "quadrature_nodes",
     "reconstruct_field_density",
     "reduced_density",

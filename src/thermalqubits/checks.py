@@ -5,18 +5,16 @@ same input and returns the largest disagreement it saw, as a float.  The
 ``validate`` subcommand and the acceptance tests both call these, each on
 its own grid and against its own threshold; neither re-derives a measured
 number.  The routes themselves stay apart: this module only puts their
-outputs side by side.  Each route takes the whole time array or block
-table in one call, so a check costs one call per route, not one per time
-point or block.
+outputs side by side.  Each route takes the whole time array, block
+table or density stack in one call, so a check costs one call per route,
+not one per time point, block or state.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
-from .closed_form import CouplingPair, _spectrum, amplitude_table, phase_propagator
+from .closed_form import CouplingPair, amplitude_table, block_spectrum, phase_propagator
 from .entanglement import closed_form_negativity, negativity
 from .fock_thermal import ThermalFieldSpec
 from .oracle import block_table, jacobi_eigh, oracle_reduced_density
@@ -59,7 +57,7 @@ def spectrum_defect(couplings: CouplingPair, n_max: int) -> float:
     from one spectrum array call.
     """
     w, _ = jacobi_eigh(block_table(couplings, n_max)[2:])
-    *_, omega_plus_sq, omega_minus_sq = _spectrum(np.arange(n_max + 1), couplings)
+    *_, omega_plus_sq, omega_minus_sq = block_spectrum(np.arange(n_max + 1), couplings)
     op, om = np.sqrt(omega_plus_sq), np.sqrt(omega_minus_sq)
     reference = np.sort(np.stack([-op, -om, om, op], axis=-1), axis=-1)
     return float(np.abs(w - reference).max())
@@ -105,16 +103,11 @@ def field_reconstruction_residuals(
     )
 
 
-def negativity_route_gap(densities: TwoQubitDensity | Iterable[TwoQubitDensity]) -> float:
+def negativity_route_gap(densities: TwoQubitDensity) -> float:
     """Largest gap between the eigenvalue negativity and the X-state closed form.
 
-    ``densities`` is a TwoQubitDensity stack or an iterable of single ones;
-    both routes score the whole stack in one call each.
+    ``densities`` is a TwoQubitDensity stack; both routes score the whole
+    stack in one call each.
     """
-    if not isinstance(densities, TwoQubitDensity):
-        matrices = [rho.matrix for rho in densities]
-        if not matrices:
-            return 0.0
-        densities = TwoQubitDensity(np.array(matrices))
     gaps = np.abs(negativity(densities).xi - closed_form_negativity(densities))
     return float(np.max(gaps))

@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import checks, reduction
-from .closed_form import CouplingPair, _spectrum, phase_propagator
+from .closed_form import CouplingPair, block_spectrum, phase_propagator
 from .entanglement import negativity
 from .fock_thermal import ThermalFieldSpec
 from .phase_engine import evolve_mixed, exact_node_count, node_chunk_length
@@ -204,7 +204,7 @@ class RunConfig:
         # products grow with the block index; amplitude factors stay below 16 Omega_+^2
         l1, l2 = couplings.lambda1, couplings.lambda2
         with np.errstate(over="ignore", invalid="ignore"):
-            top = _spectrum(truncation, couplings)
+            top = block_spectrum(truncation, couplings)
             finite = np.isfinite([*top, 16.0 * top[3]]).all()
         squares = (l1 * l1, l2 * l2, 16.0 * l1 * l1 * l2 * l2) if l2 else (l1 * l1,)
         if not finite or min(squares) < sys.float_info.min:
@@ -424,10 +424,7 @@ def _random_x_states(rng: np.random.Generator, count: int) -> TwoQubitDensity:
     populations = draws[:, :4] + 1e-3
     populations = populations / populations.sum(axis=1, keepdims=True)
     magnitude = np.sqrt(populations[:, 1] * populations[:, 2]) * draws[:, 4]
-    # libm cos and sin per state, so each state equals the one a
-    # state-by-state loop over the same draws would build, bit for bit
-    phases = (math.tau * draws[:, 5]).tolist()
-    unit = np.array([complex(math.cos(phase), math.sin(phase)) for phase in phases])
+    unit = np.exp(1j * math.tau * draws[:, 5])
     return TwoQubitDensity.from_components(*populations.T, magnitude * unit)
 
 

@@ -9,9 +9,10 @@ two Rabi frequencies Omega_plus and Omega_minus obtained from
     Omega_{pm}^2 = ((l1^2 + l2^2)(2n+3) pm Lambda_n) / 2
 
 and the evolution of any basis state is a short combination of
-cos(Omega t) and sin(Omega t)/Omega terms.  This module evaluates those
-combinations directly, with no matrix diagonalization; the numerically
-diagonalized reference lives in :mod:`thermalqubits.oracle`.
+cos(Omega t) and sin(Omega t)/Omega terms.  :func:`block_spectrum` gives
+these quantities for one block index or an array of them, and this module
+evaluates the combinations directly, with no matrix diagonalization; the
+numerically diagonalized reference lives in :mod:`thermalqubits.oracle`.
 
 Lambda_n is the usual discriminant
 sqrt((l1^2 + l2^2)^2 (2n+3)^2 - 4 (l1^2 - l2^2)^2 (n+1)(n+2)) rewritten as a
@@ -32,7 +33,6 @@ block's cos/sin among |ee, n>, |eg, n+1> and |gg, n+2>, all in block n.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -42,9 +42,8 @@ import numpy as np
 __all__ = [
     "ATOM_LABELS",
     "CouplingPair",
-    "ManifoldSpectrum",
     "amplitude_table",
-    "manifold_spectrum",
+    "block_spectrum",
     "phase_propagator",
 ]
 
@@ -97,28 +96,16 @@ class CouplingPair:
         return (self.lambda1 - self.lambda2) / (self.lambda1 + self.lambda2)
 
 
-@dataclass(frozen=True)
-class ManifoldSpectrum:
-    """Spectral data of one excitation block.
+def block_spectrum(m: int | np.ndarray, couplings: CouplingPair):
+    """(Lambda, mu_plus, mu_minus, Omega_plus^2, Omega_minus^2) of blocks ``m``.
 
-    Lambda is the discriminant root splitting the two Rabi branches,
-    mu_plus and mu_minus its sum and difference partners; the amplitude
-    formulas use all of them.  The block eigenvalues are +-Omega_plus and
-    +-Omega_minus.  In the empty block (index -2) Omega_minus is imaginary;
-    dynamics never uses that branch because every term carrying it has an
-    exactly vanishing coefficient there.
+    ``m`` is one block index or an array of them; the lowest block is -2.
+    The block eigenvalues are +-Omega_plus and +-Omega_minus.  In the empty
+    block Omega_minus^2 = -(l1^2 + l2^2) is negative; dynamics never uses
+    that branch because every term carrying it vanishes exactly there.
     """
-
-    manifold_index: int
-    Lambda: float
-    mu_plus: float
-    mu_minus: float
-    Omega_plus: complex
-    Omega_minus: complex
-
-
-def _spectrum(m: np.ndarray, couplings: CouplingPair):
-    """(Lambda, mu_plus, mu_minus, Omega_plus^2, Omega_minus^2) of blocks ``m``."""
+    if np.any(np.asarray(m) < -2):
+        raise ValueError(f"block index must be at least -2, got {np.min(m)}")
     l1, l2 = couplings.lambda1, couplings.lambda2
     s2 = l1 * l1 + l2 * l2
     d2 = l1 * l1 - l2 * l2
@@ -135,23 +122,6 @@ def _spectrum(m: np.ndarray, couplings: CouplingPair):
         empty, -s2, d2 * d2 * pairs / np.where(empty, 1.0, omega_plus_sq)
     )
     return gap, mu_plus, mu_minus, omega_plus_sq, omega_minus_sq
-
-
-def manifold_spectrum(n: int, couplings: CouplingPair) -> ManifoldSpectrum:
-    """Rabi frequencies of block ``n``; the lowest block is n = -2."""
-    if n < -2:
-        raise ValueError(f"block index must be at least -2, got {n}")
-    gap, mu_p, mu_m, op2, om2 = (
-        float(arr[0]) for arr in _spectrum(np.array([n]), couplings)
-    )
-    return ManifoldSpectrum(
-        manifold_index=n,
-        Lambda=gap,
-        mu_plus=mu_p,
-        mu_minus=mu_m,
-        Omega_plus=cmath.sqrt(op2),
-        Omega_minus=cmath.sqrt(om2),
-    )
 
 
 def _block_trig(t: np.ndarray, omegas) -> list[np.ndarray]:
@@ -225,7 +195,7 @@ def _amplitude_tables(labels, n_max: int, couplings: CouplingPair):
     """Bind the spectrum and the labels' coefficients; the callable returned takes
     a time or a 1-D time array and yields each label's table from one trig call.
     """
-    spectrum = _spectrum(np.arange(-2, n_max + 1), couplings)
+    spectrum = block_spectrum(np.arange(-2, n_max + 1), couplings)
     tables = [_label_rows(label, n_max, spectrum, couplings) for label in labels]
     # each square root once; the empty block's imaginary Omega_minus is never used
     omegas = (np.sqrt(spectrum[3]), np.sqrt(np.maximum(spectrum[4], 0.0)))

@@ -5,9 +5,10 @@ number distribution
 
     p(n) = nbar**n / (1 + nbar)**(n + 1)
 
-which is diagonal in the Fock basis.  The same mixture can be written as a
-uniform average of pure "phase states" over one full period of the phase
-angle.  :func:`phase_state_rows` builds the pure members at an array of
+which is diagonal in the Fock basis;
+:meth:`ThermalFieldSpec.probabilities` gives it as one array over the
+retained levels.  The same mixture can be written as a uniform average of
+pure "phase states" over one full period of the phase angle.  :func:`phase_state_rows` builds the pure members at an array of
 angles, one row each, so a single phase state is
 ``phase_state_rows(spec, [phi])[0]``; the grid average lives in
 :mod:`thermalqubits.phase_engine`.
@@ -24,7 +25,6 @@ __all__ = [
     "ThermalFieldSpec",
     "mean_photons_from_temperature",
     "phase_state_rows",
-    "photon_probability",
     "truncation_for_tolerance",
 ]
 
@@ -50,17 +50,6 @@ def _geometric_distribution(n: np.ndarray, nbar: float) -> np.ndarray:
     if nbar == 0.0:
         return np.where(n == 0, 1.0, 0.0)
     return np.exp(n * math.log(nbar) - (n + 1) * math.log1p(nbar))
-
-
-def photon_probability(n: int, nbar: float) -> float:
-    """Probability of exactly ``n`` photons in a thermal field of mean ``nbar``."""
-    if n < 0 or n != int(n):
-        raise ValueError(f"photon number must be a nonnegative integer, got {n}")
-    if nbar < 0.0:
-        raise ValueError(f"mean photon number must be nonnegative, got {nbar}")
-    # a one-element array takes the same numpy loop as probabilities(), so
-    # both give bit-identical values
-    return float(_geometric_distribution(np.array([n], dtype=float), nbar)[0])
 
 
 def truncation_for_tolerance(nbar: float, eps: float) -> int:

@@ -92,10 +92,13 @@ def jacobi_eigh(matrix: np.ndarray):
     matrix = v @ diag(w) @ v.T for every block.  Each sweep zeroes every
     off-diagonal pair (p, q) once with a plane rotation that touches rows
     and columns p and q only.  A block stops rotating once its off-diagonal
-    norm drops below 1e-14 times its scale, so every block of a stack
-    goes through exactly the rotations it would go through alone, and the
-    result is bitwise the same.  Quadratic convergence makes 60 sweeps a
-    formality for the 4x4 blocks this module produces.
+    norm drops below 1e-14 times its largest entry, a rule that does not
+    depend on the units of the entries (blocks with entries far below 1
+    still rotate to full relative accuracy), and a zero block never
+    rotates.  Every block of a stack goes through exactly the rotations it
+    would go through alone, so the result is bitwise the same.  Quadratic
+    convergence makes 60 sweeps a formality for the 4x4 blocks this module
+    produces.
     """
     a = np.array(matrix, dtype=float, copy=True)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -106,7 +109,7 @@ def jacobi_eigh(matrix: np.ndarray):
         raise ValueError("matrix is not symmetric")
     size = a.shape[-1]
     v = np.broadcast_to(np.eye(size), a.shape).copy()
-    threshold = 1e-14 * np.maximum(1.0, magnitude)
+    threshold = 1e-14 * magnitude
     pairs = [(p, q) for p in range(size - 1) for q in range(p + 1, size)]
     for _ in range(60):
         off = np.zeros(a.shape[:-2])

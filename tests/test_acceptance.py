@@ -20,7 +20,7 @@ from thermalqubits import (
     CouplingPair,
     ThermalFieldSpec,
     TwoQubitDensity,
-    manifold_spectrum,
+    block_spectrum,
     negativity,
     reconstruct_field_density,
     reduced_density,
@@ -90,7 +90,7 @@ def test_criterion_5a_symmetric_vacuum_witness_formula(criterion):
     pair = CouplingPair.from_gamma(0.0)
     spec = ThermalFieldSpec(0.0)
     mix = AtomicMixtureSpec(0.0, 0.0)
-    omega = manifold_spectrum(-1, pair).Omega_plus.real
+    omega = math.sqrt(block_spectrum(-1, pair)[3])
     worst = 0.0
     for t in np.linspace(0.0, 20.0, 401):
         res = negativity(reduced_density(spec, mix, pair, float(t)))
@@ -111,7 +111,7 @@ def test_criterion_5b_asymmetric_vacuum_entanglement_window(criterion):
     pair = CouplingPair.from_gamma(0.5)
     spec = ThermalFieldSpec(0.0)
     mix = AtomicMixtureSpec(0.0, 0.0)
-    omega = manifold_spectrum(-1, pair).Omega_plus.real
+    omega = math.sqrt(block_spectrum(-1, pair)[3])
     threshold = -(pair.lambda2 ** 2) / (pair.lambda1 ** 2)
     grid = np.linspace(0.0, 20.0, 801)
     mismatches = []
@@ -157,7 +157,8 @@ def test_criterion_6_negativity_routes_coincide(criterion):
             float(pop[0]), float(pop[1]), float(pop[2]), float(pop[3]), complex(coh)
         )
 
-    worst = checks.negativity_route_gap(random_x_state() for _ in range(1000))
+    states = TwoQubitDensity(np.array([random_x_state().matrix for _ in range(1000)]))
+    worst = checks.negativity_route_gap(states)
     bell = np.zeros((4, 4), dtype=complex)
     bell[1, 1] = bell[2, 2] = bell[1, 2] = bell[2, 1] = 0.5
     bell_xi = negativity(bell).xi

@@ -44,7 +44,7 @@ def test_column_norm_defect_sees_a_scaled_table(monkeypatch):
 
 def test_spectrum_defect_sees_a_shifted_frequency(monkeypatch):
     assert checks.spectrum_defect(PAIR, 12) <= 1e-11
-    original = checks._spectrum
+    original = checks.block_spectrum
 
     def shifted(m, couplings):
         # move Omega_plus of block 3 alone by PLANT
@@ -52,7 +52,7 @@ def test_spectrum_defect_sees_a_shifted_frequency(monkeypatch):
         omega_plus = np.sqrt(omega_plus_sq) + np.where(m == 3, PLANT, 0.0)
         return (*rest, omega_plus**2, omega_minus_sq)
 
-    monkeypatch.setattr(checks, "_spectrum", shifted)
+    monkeypatch.setattr(checks, "block_spectrum", shifted)
     assert checks.spectrum_defect(PAIR, 12) == pytest.approx(PLANT, abs=1e-12)
 
 
@@ -91,11 +91,11 @@ def test_field_reconstruction_sees_a_perturbed_full_period(monkeypatch):
 def test_negativity_route_gap_sees_a_shifted_closed_form(monkeypatch):
     bell = np.zeros((4, 4), dtype=complex)
     bell[1, 1] = bell[2, 2] = bell[1, 2] = bell[2, 1] = 0.5
-    states = [
-        TwoQubitDensity(bell),
-        TwoQubitDensity.from_components(0.4, 0.3, 0.2, 0.1, 0.1j),
-        TwoQubitDensity.from_components(0.1, 0.4, 0.4, 0.1, 0.35 * math.sqrt(2.0)),
-    ]
+    states = TwoQubitDensity(np.array([
+        bell,
+        TwoQubitDensity.from_components(0.4, 0.3, 0.2, 0.1, 0.1j).matrix,
+        TwoQubitDensity.from_components(0.1, 0.4, 0.4, 0.1, 0.35 * math.sqrt(2.0)).matrix,
+    ]))
     assert checks.negativity_route_gap(states) <= 1e-11
     original = checks.closed_form_negativity
     monkeypatch.setattr(checks, "closed_form_negativity", lambda rho: original(rho) + PLANT)
@@ -122,13 +122,3 @@ def test_each_route_runs_once_per_time_array(monkeypatch):
     calls.clear()
     checks.spectrum_defect(PAIR, 12)
     assert calls == ["jacobi_eigh"]
-
-
-def test_negativity_route_gap_takes_a_stack_or_single_states():
-    states = [
-        TwoQubitDensity.from_components(0.4, 0.3, 0.2, 0.1, 0.1j),
-        TwoQubitDensity.from_components(0.1, 0.4, 0.4, 0.1, 0.35 * math.sqrt(2.0)),
-    ]
-    stack = TwoQubitDensity(np.array([rho.matrix for rho in states]))
-    assert checks.negativity_route_gap(stack) == checks.negativity_route_gap(states)
-    assert checks.negativity_route_gap([]) == 0.0

@@ -10,7 +10,7 @@ from thermalqubits import (
     CouplingPair,
     ThermalFieldSpec,
     amplitude_table,
-    manifold_spectrum,
+    block_spectrum,
     phase_propagator,
     phase_state_rows,
     quadrature_nodes,
@@ -63,46 +63,43 @@ def test_spectrum_sum_and_difference_identities():
         l2 = float(rng.uniform(0.0, l1))
         pair = CouplingPair(l1, l2)
         n = int(rng.integers(0, 40))
-        spec = manifold_spectrum(n, pair)
+        gap, mu_plus, mu_minus, op2, om2 = block_spectrum(n, pair)
         s2 = l1 * l1 + l2 * l2
-        assert spec.mu_plus + spec.mu_minus == pytest.approx(2.0 * s2, rel=1e-13)
-        assert spec.mu_plus - spec.mu_minus == pytest.approx(2.0 * spec.Lambda, rel=1e-13)
-        op2 = spec.Omega_plus.real ** 2
-        om2 = spec.Omega_minus.real ** 2
+        assert mu_plus + mu_minus == pytest.approx(2.0 * s2, rel=1e-13)
+        assert mu_plus - mu_minus == pytest.approx(2.0 * gap, rel=1e-13)
         assert op2 + om2 == pytest.approx(s2 * (2 * n + 3), rel=1e-12)
-        assert op2 - om2 == pytest.approx(spec.Lambda, rel=1e-12)
+        assert op2 - om2 == pytest.approx(gap, rel=1e-12)
 
 
 def test_bottom_block_frequencies_are_exact():
     s2 = ASYM.lambda1 ** 2 + ASYM.lambda2 ** 2
-    spec = manifold_spectrum(-2, ASYM)
-    assert spec.mu_minus == 0.0
-    assert spec.Omega_plus == 0.0
+    _, _, mu_minus, omega_plus_sq, omega_minus_sq = block_spectrum(-2, ASYM)
+    assert mu_minus == 0.0
+    assert omega_plus_sq == 0.0
     # the unused branch continues to an imaginary frequency, exactly
-    assert spec.Omega_minus.real == 0.0
-    assert spec.Omega_minus.imag == math.sqrt(s2)
+    assert omega_minus_sq == -s2
 
 
 def test_single_excitation_block_collapses_to_one_frequency():
     s2 = ASYM.lambda1 ** 2 + ASYM.lambda2 ** 2
-    spec = manifold_spectrum(-1, ASYM)
-    assert spec.Lambda == s2
-    assert spec.mu_minus == 0.0
-    assert spec.Omega_minus == 0.0
-    assert spec.Omega_plus.real == pytest.approx(math.sqrt(s2), rel=1e-15)
+    gap, _, mu_minus, omega_plus_sq, omega_minus_sq = block_spectrum(-1, ASYM)
+    assert gap == s2
+    assert mu_minus == 0.0
+    assert omega_minus_sq == 0.0
+    assert math.sqrt(omega_plus_sq) == pytest.approx(math.sqrt(s2), rel=1e-15)
 
 
 def test_equal_couplings_keep_the_slow_branch_at_zero():
     # the collapsed discriminant must not leak a rounding ulp into
     # Omega_minus, where a sqrt would blow it up to 1e-8
     for pair in (SYM, CouplingPair(1.3, 1.3)):
-        for n in range(0, 41):
-            assert manifold_spectrum(n, pair).Omega_minus == 0.0
+        assert np.all(block_spectrum(np.arange(0, 41), pair)[4] == 0.0)
 
 
 def test_block_index_below_the_bottom_is_refused():
-    with pytest.raises(ValueError):
-        manifold_spectrum(-3, SYM)
+    for m in (-3, np.array([0, 5, -3])):
+        with pytest.raises(ValueError, match="at least -2, got -3"):
+            block_spectrum(m, SYM)
 
 
 def test_ground_pair_in_vacuum_is_stationary():

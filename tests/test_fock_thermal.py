@@ -10,10 +10,10 @@ from thermalqubits import (
     ThermalFieldSpec,
     mean_photons_from_temperature,
     phase_state_rows,
-    photon_probability,
     quadrature_nodes,
     truncation_for_tolerance,
 )
+from thermalqubits.fock_thermal import _geometric_distribution
 from thermalqubits.phase_engine import exact_node_count
 
 
@@ -40,43 +40,43 @@ def test_mean_photons_rejects_nonpositive_ratio(ratio):
 
 
 def test_probability_is_geometric_at_unit_mean():
+    probs = ThermalFieldSpec(1.0).probabilities()
     for n in range(12):
-        assert photon_probability(n, 1.0) == pytest.approx(0.5 ** (n + 1), rel=1e-13)
+        assert probs[n] == pytest.approx(0.5 ** (n + 1), rel=1e-13)
 
 
 def test_probability_vacuum_limit():
-    assert photon_probability(0, 0.0) == 1.0
-    assert photon_probability(5, 0.0) == 0.0
+    assert ThermalFieldSpec(0.0).probabilities().tolist() == [1.0]
+    # past the vacuum's cutoff of 0 the formula itself gives exact zeros
+    assert _geometric_distribution(np.array([0, 5]), 0.0).tolist() == [1.0, 0.0]
 
 
 def test_probability_underflows_to_zero_for_huge_n():
-    assert photon_probability(100000, 1.0) == 0.0
-    assert photon_probability(10**20, 1.0) == 0.0
+    assert _geometric_distribution(np.array([1e5, 1e20]), 1.0).tolist() == [0.0, 0.0]
 
 
 def test_probability_successive_ratio_is_constant():
     nbar = 2.7
     r = nbar / (1.0 + nbar)
+    probs = ThermalFieldSpec(nbar).probabilities()
     for n in range(1, 9):
-        ratio = photon_probability(n + 1, nbar) / photon_probability(n, nbar)
+        ratio = probs[n + 1] / probs[n]
         assert ratio == pytest.approx(r, rel=1e-13)
 
 
 def test_distribution_shares_the_scalar_formula():
+    # the truncated array and the formula evaluated at one level agree bit for bit
     spec = ThermalFieldSpec(3.7)
     probs = spec.probabilities()
-    assert probs.tolist() == [photon_probability(n, 3.7) for n in range(spec.truncation + 1)]
-
-
-@pytest.mark.parametrize("bad", [-1, 1.5])
-def test_probability_rejects_bad_photon_number(bad):
-    with pytest.raises(ValueError):
-        photon_probability(bad, 1.0)
+    assert probs.tolist() == [
+        float(_geometric_distribution(np.array([n], dtype=float), 3.7)[0])
+        for n in range(spec.truncation + 1)
+    ]
 
 
 def test_probability_rejects_negative_mean():
     with pytest.raises(ValueError):
-        photon_probability(0, -0.5)
+        ThermalFieldSpec(-0.5)
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from thermalqubits import (
     quadrature_nodes,
     reduced_density,
 )
-from thermalqubits import oracle
+from thermalqubits import checks, oracle
 from thermalqubits.oracle import (
     block_table,
     jacobi_eigh,
@@ -223,6 +223,17 @@ def test_stacked_jacobi_handles_blocks_converging_at_different_sweeps():
         assert np.array_equal(w1, w[k]) and np.array_equal(v1, v[k])
         assert np.allclose(v[k] @ np.diag(w[k]) @ v[k].T, stack[k], atol=1e-13)
     assert np.array_equal(w[1], [-1.0, 0.5, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e-15, 1e-70])
+def test_rescaled_couplings_leave_every_route_in_agreement(scale):
+    # only lambda t enters the dynamics, so couplings scaled by s and times by
+    # 1/s give the same densities; the sweep must still rotate small blocks
+    pair = CouplingPair(1.4 * scale, 0.55 * scale)
+    spec = ThermalFieldSpec(1.0)
+    times = np.array([0.0, 1.3, 7.9, 25.0]) / scale
+    assert checks.route_gap(spec, AtomicMixtureSpec(0.9, 0.4), pair, times) <= 1e-12
+    assert checks.spectrum_defect(pair, spec.truncation) / scale <= 1e-11
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
