@@ -88,10 +88,10 @@ _COUPLING_KEYS = ("gamma", "lambda1", "lambda2")
 
 # Largest planned working set, in bytes; a run that would need more is
 # refused as a config error before anything is allocated.  Every run in the
-# tests and the benchmark plans under 100 MB (validate at nbar 5, N = 126,
-# plans 12 MB), so 1 GiB leaves them a factor of ten, while nbar 1e6
-# (N ~ 2.3e7, 8.2 GiB of tables), a joint run at nbar 20 or validate
-# from nbar 118 up plan more.
+# tests and the benchmark plans under 100 MB (at nbar 5, N = 126, validate
+# plans 7 MB and a joint run 87 MB), so 1 GiB leaves them a factor of ten,
+# while nbar 1e6 (N ~ 2.3e7, 8.2 GiB of tables), a joint run from
+# nbar 19.3 (N = 455) or validate from nbar 144.6 (N = 3341) up plan more.
 MAX_WORK_BYTES = 2**30
 
 # Time points at which validate compares the routes.
@@ -101,10 +101,15 @@ VALIDATE_PROBES = 7
 # reduced, the amplitude-table entries of one chunk (188 B each in full
 # chunks; at one time per chunk, from N = 1024, the coefficients of three
 # start labels make it 405 B per photon level at nbar 100 and 385 B at
-# nbar 1000, covered here without _RUN_BYTES); joint, the joint density and
-# evolved vectors, rendered as JSON text too; validate, one node chunk of
+# nbar 1000, covered here without _RUN_BYTES); joint, the joint density
+# entries, rendered as JSON text (312-315 B each at nbar 1-10: two Python
+# floats, their text and its joined copy); validate, one node chunk of
 # evolved vectors and the oracle's tables.
-_ENTRY_BYTES = {"reduced": 416, "joint": 128, "validate": 72}
+_ENTRY_BYTES = {"reduced": 416, "joint": 320, "validate": 72}
+# Peak bytes per evolved-vector entry of a joint run's engine stage, every
+# node of up to three start labels (64 B at 5,000 and 20,000 nodes, where
+# this stage sets the peak).
+_NODE_BYTES = 72
 # Peak bytes per time point of a reduced series: its row and its CSV line.
 _ROW_BYTES = 896
 # Peak bytes per entry of validate's field reconstruction: the phase-state
@@ -120,14 +125,16 @@ def work_bytes(truncation: int, steps: int, mode: str, nodes: int | None = None)
     """Estimated peak allocation of a run, computed without allocating it.
 
     A reduced series holds one chunk of amplitude tables and every finished
-    row.  A joint run holds the joint density, (4 (N + 3))^2 entries, plus
-    M evolved vectors of length 4 (N + 3) for each of up to three start
-    labels, M being the phase-grid size.  Validate runs its checks one
-    after another, so its peak is the larger of two stages: the route
-    comparison (one node chunk of evolved vectors, the oracle's block
-    table and its evolved amplitudes at every probe time) and the field
-    reconstruction (M phase-state rows and the field density, each with
-    N + 1 columns).  Every run adds a fixed ``_RUN_BYTES``.
+    row.  The other modes run in two stages, one after the other, so their
+    peak is the larger stage.  A joint run first holds M evolved vectors
+    of length 4 (N + 3) for each of up to three start labels, M being the
+    phase-grid size (N + 1 unless ``nodes`` is given), and then renders the
+    joint density, (4 (N + 3))^2 entries, as JSON text.  Validate's stages
+    are the route comparison (one node chunk of evolved vectors, the
+    oracle's block table and its evolved amplitudes at every probe time)
+    and the field reconstruction (M phase-state rows and the field
+    density, each with N + 1 columns).  Every run adds a fixed
+    ``_RUN_BYTES``.
     """
     levels = truncation + 1
     if mode == "reduced":
@@ -137,7 +144,9 @@ def work_bytes(truncation: int, steps: int, mode: str, nodes: int | None = None)
     if nodes is None:
         nodes = exact_node_count(truncation)
     if mode == "joint":
-        return _RUN_BYTES + _ENTRY_BYTES[mode] * (dim * dim + 3 * nodes * dim)
+        return _RUN_BYTES + max(
+            _ENTRY_BYTES[mode] * dim * dim, _NODE_BYTES * 3 * nodes * dim
+        )
     chunk = min(nodes, node_chunk_length(truncation)) * dim
     oracle = 16 * (truncation + 3) + 4 * min(steps, VALIDATE_PROBES) * levels
     field = levels * (nodes + levels)
@@ -178,7 +187,7 @@ class RunConfig:
     t_max: float = _key(25.0, float, "last time")
     steps: int = _key(1001, int, "number of time points")
     quadrature_nodes: int | str = _key(
-        "auto", _parse_nodes, "phase grid size, or 'auto' for 2N+3 (exact from N+1)"
+        "auto", _parse_nodes, "phase grid size, or 'auto' for N+1, the exact threshold"
     )
     mode: str = _key("reduced", str, "what 'run' produces: " + ", ".join(MODES))
     output_path: str = _key("", str, "output file (default: stdout)", flag="--output")

@@ -89,13 +89,15 @@ def jacobi_eigh(matrix: np.ndarray):
 
     ``matrix`` is one (s, s) matrix or a (..., s, s) stack of them.  Returns
     (w, v) with eigenvalues ascending along the last axis and
-    matrix = v @ diag(w) @ v.T for every block.  Each sweep zeroes every
-    off-diagonal pair (p, q) once with a plane rotation that touches rows
-    and columns p and q only.  A block stops rotating once its off-diagonal
-    norm drops below 1e-14 times its largest entry, a rule that does not
-    depend on the units of the entries (blocks with entries far below 1
-    still rotate to full relative accuracy), and a zero block never
-    rotates.  Every block of a stack goes through exactly the rotations it
+    matrix = v @ diag(w) @ v.T for every block.  A block whose largest
+    asymmetry exceeds 1e-13 times its largest entry is refused, whatever
+    the units of its entries.  Each sweep zeroes every off-diagonal pair
+    (p, q) once with a plane rotation that touches rows and columns p and
+    q only.  A block stops rotating once its off-diagonal norm drops below
+    1e-14 times its largest entry, a rule that does not depend on the
+    units of the entries either (blocks with entries far below 1 still
+    rotate to full relative accuracy), and a zero block never rotates.
+    Every block of a stack goes through exactly the rotations it
     would go through alone, so the result is bitwise the same.  Quadratic
     convergence makes 60 sweeps a formality for the 4x4 blocks this module
     produces.
@@ -105,7 +107,7 @@ def jacobi_eigh(matrix: np.ndarray):
         raise ValueError(f"need a square matrix or a stack of them, got shape {a.shape}")
     magnitude = np.abs(a).max(axis=(-2, -1), initial=0.0)
     asymmetry = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    if np.any(asymmetry > 1e-13 * (1.0 + magnitude)):
+    if np.any(asymmetry > 1e-13 * magnitude):
         raise ValueError("matrix is not symmetric")
     size = a.shape[-1]
     v = np.broadcast_to(np.eye(size), a.shape).copy()

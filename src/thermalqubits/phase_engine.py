@@ -82,13 +82,14 @@ class PureStatePropagator(Protocol):
 
 
 def exact_node_count(truncation: int) -> int:
-    """Default grid size, 2 N + 3 nodes, about twice the exact threshold.
+    """Default grid size, N + 1 nodes, the exact threshold.
 
     The phase enters only through the field levels 0 .. N and the solver is
     linear, so a full-period average of the field, or of states evolved out
-    of it, is exact from N + 1 nodes on.
+    of it, is exact from N + 1 nodes on; a grid of N nodes or fewer aliases
+    the coherences of difference N and shows its error.
     """
-    return 2 * truncation + 3
+    return truncation + 1
 
 
 def quadrature_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -253,14 +254,15 @@ def mixed_reduced_density(
     grid average.
 
     The same average as ``partial_trace_field(evolve_mixed(...))``, but each
-    evolved stack is reduced on arrival: a chunk of K nodes adds
-    sum_k w_k Tr_F |v_k><v_k| as one (P, K F) @ (K F, P) product, so no
-    joint matrix is ever formed.  Nodes go to the solver in chunks of about
-    NODE_CHUNK_ENTRIES joint-vector entries, one call per chunk, start label
-    and time, and the chunk sums are added with one rounding per entry, so
-    the chunk length moves the result by rounding inside a chunk only.  The
-    average stays explicit and weighted, so a grid of N nodes or fewer
-    shows its error here as it does in the joint density.
+    evolved stack is reduced on arrival: a chunk of K nodes forms every
+    node's P x P trace Tr_F |v_k><v_k| in one batched (K, P, F) @ (K, F, P)
+    product, scales it by its weight w_k and sums the K traces pairwise, so
+    no joint matrix is ever formed.  Nodes go to the solver in chunks of
+    about NODE_CHUNK_ENTRIES joint-vector entries, one call per chunk, start
+    label and time, and the chunk sums are added with one rounding per
+    entry, so the chunk length moves the result by rounding inside a chunk
+    only.  The average stays explicit and weighted, so a grid of N nodes or
+    fewer shows its error here as it does in the joint density.
 
     A scalar time gives one P x P density, a 1-D array of T times a stack
     of T.  A four-state partner comes back as a TwoQubitDensity, anything
@@ -275,8 +277,10 @@ def mixed_reduced_density(
     flat = np.atleast_1d(times).tolist()
     terms: list[list[np.ndarray]] = [[] for _ in flat]
     for k, weights, v in _evolved_nodes(solver, spec, partner_mixture, flat, count, chunk):
-        x = v.transpose(1, 0, 2).reshape(v.shape[1], -1)
-        terms[k].append((x * np.repeat(weights, v.shape[2])) @ x.conj().T)
+        per_node = np.matmul(v, v.conj().transpose(0, 2, 1)) * weights[:, None, None]
+        # nodes along the contiguous axis, so numpy sums them pairwise
+        by_entry = np.ascontiguousarray(per_node.reshape(len(v), -1).T)
+        terms[k].append(by_entry.sum(axis=1).reshape(per_node.shape[1:]))
     rho = np.array([_exact_sum(np.array(chunks)) for chunks in terms])
     if times.ndim == 0:
         rho = rho[0]

@@ -302,11 +302,15 @@ def test_file_key_and_flag_parse_to_the_same_config(key, tmp_path):
 
 
 def test_work_estimate_follows_the_planned_arrays():
-    n, dim, nodes = 99, 4 * 102, 2 * 99 + 3
-    joint = dim * dim + 3 * nodes * dim
-    assert cli.work_bytes(n, 10, "joint") == cli._RUN_BYTES + cli._ENTRY_BYTES["joint"] * joint
-    assert cli.work_bytes(n, 10, "joint", 7) == cli._RUN_BYTES + cli._ENTRY_BYTES["joint"] * (
-        dim * dim + 3 * 7 * dim
+    n, dim, nodes = 99, 4 * 102, phase_engine.exact_node_count(99)
+    # the default grid: rendering the joint density is the larger stage
+    render = cli._ENTRY_BYTES["joint"] * dim * dim
+    assert cli._NODE_BYTES * 3 * nodes * dim < render
+    assert cli.work_bytes(n, 10, "joint") == cli._RUN_BYTES + render
+    assert cli.work_bytes(n, 10, "joint", 7) == cli._RUN_BYTES + render
+    # 2000 nodes: the engine's evolved vectors are the larger stage
+    assert cli.work_bytes(n, 10, "joint", 2000) == (
+        cli._RUN_BYTES + cli._NODE_BYTES * 3 * 2000 * dim
     )
     # 2048 // 100 = 20 times per chunk, but only 10 steps to take
     assert cli.work_bytes(n, 10, "reduced") == (
@@ -317,24 +321,51 @@ def test_work_estimate_follows_the_planned_arrays():
     )
 
 
+def _traced_peak(render, cfg):
+    """Peak traced allocation of one render, after a warm-up render of the
+    same mode keeps numpy's first-call allocations out."""
+    render(dataclasses.replace(cfg, nbar=0.5))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        render(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("nbar", [100.0, 1000.0])
 def test_reduced_entry_term_covers_the_measured_peak(nbar):
     # one time per chunk from N = 1024, and all three start labels bound:
     # the per-level arrays set the peak, with no help from _RUN_BYTES
     cfg = RunConfig(nbar=nbar, steps=3, gamma=0.3, theta=0.9, vartheta=0.4)
-    render_timeseries(cfg)  # warm-up: numpy's first-call allocations stay out
-    gc.collect()
-    tracemalloc.start()
-    try:
-        render_timeseries(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(render_timeseries, cfg)
     assert peak <= cli.work_bytes(cfg.field().truncation, 3, "reduced") - cli._RUN_BYTES
 
 
+@pytest.mark.parametrize(
+    "nbar, nodes", [(1.0, "auto"), (5.0, "auto"), (0.5, 1000)], ids=["1", "5", "0.5-1000nodes"]
+)
+def test_joint_plan_covers_the_measured_peak(nbar, nodes):
+    # the JSON render sets the peak on the default grid, the engine's
+    # evolved vectors on a grid far past the threshold
+    cfg = RunConfig(nbar=nbar, steps=3, gamma=0.3, theta=0.9, vartheta=0.4,
+                    mode="joint", quadrature_nodes=nodes)
+    peak = _traced_peak(render_joint, cfg)
+    plan = cli.work_bytes(cfg.field().truncation, 3, "joint", cfg.node_count())
+    assert peak <= plan - cli._RUN_BYTES
+
+
+@pytest.mark.parametrize("nbar", [5.0, 20.0])
+def test_validate_plan_covers_the_measured_peak(nbar):
+    cfg = RunConfig(nbar=nbar, steps=3, gamma=0.3, theta=0.9, vartheta=0.4, mode="validate")
+    peak = _traced_peak(render_validation, cfg)
+    plan = cli.work_bytes(cfg.field().truncation, 3, "validate")
+    assert peak <= plan - cli._RUN_BYTES
+
+
 def test_validate_estimate_is_its_larger_stage(monkeypatch):
-    n, dim, nodes = 99, 4 * 102, 2 * 99 + 3
+    n, dim, nodes = 99, 4 * 102, phase_engine.exact_node_count(99)
     oracle = 16 * 102 + 4 * 7 * 100
     field = 100 * (nodes + 100)
     # the whole grid fits one chunk: the route stage is larger

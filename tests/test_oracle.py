@@ -89,6 +89,15 @@ def test_jacobi_rejects_nonsquare_and_nonsymmetric_input():
         jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_jacobi_symmetry_check_is_relative_to_the_entries():
+    # a nilpotent block far below 1 is as asymmetric as one of order 1
+    with pytest.raises(ValueError, match="not symmetric"):
+        jacobi_eigh(np.array([[0.0, 1e-14], [0.0, 0.0]]))
+    w, v = jacobi_eigh(np.zeros((2, 2)))
+    assert w.tolist() == [0.0, 0.0]
+    assert np.array_equal(v, np.eye(2))
+
+
 def test_two_photon_block_spectrum_for_equal_couplings():
     # E = 2, lambda1 = lambda2 = lam: eigenvalues 0, 0 and +-lam sqrt(6)
     lam = 1.3

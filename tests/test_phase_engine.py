@@ -57,7 +57,7 @@ def test_full_period_average_collapses_to_the_number_mixture():
     rec = reconstruct_field_density(spec)
     assert rec.exact
     assert rec.interval == "full"
-    assert rec.node_count == 2 * spec.truncation + 3
+    assert rec.node_count == phase_engine.exact_node_count(spec.truncation)
     target = np.diag(spec.probabilities()).astype(complex)
     assert np.abs(rec.matrix - target).max() < 1e-13
 
@@ -161,6 +161,20 @@ def test_grid_refinement_changes_nothing_past_the_threshold():
     base = evolve_mixed(solver, spec, [(1.0, "ee")], 2.0)
     finer = evolve_mixed(solver, spec, [(1.0, "ee")], 2.0, count=67)
     assert np.abs(base.matrix - finer.matrix).max() < 1e-12
+
+
+def test_default_grid_sits_at_the_exact_threshold():
+    # N nodes alias the coherences of difference N; N + 1 nodes cancel them all
+    spec = ThermalFieldSpec(1.0, 1e-6)
+    n = spec.truncation
+    assert phase_engine.exact_node_count(n) == n + 1
+    solver = phase_propagator(CouplingPair.from_gamma(0.3))
+    pairs = [(0.25, "ee"), (0.75, "eg")]
+    fine = evolve_mixed(solver, spec, pairs, 2.0, count=2 * n + 3).matrix
+    default = evolve_mixed(solver, spec, pairs, 2.0).matrix
+    coarse = evolve_mixed(solver, spec, pairs, 2.0, count=n).matrix
+    assert np.abs(default - fine).max() <= 1e-15
+    assert np.abs(coarse - fine).max() >= 1e-6
 
 
 def test_repeated_runs_are_bitwise_identical():
@@ -303,7 +317,7 @@ def _per_node_reference(solver, spec, pairs, t):
     for w_label, label in pairs:
         if w_label == 0.0:
             continue
-        for phi, w_node in zip(*quadrature_nodes(2 * spec.truncation + 3)):
+        for phi, w_node in zip(*quadrature_nodes(phase_engine.exact_node_count(spec.truncation))):
             vectors.append(solver(phase_state_rows(spec, [phi])[0], label, t))
             weights.append(w_label * w_node)
     v = np.array(vectors).reshape(len(vectors), -1)
@@ -371,7 +385,7 @@ def test_trace_first_average_equals_the_traced_joint_density(nbar, make_solver):
 @pytest.mark.parametrize("count", [1, 2])
 def test_coarse_grid_error_shows_on_both_reduced_routes(count):
     spec = ThermalFieldSpec(2.0, 1e-8)
-    assert count < 2 * spec.truncation + 3
+    assert count <= spec.truncation
     solver = phase_propagator(TRACE_PAIR)
     rho = mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES, count).matrix
     joint = _traced_joint(solver, spec, TRACE_TIMES, count)
@@ -388,7 +402,7 @@ def test_chunk_length_changes_nothing_but_rounding(make_solver, monkeypatch):
     row = 4 * (spec.truncation + 3)
     solver = make_solver(TRACE_PAIR)
     results = []
-    for nodes in (1, 7, 2 * spec.truncation + 3):
+    for nodes in (1, 7, phase_engine.exact_node_count(spec.truncation)):
         monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", nodes * row)
         assert phase_engine.node_chunk_length(spec.truncation) == nodes
         results.append(mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES).matrix)
