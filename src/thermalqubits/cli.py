@@ -61,6 +61,8 @@ __all__ = [
 ]
 
 CSV_HEADER = "t,xi,upsilon,B_ee,B_egeg,B_gege,B_gg,Re(B_coh),Im(B_coh)"
+# One CSV data line; "%.17g" renders a float exactly as format(value, ".17g").
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(",")))
 
 
 class ConfigError(Exception):
@@ -90,7 +92,7 @@ _COUPLING_KEYS = ("gamma", "lambda1", "lambda2")
 # refused as a config error before anything is allocated.  Every run in the
 # tests and the benchmark plans under 100 MB (at nbar 5, N = 126, validate
 # plans 7 MB and a joint run 87 MB), so 1 GiB leaves them a factor of ten,
-# while nbar 1e6 (N ~ 2.3e7, 8.2 GiB of tables), a joint run from
+# while nbar 1e6 (N ~ 2.3e7, 8.2 GiB of per-level arrays), a joint run from
 # nbar 19.3 (N = 455) or validate from nbar 144.6 (N = 3341) up plan more.
 MAX_WORK_BYTES = 2**30
 
@@ -98,18 +100,20 @@ MAX_WORK_BYTES = 2**30
 VALIDATE_PROBES = 7
 
 # Peak bytes per planned entry, measured with tracemalloc and rounded up:
-# reduced, the amplitude-table entries of one chunk (188 B each in full
-# chunks; at one time per chunk, from N = 1024, the coefficients of three
-# start labels make it 405 B per photon level at nbar 100 and 385 B at
-# nbar 1000, covered here without _RUN_BYTES); joint, the joint density
-# entries, rendered as JSON text (312-315 B each at nbar 1-10: two Python
-# floats, their text and its joined copy); validate, one node chunk of
-# evolved vectors and the oracle's tables.
-_ENTRY_BYTES = {"reduced": 416, "joint": 320, "validate": 72}
+# reduced, the amplitude-row entries of one chunk (126-136 B each in full
+# chunks at nbar 0.5-20, 199 B at nbar 100 with three times per chunk; at
+# one time per chunk, from N = 8192, the coefficients of three start labels
+# make it 336 B per photon level at nbar 1000, covered here without
+# _RUN_BYTES); joint, the joint density entries, rendered as JSON text
+# (312-315 B each at nbar 1-10: two Python floats, their text and its
+# joined copy); validate, one node chunk of evolved vectors and the
+# oracle's tables.
+_ENTRY_BYTES = {"reduced": 384, "joint": 320, "validate": 72}
 # Peak bytes per evolved-vector entry of a joint run's engine stage, every
-# node of up to three start labels (64 B at 5,000 and 20,000 nodes, where
-# this stage sets the peak).
-_NODE_BYTES = 72
+# node of up to three start labels: the stack, its weighted transpose and
+# its conjugate (48.1-48.6 B at 1,000-20,000 nodes, where this stage sets
+# the peak).
+_NODE_BYTES = 56
 # Peak bytes per time point of a reduced series: its row and its CSV line.
 _ROW_BYTES = 896
 # Peak bytes per entry of validate's field reconstruction: the phase-state
@@ -389,7 +393,7 @@ def timeseries_rows(cfg: RunConfig) -> list[tuple[float, ...]]:
 def _render_rows(cfg: RunConfig, rows: Sequence[tuple[float, ...]]) -> str:
     lines = _preamble_lines(cfg)
     lines.append(CSV_HEADER)
-    lines.extend(",".join(_fmt(value) for value in row) for row in rows)
+    lines.extend(_CSV_ROW % row for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -129,23 +129,30 @@ def _block_trig(t: np.ndarray, omegas) -> list[np.ndarray]:
 
     Column m + 2 is block m of ``omegas`` = (Omega_+, Omega_-) over blocks -2 .. M,
     ``t`` a scalar or a (T, 1) column; the empty block's Omega_- terms are zeros.
+    Below |Omega t| = 1e-4 the ratio is its Taylor series, evaluated only there.
     """
     out = []
     for omega in omegas:
         x = t * omega
+        # a zero Omega gives x = 0, which the series covers
+        ratio = np.sin(x) / np.where(omega == 0.0, 1.0, omega)
         small = np.abs(x) < 1e-4
-        x2 = x * x
-        series = t * (1.0 - x2 / 6.0 + x2 * x2 / 120.0)
-        out += [np.cos(x), np.where(small, series, np.sin(x) / np.where(small, 1.0, omega))]
+        if small.any():
+            xs = x[small]
+            x2 = xs * xs
+            ts = np.broadcast_to(t, x.shape)[small]
+            ratio[small] = ts * (1.0 - x2 / 6.0 + x2 * x2 / 120.0)
+        out += [np.cos(x), ratio]
     out[2][..., 0] = out[3][..., 0] = 0.0
     return out
 
 
 def _label_rows(label: str, n_max: int, spectrum, couplings: CouplingPair):
-    """One start label's time-independent coefficients, bound to its four rows.
+    """One start label's time-independent coefficients, bound to a writer of its rows.
 
-    They meet the :func:`_block_trig` columns at the label's block shift.  Sin
-    prefactors are imaginary (real part exactly 0.0) and fill the imaginary part.
+    The writer ``fill(re, im, trig)`` meets the :func:`_block_trig` columns at
+    the label's block shift.  Sin prefactors are imaginary (real part exactly
+    0.0) and fill the imaginary part.
     """
     cols = slice(_BLOCK_SHIFT[label] + 2, _BLOCK_SHIFT[label] + n_max + 3)
     gap, mu_p, mu_m = (arr[cols] for arr in spectrum[:3])
@@ -182,30 +189,31 @@ def _label_rows(label: str, n_max: int, spectrum, couplings: CouplingPair):
             re[0], re[3] = c * (cos_p - cos_m), w * cos_p + (1.0 - w) * cos_m
             im[1], im[2] = p2 * (a2 * g_p - b2 * g_m), p3 * (a3 * g_p - b3 * g_m)
 
-    def table(trig):
-        out = np.zeros((4,) + trig[0][..., cols].shape, dtype=complex)
-        rows(out.real, out.imag, *(f[..., cols] for f in trig))
-        out += 0j  # every zero is +0.0, whichever product made it
-        return out
+    def fill(re, im, trig):
+        rows(re, im, *(f[..., cols] for f in trig))
 
-    return table
+    return fill
 
 
-def _amplitude_tables(labels, n_max: int, couplings: CouplingPair):
-    """Bind the spectrum and the labels' coefficients; the callable returned takes
-    a time or a 1-D time array and yields each label's table from one trig call.
+def _amplitude_rows(labels, n_max: int, couplings: CouplingPair):
+    """Bind the spectrum and the labels' coefficients.
+
+    Returns ``(trig, fills)``.  ``trig(t)`` evaluates the block cos/sin once
+    for a time or a 1-D time array, and ``fills[i](re, im, trig(t))`` writes
+    the four rows of ``labels[i]``, each of shape ``np.shape(t) + (n_max + 1,)``.
+    Each row is purely real or purely imaginary and goes to ``re`` or ``im``
+    accordingly, so one real buffer passed as both takes every row's value.
     """
     spectrum = block_spectrum(np.arange(-2, n_max + 1), couplings)
-    tables = [_label_rows(label, n_max, spectrum, couplings) for label in labels]
+    fills = [_label_rows(label, n_max, spectrum, couplings) for label in labels]
     # each square root once; the empty block's imaginary Omega_minus is never used
     omegas = (np.sqrt(spectrum[3]), np.sqrt(np.maximum(spectrum[4], 0.0)))
-    def evaluate(t: float | np.ndarray):
+    def trig(t: float | np.ndarray) -> list[np.ndarray]:
         t = np.asarray(t, dtype=float)
         if t.ndim > 1:
             raise ValueError(f"times must be a scalar or a 1-D array, got shape {t.shape}")
-        trig = _block_trig(t[:, None] if t.ndim else t, omegas)
-        return (table(trig) for table in tables)
-    return evaluate
+        return _block_trig(t[:, None] if t.ndim else t, omegas)
+    return trig, fills
 
 
 def amplitude_table(
@@ -235,7 +243,11 @@ def amplitude_table(
         raise ValueError(f"unknown atomic start {label!r}")
     if n_max < 0 or n_max != int(n_max):
         raise ValueError(f"photon cutoff must be a nonnegative integer, got {n_max}")
-    return next(_amplitude_tables([label], n_max, couplings)(t))
+    trig, (fill,) = _amplitude_rows([label], n_max, couplings)
+    out = np.zeros((4,) + np.shape(t) + (n_max + 1,), dtype=complex)
+    fill(out.real, out.imag, trig(t))
+    out += 0j  # every zero is +0.0, whichever product made it
+    return out
 
 
 def _joint_vectors(coefficients: np.ndarray, table: np.ndarray, shifts) -> np.ndarray:

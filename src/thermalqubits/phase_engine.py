@@ -232,11 +232,19 @@ def evolve_mixed(
     """
     if count is None:
         count = exact_node_count(spec.truncation)
-    evolved = list(_evolved_nodes(solver, spec, partner_mixture, [t], count, count))
-    v = np.concatenate([out for _, _, out in evolved])
-    _, partner_dim, fock_dim = v.shape
-    v = v.reshape(len(v), -1)
-    matrix = (v.T * np.concatenate([w for _, w, _ in evolved])) @ v.conj()
+    pairs = _weighted_starts(partner_mixture)
+    # one whole-grid stack per start label, copied into place as it arrives
+    for j, (_, w_nodes, out) in enumerate(
+        _evolved_nodes(solver, spec, pairs, [t], count, count)
+    ):
+        if j == 0:  # the solver's output fixes P and F
+            v = np.empty((len(pairs), count) + out.shape[1:], dtype=complex)
+            weights = np.empty((len(pairs), count))
+        v[j], weights[j] = out, w_nodes
+    del out  # the last label's stack, already copied
+    partner_dim, fock_dim = v.shape[2:]
+    v = v.reshape(len(pairs) * count, -1)
+    matrix = (v.T * weights.ravel()) @ v.conj()
     labels = ATOM_LABELS if partner_dim == 4 else tuple(
         str(q) for q in range(partner_dim)
     )

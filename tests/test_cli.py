@@ -160,11 +160,11 @@ def _per_time_rows(cfg):
 
 
 def test_chunked_series_matches_per_time_scalar_calls():
-    cfg = RunConfig(nbar=1.0, gamma=0.4, theta=0.6, vartheta=0.3, t_max=30.0, steps=301)
+    cfg = RunConfig(nbar=1.0, gamma=0.4, theta=0.6, vartheta=0.3, t_max=100.0, steps=1001)
     chunk = reduction.chunk_length(cfg.field().truncation)
     assert cfg.steps > 3 * chunk
     rows = np.array(timeseries_rows(cfg))
-    assert rows.shape == (301, 9)
+    assert rows.shape == (1001, 9)
     assert np.abs(rows - _per_time_rows(cfg)).max() <= 1e-15
 
 
@@ -312,12 +312,12 @@ def test_work_estimate_follows_the_planned_arrays():
     assert cli.work_bytes(n, 10, "joint", 2000) == (
         cli._RUN_BYTES + cli._NODE_BYTES * 3 * 2000 * dim
     )
-    # 2048 // 100 = 20 times per chunk, but only 10 steps to take
+    # 8192 // 100 = 81 times per chunk, but only 10 steps to take
     assert cli.work_bytes(n, 10, "reduced") == (
         cli._RUN_BYTES + cli._ENTRY_BYTES["reduced"] * 10 * 100 + cli._ROW_BYTES * 10
     )
     assert cli.work_bytes(n, 1000, "reduced") == (
-        cli._RUN_BYTES + cli._ENTRY_BYTES["reduced"] * 20 * 100 + cli._ROW_BYTES * 1000
+        cli._RUN_BYTES + cli._ENTRY_BYTES["reduced"] * 81 * 100 + cli._ROW_BYTES * 1000
     )
 
 
@@ -334,13 +334,19 @@ def _traced_peak(render, cfg):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("nbar", [100.0, 1000.0])
-def test_reduced_entry_term_covers_the_measured_peak(nbar):
-    # one time per chunk from N = 1024, and all three start labels bound:
-    # the per-level arrays set the peak, with no help from _RUN_BYTES
-    cfg = RunConfig(nbar=nbar, steps=3, gamma=0.3, theta=0.9, vartheta=0.4)
+@pytest.mark.parametrize(
+    "nbar, steps", [(100.0, 3), (1000.0, 3), (1.0, 1001), (20.0, 201)],
+    ids=["100.0", "1000.0", "1.0-1001steps", "20.0-201steps"],
+)
+def test_reduced_entry_term_covers_the_measured_peak(nbar, steps):
+    # nbar 1000 takes one time per chunk, and all three start labels bound:
+    # the per-level arrays set the peak, with no help from _RUN_BYTES; the
+    # long series at nbar 1 and 20 fill whole chunks
+    cfg = RunConfig(nbar=nbar, steps=steps, gamma=0.3, theta=0.9, vartheta=0.4)
+    if steps > 3:
+        assert steps > reduction.chunk_length(cfg.field().truncation)
     peak = _traced_peak(render_timeseries, cfg)
-    assert peak <= cli.work_bytes(cfg.field().truncation, 3, "reduced") - cli._RUN_BYTES
+    assert peak <= cli.work_bytes(cfg.field().truncation, steps, "reduced") - cli._RUN_BYTES
 
 
 @pytest.mark.parametrize(
@@ -428,6 +434,13 @@ def test_rendered_values_round_trip_at_full_precision():
     for line in rows:
         for token in line.split(","):
             assert format(float(token), ".17g") == token
+
+
+def test_row_text_is_the_per_value_format_join():
+    values = (-0.0, 5e-324, 1.7976931348623157e308, 1e16, 0.1, 1 / 3)
+    rows = [values + values[:3], values[3:] + values]
+    expected = [",".join(format(float(v), ".17g") for v in row) for row in rows]
+    assert data_lines(cli._render_rows(small_config(), rows)) == expected
 
 
 def test_preamble_round_trips_to_the_same_config():
