@@ -32,7 +32,6 @@ from .fock_thermal import (
     truncation_for_tolerance,
 )
 from .phase_engine import (
-    FieldReconstruction,
     JointDensity,
     PureStatePropagator,
     evolve_mixed,
@@ -49,7 +48,6 @@ __all__ = [
     "ATOM_LABELS",
     "AtomicMixtureSpec",
     "CouplingPair",
-    "FieldReconstruction",
     "JointDensity",
     "NegativityResult",
     "PureStatePropagator",

@@ -80,7 +80,7 @@ def route_gap(
     times = np.atleast_1d(np.asarray(times, dtype=float))
     pairs = [(w, label) for label, w in mixture.weights().items()]
     closed = reduced_density(spec, mixture, couplings, times).matrix
-    quad = mixed_reduced_density(phase_propagator(couplings), spec, pairs, times, count).matrix
+    quad = mixed_reduced_density(phase_propagator(couplings), spec, pairs, times, count)
     direct = oracle_reduced_density(spec, mixture, couplings, times).matrix
     gaps = (closed - quad, closed - direct, quad - direct)
     return max(float(np.abs(gap).max()) for gap in gaps)
@@ -98,7 +98,7 @@ def field_reconstruction_residuals(
     """
     target = np.diag(spec.probabilities()).astype(complex)
     return tuple(
-        float(np.abs(reconstruct_field_density(spec, count, interval).matrix - target).max())
+        float(np.abs(reconstruct_field_density(spec, count, interval) - target).max())
         for interval in ("full", "half")
     )
 

@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import checks, reduction
-from .closed_form import CouplingPair, block_spectrum, phase_propagator
+from .closed_form import ATOM_LABELS, CouplingPair, block_spectrum, phase_propagator
 from .entanglement import negativity
 from .fock_thermal import ThermalFieldSpec
 from .phase_engine import evolve_mixed, exact_node_count, node_chunk_length
@@ -128,22 +128,23 @@ _RUN_BYTES = 2**21
 def work_bytes(truncation: int, steps: int, mode: str, nodes: int | None = None) -> int:
     """Estimated peak allocation of a run, computed without allocating it.
 
-    A reduced series holds one chunk of amplitude tables and every finished
-    row.  The other modes run in two stages, one after the other, so their
-    peak is the larger stage.  A joint run first holds M evolved vectors
-    of length 4 (N + 3) for each of up to three start labels, M being the
-    phase-grid size (N + 1 unless ``nodes`` is given), and then renders the
-    joint density, (4 (N + 3))^2 entries, as JSON text.  Validate's stages
-    are the route comparison (one node chunk of evolved vectors, the
-    oracle's block table and its evolved amplitudes at every probe time)
-    and the field reconstruction (M phase-state rows and the field
-    density, each with N + 1 columns).  Every run adds a fixed
-    ``_RUN_BYTES``.
+    Every mode runs in two stages, one after the other, so its peak is the
+    larger stage.  A reduced series first holds one chunk of amplitude
+    tables beside the density stack it fills; the tables are freed before
+    the rows and their CSV lines are built.  A joint run first holds M
+    evolved vectors of length 4 (N + 3) for each of up to three start
+    labels, M being the phase-grid size (N + 1 unless ``nodes`` is given),
+    and then renders the joint density, (4 (N + 3))^2 entries, as JSON
+    text.  Validate's stages are the route comparison (one node chunk of
+    evolved vectors, the oracle's block table and its evolved amplitudes
+    at every probe time) and the field reconstruction (M phase-state rows
+    and the field density, each with N + 1 columns).  Every run adds a
+    fixed ``_RUN_BYTES``.
     """
     levels = truncation + 1
     if mode == "reduced":
         chunk = min(steps, reduction.chunk_length(truncation))
-        return _RUN_BYTES + _ENTRY_BYTES[mode] * chunk * levels + _ROW_BYTES * steps
+        return _RUN_BYTES + max(_ENTRY_BYTES[mode] * chunk * levels, _ROW_BYTES * steps)
     dim = 4 * (truncation + 3)
     if nodes is None:
         nodes = exact_node_count(truncation)
@@ -422,7 +423,7 @@ def render_joint(cfg: RunConfig) -> str:
     payload = {
         "config": _config_mapping(cfg),
         "t": cfg.t_max,
-        "atom_labels": list(joint.atom_labels),
+        "atom_labels": list(ATOM_LABELS),
         "fock_dim": joint.fock_dim,
         "trace": joint.trace,
         "matrix_re": joint.matrix.real.tolist(),

@@ -12,17 +12,20 @@ odd-difference coherence standing at size 2/(pi d), which is an order-one
 error, not a small one; :func:`reconstruct_field_density` can build both so
 the failure stays visible.
 
-The engine itself never touches the interaction: evolution is delegated to
-a solver obeying :class:`PureStatePropagator`, so the same averaging drives
-the closed-form amplitudes, the diagonalized reference, or any partner
-system with the same product layout.
+The engine knows nothing about the partner system: evolution is delegated
+to a solver obeying :class:`PureStatePropagator`, so the same averaging
+drives the closed-form amplitudes, the diagonalized reference, or any
+partner system with the same product layout.  It reads the partner
+dimension P and the Fock dimension F off the solver's output and returns
+plain arrays; a caller that knows its partner wraps them itself, for two
+qubits in :class:`thermalqubits.reduction.TwoQubitDensity`.
 
 Two averages share one node loop.  :func:`evolve_mixed` keeps the whole
-joint density at one time, a (P F)^2 matrix for P partner states and F
-Fock levels.  When only the partner state is wanted,
-:func:`mixed_reduced_density` traces out the field from each evolved chunk
-of nodes before it is averaged, takes a whole array of times, and holds
-one chunk of evolved vectors at a time, never the joint matrix.
+joint density at one time, a (P F)^2 matrix.  When only the partner state
+is wanted, :func:`mixed_reduced_density` traces out the field from each
+evolved chunk of nodes before it is averaged, takes a whole array of
+times, and holds one chunk of evolved vectors at a time, never the joint
+matrix.
 """
 
 from __future__ import annotations
@@ -33,12 +36,9 @@ from typing import Iterable, Protocol
 
 import numpy as np
 
-from .closed_form import ATOM_LABELS
 from .fock_thermal import ThermalFieldSpec, phase_state_rows
-from .reduction import TwoQubitDensity
 
 __all__ = [
-    "FieldReconstruction",
     "JointDensity",
     "PureStatePropagator",
     "evolve_mixed",
@@ -51,10 +51,10 @@ __all__ = [
 ]
 
 
-# Joint-vector entries (nodes x four partner states x Fock levels) that
-# :func:`mixed_reduced_density` evolves per solver call.  It bounds the
-# working set of one node chunk; the chunk length follows from the
-# truncation and never changes the result beyond rounding.
+# Joint-vector entries that :func:`mixed_reduced_density` evolves per
+# solver call, counted as 4 (N + 3) per node, the two-qubit solvers' width.
+# It bounds the working set of one node chunk; the chunk length follows
+# from the truncation and never changes the result beyond rounding.
 NODE_CHUNK_ENTRIES = 2**20
 
 
@@ -104,31 +104,16 @@ def quadrature_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
     return math.tau * np.arange(count) / count, np.full(count, 1.0 / count)
 
 
-@dataclass(frozen=True, eq=False)
-class FieldReconstruction:
-    """Grid average of phase-state projectors over the truncated Fock space.
-
-    ``exact`` records whether the grid is fine enough (and the interval a
-    full period) for the off-diagonals to cancel identically rather than
-    approximately.
-    """
-
-    matrix: np.ndarray
-    exact: bool
-    interval: str
-    node_count: int
-
-
 def reconstruct_field_density(
     spec: ThermalFieldSpec, count: int | None = None, interval: str = "full"
-) -> FieldReconstruction:
+) -> np.ndarray:
     """Average the field's phase-state projectors on a uniform grid.
 
-    On the full interval the result is the diagonal photon-number mixture
-    up to rounding once ``count`` exceeds the largest photon-number
-    difference N, and the reported ``exact`` flag says so.  On the half
-    interval (midpoint grid on [0, pi]) the odd coherences never cancel,
-    whatever the count, and the surviving entries are the point.
+    Returns the (N+1, N+1) average.  On the full interval it is the
+    diagonal photon-number mixture up to rounding once ``count`` reaches
+    :func:`exact_node_count`, the default.  On the half interval (midpoint
+    grid on [0, pi]) the odd coherences never cancel, whatever the count,
+    and the surviving entries are the point.
     """
     if interval not in ("full", "half"):
         raise ValueError(f"interval must be 'full' or 'half', got {interval!r}")
@@ -138,26 +123,22 @@ def reconstruct_field_density(
     if interval == "half":
         phis = math.pi * (np.arange(count) + 0.5) / count
     rows = phase_state_rows(spec, phis)
-    matrix = (rows.T * weights) @ rows.conj()
-    exact = interval == "full" and count > spec.truncation
-    return FieldReconstruction(
-        matrix=matrix, exact=exact, interval=interval, node_count=count
-    )
+    return (rows.T * weights) @ rows.conj()
 
 
 @dataclass(frozen=True, eq=False)
 class JointDensity:
     """Density matrix on (partner basis) x (truncated field).
 
-    Flat index q * fock_dim + f with q running over ``atom_labels`` and f
-    over Fock levels.  The trace equals the photon mass retained by the
-    truncation, deliberately not renormalized to 1; how much is missing is
-    information the caller should keep.
+    Flat index q * fock_dim + f with q running over the solver's P partner
+    basis states, in its order, and f over Fock levels.  The trace equals
+    the photon mass retained by the truncation, deliberately not
+    renormalized to 1; how much is missing is information the caller
+    should keep.
     """
 
     matrix: np.ndarray
     fock_dim: int
-    atom_labels: tuple[str, ...] = ATOM_LABELS
 
     @property
     def trace(self) -> float:
@@ -180,21 +161,20 @@ def _weighted_starts(partner_mixture: Iterable[tuple[float, str]]) -> list[tuple
 def _evolved_nodes(
     solver: PureStatePropagator,
     spec: ThermalFieldSpec,
-    partner_mixture: Iterable[tuple[float, str]],
-    times: Iterable[float],
+    pairs: list[tuple[float, str]],
+    times: list[float],
     count: int,
     chunk: int,
 ):
     """Evolve the grid's phase states, ``chunk`` nodes at a time.
 
-    Yields (time index, weights, evolved stack) for every node chunk,
-    weighted start label and time, in that nesting order.  The phase-state
-    rows of a chunk are built once and go to the solver as one stack;
-    ``weights`` are the chunk's node weights times the label weight, one
-    per entry of the (K, P, F) evolved stack.
+    ``pairs`` are the checked starts of :func:`_weighted_starts`.  Yields
+    (time index, weights, evolved stack) for every node chunk, start label
+    and time, in that nesting order.  The phase-state rows of a chunk are
+    built once and go to the solver as one stack; ``weights`` are the
+    chunk's node weights times the label weight, one per entry of the
+    (K, P, F) evolved stack.
     """
-    pairs = _weighted_starts(partner_mixture)
-    times = list(times)
     phis, node_weights = quadrature_nodes(count)
     for first in range(0, count, chunk):
         rows = phase_state_rows(spec, phis[first : first + chunk])
@@ -242,13 +222,9 @@ def evolve_mixed(
             weights = np.empty((len(pairs), count))
         v[j], weights[j] = out, w_nodes
     del out  # the last label's stack, already copied
-    partner_dim, fock_dim = v.shape[2:]
+    fock_dim = v.shape[-1]
     v = v.reshape(len(pairs) * count, -1)
-    matrix = (v.T * weights.ravel()) @ v.conj()
-    labels = ATOM_LABELS if partner_dim == 4 else tuple(
-        str(q) for q in range(partner_dim)
-    )
-    return JointDensity(matrix=matrix, fock_dim=fock_dim, atom_labels=labels)
+    return JointDensity(matrix=(v.T * weights.ravel()) @ v.conj(), fock_dim=fock_dim)
 
 
 def mixed_reduced_density(
@@ -257,7 +233,7 @@ def mixed_reduced_density(
     partner_mixture: Iterable[tuple[float, str]],
     times: float | np.ndarray,
     count: int | None = None,
-) -> TwoQubitDensity | np.ndarray:
+) -> np.ndarray:
     """Partner density at each time, with the field traced out before the
     grid average.
 
@@ -272,27 +248,25 @@ def mixed_reduced_density(
     only.  The average stays explicit and weighted, so a grid of N nodes or
     fewer shows its error here as it does in the joint density.
 
-    A scalar time gives one P x P density, a 1-D array of T times a stack
-    of T.  A four-state partner comes back as a TwoQubitDensity, anything
-    else as a bare array.
+    A scalar time gives one (P, P) density, a 1-D array of T times a
+    (T, P, P) stack.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim > 1 or times.size == 0:
         raise ValueError(f"need a time or a 1-D array of times, got shape {times.shape}")
     if count is None:
         count = exact_node_count(spec.truncation)
+    pairs = _weighted_starts(partner_mixture)
     chunk = node_chunk_length(spec.truncation)
     flat = np.atleast_1d(times).tolist()
     terms: list[list[np.ndarray]] = [[] for _ in flat]
-    for k, weights, v in _evolved_nodes(solver, spec, partner_mixture, flat, count, chunk):
+    for k, weights, v in _evolved_nodes(solver, spec, pairs, flat, count, chunk):
         per_node = np.matmul(v, v.conj().transpose(0, 2, 1)) * weights[:, None, None]
         # nodes along the contiguous axis, so numpy sums them pairwise
         by_entry = np.ascontiguousarray(per_node.reshape(len(v), -1).T)
         terms[k].append(by_entry.sum(axis=1).reshape(per_node.shape[1:]))
     rho = np.array([_exact_sum(np.array(chunks)) for chunks in terms])
-    if times.ndim == 0:
-        rho = rho[0]
-    return TwoQubitDensity(rho) if rho.shape[-1] == 4 else rho
+    return rho[0] if times.ndim == 0 else rho
 
 
 def _exact_sum(stack: np.ndarray) -> np.ndarray:
@@ -303,16 +277,8 @@ def _exact_sum(stack: np.ndarray) -> np.ndarray:
     return np.array(sums).reshape(stack.shape[1:])
 
 
-def partial_trace_field(rho: JointDensity) -> TwoQubitDensity | np.ndarray:
-    """Partner density left after tracing out the field.
-
-    A four-state partner comes back wrapped as a TwoQubitDensity, anything
-    else as a bare matrix.
-    """
+def partial_trace_field(rho: JointDensity) -> np.ndarray:
+    """The (P, P) partner density left after tracing out the field."""
     f = rho.fock_dim
     p = rho.matrix.shape[0] // f
-    blocks = rho.matrix.reshape(p, f, p, f)
-    traced = np.einsum("afbf->ab", blocks)
-    if p == 4:
-        return TwoQubitDensity(traced)
-    return traced
+    return np.einsum("afbf->ab", rho.matrix.reshape(p, f, p, f))

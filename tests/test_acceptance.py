@@ -22,11 +22,11 @@ from thermalqubits import (
     TwoQubitDensity,
     block_spectrum,
     negativity,
-    reconstruct_field_density,
     reduced_density,
 )
 from thermalqubits import checks
 from thermalqubits.cli import RunConfig, run_sweep
+from thermalqubits.phase_engine import exact_node_count
 
 MIXTURES = ((math.pi / 2.0, 0.0), (math.pi / 2.0, math.pi / 2.0), (0.0, 0.0))
 
@@ -75,12 +75,12 @@ def test_criterion_3_frequencies_match_the_diagonalized_blocks(criterion):
 
 def test_criterion_4_phase_average_reconstructs_the_field(criterion):
     spec = ThermalFieldSpec(1.0, 1e-10)
-    full_err, survivor = checks.field_reconstruction_residuals(spec)
-    full = reconstruct_field_density(spec)
-    half = reconstruct_field_density(spec, interval="half")
-    ok = full_err <= 1e-12 and survivor >= 1e-2 and full.exact and not half.exact
+    # N + 1 nodes cancel every phase difference of levels 0 .. N
+    count = spec.truncation + 1
+    full_err, survivor = checks.field_reconstruction_residuals(spec, count)
+    ok = full_err <= 1e-12 and survivor >= 1e-2 and count >= exact_node_count(spec.truncation)
     detail = (
-        f"full-period defect {full_err:.3e} on {full.node_count} nodes; "
+        f"full-period defect {full_err:.3e} on {count} nodes; "
         f"half-period odd coherences survive at {survivor:.3e}"
     )
     assert criterion(4, ok, detail), detail

@@ -27,6 +27,8 @@ def _shifted(fn, delta):
 
     def perturbed(*args, **kwargs):
         result = fn(*args, **kwargs)
+        if isinstance(result, np.ndarray):  # the phase engine's bare stack
+            return result + delta
         return dataclasses.replace(result, matrix=result.matrix + delta)
 
     return perturbed
@@ -79,7 +81,7 @@ def test_field_reconstruction_sees_a_perturbed_full_period(monkeypatch):
     def perturbed(spec, count=None, interval="full"):
         result = original(spec, count, interval)
         if interval == "full":
-            result = dataclasses.replace(result, matrix=result.matrix + PLANT)
+            result = result + PLANT
         return result
 
     monkeypatch.setattr(checks, "reconstruct_field_density", perturbed)

@@ -312,13 +312,15 @@ def test_work_estimate_follows_the_planned_arrays():
     assert cli.work_bytes(n, 10, "joint", 2000) == (
         cli._RUN_BYTES + cli._NODE_BYTES * 3 * 2000 * dim
     )
-    # 8192 // 100 = 81 times per chunk, but only 10 steps to take
+    # 8192 // 100 = 81 times per chunk, but only 10 steps to take; the
+    # chunk's tables are the larger stage up to 1000 steps, the rows at 20001
     assert cli.work_bytes(n, 10, "reduced") == (
-        cli._RUN_BYTES + cli._ENTRY_BYTES["reduced"] * 10 * 100 + cli._ROW_BYTES * 10
+        cli._RUN_BYTES + cli._ENTRY_BYTES["reduced"] * 10 * 100
     )
     assert cli.work_bytes(n, 1000, "reduced") == (
-        cli._RUN_BYTES + cli._ENTRY_BYTES["reduced"] * 81 * 100 + cli._ROW_BYTES * 1000
+        cli._RUN_BYTES + cli._ENTRY_BYTES["reduced"] * 81 * 100
     )
+    assert cli.work_bytes(n, 20001, "reduced") == cli._RUN_BYTES + cli._ROW_BYTES * 20001
 
 
 def _traced_peak(render, cfg):
@@ -335,13 +337,14 @@ def _traced_peak(render, cfg):
 
 
 @pytest.mark.parametrize(
-    "nbar, steps", [(100.0, 3), (1000.0, 3), (1.0, 1001), (20.0, 201)],
-    ids=["100.0", "1000.0", "1.0-1001steps", "20.0-201steps"],
+    "nbar, steps", [(100.0, 3), (1000.0, 3), (1.0, 1001), (20.0, 201), (0.5, 20001)],
+    ids=["100.0", "1000.0", "1.0-1001steps", "20.0-201steps", "0.5-20001steps"],
 )
 def test_reduced_entry_term_covers_the_measured_peak(nbar, steps):
     # nbar 1000 takes one time per chunk, and all three start labels bound:
     # the per-level arrays set the peak, with no help from _RUN_BYTES; the
-    # long series at nbar 1 and 20 fill whole chunks
+    # long series at nbar 1 and 20 fill whole chunks; at 20001 steps the
+    # rows and their CSV lines are the larger stage
     cfg = RunConfig(nbar=nbar, steps=steps, gamma=0.3, theta=0.9, vartheta=0.4)
     if steps > 3:
         assert steps > reduction.chunk_length(cfg.field().truncation)
@@ -518,6 +521,25 @@ def test_validation_report_shape_and_tolerances():
     assert values["field reconstruction, full period"] < 1e-12
     assert values["field reconstruction, half period"] > 1e-2
     assert values["negativity, closed form vs eigenvalues"] < 1e-11
+
+
+def _validate_lines(argv, capsys):
+    assert main(["validate", *argv]) == 0
+    out = capsys.readouterr().out
+    return {label: float(value) for label, value in (line.split(": ") for line in out.splitlines())}
+
+
+def test_validate_shows_the_error_of_an_aliased_grid(capsys):
+    # two nodes, far below the N + 1 = 57 of nbar 2, pass every even
+    # photon-number difference; the traced routes and the field average show it
+    argv = ["--nbar", "2", "--theta", "0.9", "--vartheta", "0.4"]
+    grid_lines = ("reduced density, three routes", "field reconstruction, full period")
+    coarse = _validate_lines([*argv, "--quadrature-nodes", "2"], capsys)
+    for label in grid_lines:
+        assert coarse[label] >= 1e-2, label
+    default = _validate_lines(argv, capsys)
+    assert default["reduced density, three routes"] <= 1e-10
+    assert default["field reconstruction, full period"] <= 1e-12
 
 
 def test_sweep_isolates_the_failing_job(tmp_path):

@@ -1,5 +1,6 @@
 """Phase-grid averages and the joint-density bookkeeping around them."""
 
+import ast
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from thermalqubits import (
     CouplingPair,
     JointDensity,
     ThermalFieldSpec,
-    TwoQubitDensity,
     evolve_mixed,
     partial_trace_field,
     phase_propagator,
@@ -22,6 +22,19 @@ from thermalqubits import (
 from thermalqubits import phase_engine
 from thermalqubits.oracle import numeric_propagator
 from thermalqubits.phase_engine import mixed_reduced_density
+
+
+def test_engine_imports_only_the_field_module_of_the_package():
+    # the average is partner-agnostic: no qubit labels or density types inside
+    tree = ast.parse(open(phase_engine.__file__, encoding="utf-8").read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    package = {name for name in imported if name.startswith((".", "thermalqubits"))}
+    assert package == {".fock_thermal"}
 
 
 def test_single_node_grid():
@@ -55,25 +68,19 @@ def test_empty_grids_are_refused():
 def test_full_period_average_collapses_to_the_number_mixture():
     spec = ThermalFieldSpec(1.0, 1e-6)
     rec = reconstruct_field_density(spec)
-    assert rec.exact
-    assert rec.interval == "full"
-    assert rec.node_count == phase_engine.exact_node_count(spec.truncation)
     target = np.diag(spec.probabilities()).astype(complex)
-    assert np.abs(rec.matrix - target).max() < 1e-13
+    assert np.abs(rec - target).max() < 1e-13
 
 
-def test_exact_flag_follows_the_grid_threshold():
+def test_field_residual_follows_the_grid_threshold():
     # N + 1 nodes cancel every phase difference of levels 0 .. N
     spec = ThermalFieldSpec(1.0, 1e-6)
     assert spec.truncation == 19
     target = np.diag(spec.probabilities()).astype(complex)
     exact = reconstruct_field_density(spec, 20)
     coarse = reconstruct_field_density(spec, 19)
-    assert exact.exact
-    assert not coarse.exact
-    assert np.abs(exact.matrix - target).max() <= 1e-13
-    assert np.abs(coarse.matrix - target).max() >= 1e-6
-    assert not reconstruct_field_density(spec, 41, interval="half").exact
+    assert np.abs(exact - target).max() <= 1e-13
+    assert np.abs(coarse - target).max() >= 1e-6
 
 
 def test_coarse_grid_keeps_aliased_coherences():
@@ -81,15 +88,15 @@ def test_coarse_grid_keeps_aliased_coherences():
     spec = ThermalFieldSpec(1.0, 1e-6)
     rec = reconstruct_field_density(spec, 2)
     p = spec.probabilities()
-    assert abs(rec.matrix[0, 2]) == pytest.approx(math.sqrt(p[0] * p[2]), rel=1e-12)
-    assert abs(rec.matrix[0, 1]) < 1e-15
+    assert abs(rec[0, 2]) == pytest.approx(math.sqrt(p[0] * p[2]), rel=1e-12)
+    assert abs(rec[0, 1]) < 1e-15
 
 
 def test_half_period_average_leaves_odd_coherences_standing():
     spec = ThermalFieldSpec(1.0, 1e-6)
     rec = reconstruct_field_density(spec, 101, interval="half")
     p = spec.probabilities()
-    survivor = abs(rec.matrix[0, 1])
+    survivor = abs(rec[0, 1])
     assert survivor > 1e-2
     # the survivor sits at 2/pi of the full coherence, whatever the grid
     assert survivor == pytest.approx(2.0 / math.pi * math.sqrt(p[0] * p[1]), rel=1e-3)
@@ -115,7 +122,6 @@ def test_initial_joint_state_is_a_product():
     joint = evolve_mixed(solver, spec, [(1.0, "eg")], 0.0)
     fock_dim = spec.truncation + 3
     assert joint.fock_dim == fock_dim
-    assert joint.atom_labels == ("ee", "eg", "ge", "gg")
     expected = np.zeros((4 * fock_dim, 4 * fock_dim), dtype=complex)
     block = slice(fock_dim, 2 * fock_dim)
     expected[block, block][: spec.truncation + 1, : spec.truncation + 1] = np.diag(
@@ -225,7 +231,6 @@ def test_engine_accepts_other_partner_dimensions():
         return out
 
     joint = evolve_mixed(idle, spec, [(1.0, "0")], 0.0)
-    assert joint.atom_labels == ("0", "1")
     assert joint.fock_dim == fock_dim
     assert joint.matrix.shape == (2 * fock_dim, 2 * fock_dim)
 
@@ -272,17 +277,16 @@ def test_engine_drives_a_one_qubit_solver_with_its_own_fock_width():
 
 def test_partial_trace_inverts_a_product_state():
     sigma = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
-    field = reconstruct_field_density(ThermalFieldSpec(0.5, 1e-4)).matrix
+    field = reconstruct_field_density(ThermalFieldSpec(0.5, 1e-4))
     joint = JointDensity(matrix=np.kron(sigma, field), fock_dim=field.shape[0])
     out = partial_trace_field(joint)
-    assert isinstance(out, TwoQubitDensity)
-    assert np.abs(out.matrix - sigma * np.trace(field)).max() < 1e-14
+    assert np.abs(out - sigma * np.trace(field)).max() < 1e-14
 
 
 def test_partial_trace_handles_other_partner_dimensions():
     sigma = np.array([[0.6, 0.1], [0.1, 0.4]], dtype=complex)
     field = np.eye(3, dtype=complex) / 3.0
-    joint = JointDensity(matrix=np.kron(sigma, field), fock_dim=3, atom_labels=("0", "1"))
+    joint = JointDensity(matrix=np.kron(sigma, field), fock_dim=3)
     out = partial_trace_field(joint)
     assert isinstance(out, np.ndarray)
     assert out.shape == (2, 2)
@@ -298,7 +302,7 @@ def test_traced_engine_matches_the_direct_reduction():
     for t in (0.6, 5.0):
         traced = partial_trace_field(evolve_mixed(solver, spec, pairs, t))
         direct = reduced_density(spec, mix, pair, t)
-        assert np.abs(traced.matrix - direct.matrix).max() < 1e-10
+        assert np.abs(traced - direct.matrix).max() < 1e-10
 
 
 def test_both_solvers_agree_inside_the_engine():
@@ -365,7 +369,7 @@ def _traced_joint(solver, spec, times, count=None):
     """The reduced route through the joint density, one time at a time."""
     return np.array(
         [
-            partial_trace_field(evolve_mixed(solver, spec, MIX_PAIRS, t, count)).matrix
+            partial_trace_field(evolve_mixed(solver, spec, MIX_PAIRS, t, count))
             for t in times
         ]
     )
@@ -377,9 +381,8 @@ def test_trace_first_average_equals_the_traced_joint_density(nbar, make_solver):
     spec = ThermalFieldSpec(nbar, 1e-8)
     solver = make_solver(TRACE_PAIR)
     rho = mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES)
-    assert isinstance(rho, TwoQubitDensity)
-    assert rho.matrix.shape == (3, 4, 4)
-    assert np.abs(rho.matrix - _traced_joint(solver, spec, TRACE_TIMES)).max() < 1e-15
+    assert rho.shape == (3, 4, 4)
+    assert np.abs(rho - _traced_joint(solver, spec, TRACE_TIMES)).max() < 1e-15
 
 
 @pytest.mark.parametrize("count", [1, 2])
@@ -387,7 +390,7 @@ def test_coarse_grid_error_shows_on_both_reduced_routes(count):
     spec = ThermalFieldSpec(2.0, 1e-8)
     assert count <= spec.truncation
     solver = phase_propagator(TRACE_PAIR)
-    rho = mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES, count).matrix
+    rho = mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES, count)
     joint = _traced_joint(solver, spec, TRACE_TIMES, count)
     assert np.abs(rho - joint).max() < 1e-15
     exact = reduced_density(spec, MIX, TRACE_PAIR, TRACE_TIMES).matrix
@@ -405,7 +408,7 @@ def test_chunk_length_changes_nothing_but_rounding(make_solver, monkeypatch):
     for nodes in (1, 7, phase_engine.exact_node_count(spec.truncation)):
         monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", nodes * row)
         assert phase_engine.node_chunk_length(spec.truncation) == nodes
-        results.append(mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES).matrix)
+        results.append(mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES))
     for rho in results[1:]:
         assert np.abs(rho - results[0]).max() < 1e-15
 
@@ -434,11 +437,11 @@ def test_trace_first_calls_the_solver_once_per_chunk_label_and_time(monkeypatch)
 def test_trace_first_takes_one_time_or_an_array():
     spec = ThermalFieldSpec(0.5, 1e-6)
     solver = phase_propagator(TRACE_PAIR)
-    stack = mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES).matrix
+    stack = mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES)
     for t, rho in zip(TRACE_TIMES, stack):
         single = mixed_reduced_density(solver, spec, MIX_PAIRS, float(t))
-        assert single.matrix.shape == (4, 4)
-        assert np.array_equal(single.matrix, rho)
+        assert single.shape == (4, 4)
+        assert np.array_equal(single, rho)
 
 
 def test_trace_first_checks_its_inputs():
