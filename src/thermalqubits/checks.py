@@ -46,7 +46,12 @@ def column_norm_defect(
     return worst
 
 
-def spectrum_defect(couplings: CouplingPair, n_max: int) -> float:
+def spectrum_defect(
+    couplings: CouplingPair,
+    n_max: int,
+    *,
+    eigen: tuple[np.ndarray, np.ndarray] | None = None,
+) -> float:
     """Largest gap between the closed-form frequencies +-Omega_plus,
     +-Omega_minus of blocks 0 .. n_max and the Jacobi eigenvalues of the
     same blocks built entry by entry.
@@ -54,9 +59,15 @@ def spectrum_defect(couplings: CouplingPair, n_max: int) -> float:
     The blocks E = 2 .. n_max + 2 of one :func:`block_table` are
     diagonalized as one stack, with the rotations the oracle route applies
     to each of them, and the closed-form frequencies of all of them come
-    from one spectrum array call.
+    from one spectrum array call.  ``eigen`` is the ``(w, v)`` pair of
+    :func:`jacobi_eigh` on the whole ``block_table(couplings, n_max)``, for
+    a caller that already holds it; each block's eigenvalues in a stack are
+    bitwise those of the block alone, so passing it changes no digit.
     """
-    w, _ = jacobi_eigh(block_table(couplings, n_max)[2:])
+    if eigen is None:
+        w, _ = jacobi_eigh(block_table(couplings, n_max)[2:])
+    else:
+        w = eigen[0][2:]
     *_, omega_plus_sq, omega_minus_sq = block_spectrum(np.arange(n_max + 1), couplings)
     op, om = np.sqrt(omega_plus_sq), np.sqrt(omega_minus_sq)
     reference = np.sort(np.stack([-op, -om, om, op], axis=-1), axis=-1)
@@ -69,19 +80,23 @@ def route_gap(
     couplings: CouplingPair,
     times: float | np.ndarray,
     count: int | None = None,
+    *,
+    eigen: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Largest pairwise entry gap of the three reduced-density routes.
 
     The routes are the closed-form reduction, the phase-state average
     traced over the field (on ``count`` nodes, None for the default grid)
     and the Jacobi oracle.  ``times`` is one time or a 1-D array of them;
-    the result is the maximum over all of them.
+    the result is the maximum over all of them.  ``eigen``, the oracle's
+    diagonalized ``block_table(couplings, spec.truncation)``, goes to the
+    oracle route; without it that route diagonalizes its own.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     pairs = [(w, label) for label, w in mixture.weights().items()]
     closed = reduced_density(spec, mixture, couplings, times).matrix
     quad = mixed_reduced_density(phase_propagator(couplings), spec, pairs, times, count)
-    direct = oracle_reduced_density(spec, mixture, couplings, times).matrix
+    direct = oracle_reduced_density(spec, mixture, couplings, times, eigen=eigen).matrix
     gaps = (closed - quad, closed - direct, quad - direct)
     return max(float(np.abs(gap).max()) for gap in gaps)
 

@@ -40,6 +40,7 @@ from . import checks, reduction
 from .closed_form import ATOM_LABELS, CouplingPair, block_spectrum, phase_propagator
 from .entanglement import negativity
 from .fock_thermal import ThermalFieldSpec
+from .oracle import block_table, jacobi_eigh
 from .phase_engine import evolve_mixed, exact_node_count, node_chunk_length
 from .reduction import AtomicMixtureSpec, TwoQubitDensity, reduced_density
 
@@ -449,11 +450,15 @@ def render_validation(cfg: RunConfig) -> str:
     probes = np.linspace(cfg.t_min, cfg.t_max, min(cfg.steps, VALIDATE_PROBES))
     rng = np.random.default_rng(0)
     full_err, half_err = checks.field_reconstruction_residuals(field, cfg.node_count())
+    # one diagonalization serves the spectrum line and the oracle route
+    eigen = jacobi_eigh(block_table(couplings, field.truncation))
     lines = {
         "unitarity defect": checks.column_norm_defect(couplings, field.truncation, probes),
-        "spectrum vs block diagonalization": checks.spectrum_defect(couplings, field.truncation),
+        "spectrum vs block diagonalization": checks.spectrum_defect(
+            couplings, field.truncation, eigen=eigen
+        ),
         "reduced density, three routes": checks.route_gap(
-            field, cfg.mixture(), couplings, probes, cfg.node_count()
+            field, cfg.mixture(), couplings, probes, cfg.node_count(), eigen=eigen
         ),
         "field reconstruction, full period": full_err,
         "field reconstruction, half period": half_err,

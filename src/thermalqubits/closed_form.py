@@ -216,6 +216,25 @@ def _amplitude_rows(labels, n_max: int, couplings: CouplingPair):
     return trig, fills
 
 
+def _check_start(label: str, n_max: int) -> None:
+    if label == "ge":
+        raise ValueError(
+            "no amplitudes for a 'ge' start: swap the couplings and use 'eg'"
+        )
+    if label not in _BLOCK_SHIFT:
+        raise ValueError(f"unknown atomic start {label!r}")
+    if n_max < 0 or n_max != int(n_max):
+        raise ValueError(f"photon cutoff must be a nonnegative integer, got {n_max}")
+
+
+def _written_table(fill, trig, n_max: int, t) -> np.ndarray:
+    """One label's complex amplitude table at ``t``, written by ``fill``."""
+    out = np.zeros((4,) + np.shape(t) + (n_max + 1,), dtype=complex)
+    fill(out.real, out.imag, trig(t))
+    out += 0j  # every zero is +0.0, whichever product made it
+    return out
+
+
 def amplitude_table(
     label: str, n_max: int, t: float | np.ndarray, couplings: CouplingPair
 ) -> np.ndarray:
@@ -235,19 +254,9 @@ def amplitude_table(
     by swapping the two couplings and the middle rows, and accepting it
     here would silently mean a different qubit than the caller thinks.
     """
-    if label == "ge":
-        raise ValueError(
-            "no amplitudes for a 'ge' start: swap the couplings and use 'eg'"
-        )
-    if label not in _BLOCK_SHIFT:
-        raise ValueError(f"unknown atomic start {label!r}")
-    if n_max < 0 or n_max != int(n_max):
-        raise ValueError(f"photon cutoff must be a nonnegative integer, got {n_max}")
+    _check_start(label, n_max)
     trig, (fill,) = _amplitude_rows([label], n_max, couplings)
-    out = np.zeros((4,) + np.shape(t) + (n_max + 1,), dtype=complex)
-    fill(out.real, out.imag, trig(t))
-    out += 0j  # every zero is +0.0, whichever product made it
-    return out
+    return _written_table(fill, trig, n_max, t)
 
 
 def _joint_vectors(coefficients: np.ndarray, table: np.ndarray, shifts) -> np.ndarray:
@@ -283,12 +292,26 @@ def phase_propagator(couplings: CouplingPair) -> Callable[[np.ndarray, str, floa
 
     The returned callable maps (field coefficients, atomic label, t) to
     joint amplitudes: an (M, N+1) stack of coefficient rows gives an
-    (M, 4, N+3) stack over (arrival, Fock level), one
-    :func:`amplitude_table` placed for all of them by :func:`_joint_vectors`.
+    (M, 4, N+3) stack over (arrival, Fock level), one amplitude table
+    placed for all of them by :func:`_joint_vectors`.  The block spectrum,
+    its frequencies and the row writers of all three start labels are
+    bound on the first call and kept in the closure until a call brings a
+    different truncation, so a call evaluates only the block cos/sin at
+    ``t`` and one label's rows, which equal :func:`amplitude_table`'s
+    bit for bit.
     """
+    bound = None
+    held = -1  # no truncation is bound yet
 
     def solver(coefficients: np.ndarray, label: str, t: float) -> np.ndarray:
-        table = amplitude_table(label, np.shape(coefficients)[-1] - 1, t, couplings)
+        nonlocal bound, held
+        n_max = np.shape(coefficients)[-1] - 1
+        _check_start(label, n_max)
+        if n_max != held:
+            trig, fills = _amplitude_rows(tuple(_BLOCK_SHIFT), n_max, couplings)
+            bound, held = (trig, dict(zip(_BLOCK_SHIFT, fills))), n_max
+        trig, fills = bound
+        table = _written_table(fills[label], trig, n_max, t)
         return _joint_vectors(coefficients, table, _ARRIVAL_SHIFTS[label])
 
     return solver

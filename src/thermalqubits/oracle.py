@@ -29,7 +29,9 @@ diagonalizes a whole stack with the same rotations it would apply to each
 block alone, and the evolution of a (T, K, 4) stack of starts is one array
 expression.  Nothing is cached between calls: a caller that evolves many
 times builds its table once and keeps it (:func:`numeric_propagator` does,
-in its closure).
+in its closure), and a caller that needs the same diagonalization for
+several measurements makes it once and passes it on
+(:func:`oracle_reduced_density` takes it as ``eigen``).
 """
 
 from __future__ import annotations
@@ -214,6 +216,8 @@ def oracle_reduced_density(
     mixture: AtomicMixtureSpec,
     couplings: CouplingPair,
     t: float | np.ndarray,
+    *,
+    eigen: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> TwoQubitDensity:
     """Atomic density from a diagonal photon-number mixture, by diagonalization.
 
@@ -221,12 +225,16 @@ def oracle_reduced_density(
     (T, 4, 4) stack.  Every (label, n) start evolves inside its own block,
     all of them as one (T, N+1, 4) stack per label, and the field trace
     pairs two block positions exactly when their photon offsets agree.
+    ``eigen`` is the ``(w, v)`` pair of :func:`jacobi_eigh` on
+    ``block_table(couplings, spec.truncation)``, for a caller that already
+    holds it; without it the table is built and diagonalized here.
     """
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError(f"times must be a scalar or a 1-D array, got shape {times.shape}")
     probs = spec.probabilities()
-    eigen = jacobi_eigh(block_table(couplings, spec.truncation))
+    if eigen is None:
+        eigen = jacobi_eigh(block_table(couplings, spec.truncation))
     same_photons = _PHOTON[:, None] == _PHOTON[None, :]
     block_rho = np.zeros(times.shape + (4, 4), dtype=complex)
     for label, w_label in mixture.weights().items():

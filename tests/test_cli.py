@@ -12,9 +12,11 @@ import pytest
 from thermalqubits import (
     ThermalFieldSpec,
     TwoQubitDensity,
+    checks,
     cli,
     closed_form,
     negativity,
+    oracle,
     phase_engine,
     reduced_density,
     reduction,
@@ -521,6 +523,67 @@ def test_validation_report_shape_and_tolerances():
     assert values["field reconstruction, full period"] < 1e-12
     assert values["field reconstruction, half period"] > 1e-2
     assert values["negativity, closed form vs eigenvalues"] < 1e-11
+
+
+def test_validate_diagonalizes_the_block_table_once(monkeypatch):
+    # the spectrum line and the oracle route share one diagonalization,
+    # whichever module name the call goes through
+    calls = []
+    original = oracle.jacobi_eigh
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return original(*args, **kwargs)
+
+    for module in (cli, checks, oracle):
+        if getattr(module, "jacobi_eigh", None) is original:
+            monkeypatch.setattr(module, "jacobi_eigh", counting)
+    cfg = small_config(steps=5, mode="validate")
+    render_validation(cfg)
+    assert calls == [(cfg.field().truncation + 3, 4, 4)]
+
+
+def _separate_report(cfg):
+    """The validate report from each check on its own, each diagonalizing itself."""
+    field, couplings = cfg.field(), cfg.couplings()
+    probes = np.linspace(cfg.t_min, cfg.t_max, min(cfg.steps, cli.VALIDATE_PROBES))
+    full, half = checks.field_reconstruction_residuals(field, cfg.node_count())
+    values = [
+        ("unitarity defect", checks.column_norm_defect(couplings, field.truncation, probes)),
+        ("spectrum vs block diagonalization", checks.spectrum_defect(couplings, field.truncation)),
+        (
+            "reduced density, three routes",
+            checks.route_gap(field, cfg.mixture(), couplings, probes, cfg.node_count()),
+        ),
+        ("field reconstruction, full period", full),
+        ("field reconstruction, half period", half),
+        (
+            "negativity, closed form vs eigenvalues",
+            checks.negativity_route_gap(cli._random_x_states(np.random.default_rng(0), 200)),
+        ),
+    ]
+    return "".join(f"{label}: {value:.3e}\n" for label, value in values)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        *(
+            {"nbar": nbar, "gamma": gamma}
+            for nbar in (1.0, 3.0, 5.0)
+            for gamma in (0.0, 0.37, 1.0 - 1e-6)
+        ),
+        {"nbar": 2.0, "quadrature_nodes": 2, "theta": 0.9, "vartheta": 0.4},
+        {
+            "nbar": 1.0, "lambda1": 1.4e-8, "lambda2": 5.5e-9,
+            "theta": 0.9, "vartheta": 0.4, "t_max": 2.5e9, "steps": 7,
+        },
+    ],
+    ids=lambda overrides: "-".join(f"{k}={v}" for k, v in overrides.items()),
+)
+def test_validate_report_equals_the_separate_checks(overrides):
+    cfg = RunConfig(mode="validate", **overrides)
+    assert render_validation(cfg) == _separate_report(cfg)
 
 
 def _validate_lines(argv, capsys):

@@ -11,6 +11,7 @@ from thermalqubits import (
     ThermalFieldSpec,
     amplitude_table,
     block_spectrum,
+    closed_form,
     phase_propagator,
     phase_state_rows,
     quadrature_nodes,
@@ -293,3 +294,53 @@ def test_stacked_assembly_equals_row_by_row_calls(label, nbar):
     assert stacked.shape == (9, 4, spec.truncation + 3)
     for row, out in zip(rows, stacked):
         assert np.array_equal(out, solver(row, label, 2.7))
+
+
+def _random_rows(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_bound_solver_matches_the_one_shot_table_across_truncations():
+    # the tables bound at one truncation must give way to the next one's,
+    # also when a truncation comes back
+    rng = np.random.default_rng(5)
+    solver = phase_propagator(ASYM)
+    for n_max in (0, 1, 20, 3, 20):
+        for shape in ((n_max + 1,), (9, n_max + 1)):
+            rows = _random_rows(rng, shape)
+            for label in ("ee", "eg", "gg"):
+                for t in (0.0, 2.7):
+                    direct = _joint_vectors(
+                        rows, amplitude_table(label, n_max, t, ASYM), _ARRIVAL_SHIFTS[label]
+                    )
+                    assert np.array_equal(solver(rows, label, t), direct), (n_max, label)
+
+
+@pytest.mark.parametrize("label", ["ge", "xx"])
+def test_bound_solver_refuses_what_the_table_refuses(label):
+    with pytest.raises(ValueError) as table_error:
+        amplitude_table(label, 4, 1.0, ASYM)
+    solver = phase_propagator(ASYM)
+    rows = np.ones(5, dtype=complex)
+    for _ in range(2):  # before and after the tables are bound
+        with pytest.raises(ValueError) as solver_error:
+            solver(rows, label, 1.0)
+        assert str(solver_error.value) == str(table_error.value)
+        solver(rows, "ee", 1.0)
+
+
+def test_bound_solver_evaluates_the_spectrum_once_per_truncation(monkeypatch):
+    calls = []
+    original = closed_form.block_spectrum
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(closed_form, "block_spectrum", counting)
+    solver = phase_propagator(ASYM)
+    rows = np.ones((3, 13), dtype=complex)
+    for t in np.linspace(0.0, 6.0, 7):
+        for label in ("ee", "eg", "gg"):
+            solver(rows, label, t)
+    assert len(calls) == 1

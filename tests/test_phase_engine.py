@@ -1,7 +1,9 @@
 """Phase-grid averages and the joint-density bookkeeping around them."""
 
 import ast
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -432,6 +434,30 @@ def test_trace_first_calls_the_solver_once_per_chunk_label_and_time(monkeypatch)
         for t in (1.0, 2.0)
     ]
     assert calls == expected
+
+
+def test_bound_solver_tables_die_with_their_solver():
+    # each solver binds O(N) tables at nbar 50 (N = 1162); nothing may
+    # outlive it.  Four nodes keep the calls cheap: the bound tables follow
+    # the truncation, not the grid.
+    spec = ThermalFieldSpec(50.0)
+    times = np.linspace(0.0, 10.0, 3)
+    mixed_reduced_density(phase_propagator(TRACE_PAIR), spec, MIX_PAIRS, times, 4)
+    # collections also empty the interpreter's free lists, which hold
+    # released tuples and are not retained by the call
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(50):
+            solver = phase_propagator(CouplingPair.from_gamma(0.01 + 0.019 * k))
+            mixed_reduced_density(solver, spec, MIX_PAIRS, times, 4)
+        del solver
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 4096
 
 
 def test_trace_first_takes_one_time_or_an_array():
