@@ -30,19 +30,20 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import checks, reduction
+from . import checks
 from .closed_form import ATOM_LABELS, CouplingPair, block_spectrum, phase_propagator
 from .entanglement import negativity
 from .fock_thermal import ThermalFieldSpec
-from .oracle import block_table, jacobi_eigh
-from .phase_engine import evolve_mixed, exact_node_count, node_chunk_length
-from .reduction import AtomicMixtureSpec, TwoQubitDensity, reduced_density
+from .oracle import block_table, jacobi_eigh, oracle_reduced_density_bytes
+from .phase_engine import (
+    evolve_mixed, evolve_mixed_bytes, mixed_reduced_density_bytes, reconstruct_field_density_bytes
+)
+from .reduction import AtomicMixtureSpec, TwoQubitDensity, reduced_density, reduced_density_bytes
 
 __all__ = [
     "ConfigError",
@@ -89,37 +90,26 @@ MODES = ("reduced", "joint", "validate")
 
 _COUPLING_KEYS = ("gamma", "lambda1", "lambda2")
 
-# Largest planned working set, in bytes; a run that would need more is
-# refused as a config error before anything is allocated.  Every run in the
-# tests and the benchmark plans under 100 MB (at nbar 5, N = 126, validate
-# plans 7 MB and a joint run 87 MB), so 1 GiB leaves them a factor of ten,
-# while nbar 1e6 (N ~ 2.3e7, 8.2 GiB of per-level arrays), a joint run from
-# nbar 19.3 (N = 455) or validate from nbar 144.6 (N = 3341) up plan more.
+# Largest planned working set, in bytes of traced allocation (what
+# tracemalloc sees, not the process RSS, which adds the interpreter and
+# numpy baseline of about 30 MB and allocator slack); a run that would need
+# more is refused as a config error before anything is allocated.  Every
+# run in the tests and the benchmark plans under 100 MB (at nbar 5, N = 126,
+# validate plans 7 MB and a joint run 87 MB), so 1 GiB leaves them a factor
+# of ten, while nbar 1e6 (N ~ 2.3e7, 8.2 GiB of per-level arrays), a joint
+# run from nbar 19.3 (N = 455) or validate from nbar 144.6 (N = 3341) up
+# plan more.
 MAX_WORK_BYTES = 2**30
 
 # Time points at which validate compares the routes.
 VALIDATE_PROBES = 7
 
-# Peak bytes per planned entry, measured with tracemalloc and rounded up:
-# reduced, the amplitude-row entries of one chunk (126-136 B each in full
-# chunks at nbar 0.5-20, 199 B at nbar 100 with three times per chunk; at
-# one time per chunk, from N = 8192, the coefficients of three start labels
-# make it 336 B per photon level at nbar 1000, covered here without
-# _RUN_BYTES); joint, the joint density entries, rendered as JSON text
-# (312-315 B each at nbar 1-10: two Python floats, their text and its
-# joined copy); validate, one node chunk of evolved vectors and the
-# oracle's tables.
-_ENTRY_BYTES = {"reduced": 384, "joint": 320, "validate": 72}
-# Peak bytes per evolved-vector entry of a joint run's engine stage, every
-# node of up to three start labels: the stack, its weighted transpose and
-# its conjugate (48.1-48.6 B at 1,000-20,000 nodes, where this stage sets
-# the peak).
-_NODE_BYTES = 56
-# Peak bytes per time point of a reduced series: its row and its CSV line.
+# Peak bytes of what cli allocates itself, measured with tracemalloc and
+# rounded up: per joint density entry rendered as JSON text (312-315 B at
+# nbar 1-10: two Python floats, their text and its joined copy), and per
+# time point of a reduced series (its row and its CSV line).
+_JSON_BYTES = 320
 _ROW_BYTES = 896
-# Peak bytes per entry of validate's field reconstruction: the phase-state
-# rows and the reconstructed (N + 1) x (N + 1) field density.
-_FIELD_BYTES = 48
 # Allocation of every run that no entry count covers (argument parsing,
 # first calls into numpy): 0.25 MB for run and 1.2 MB for validate at
 # nbar 0, rounded up.
@@ -129,36 +119,27 @@ _RUN_BYTES = 2**21
 def work_bytes(truncation: int, steps: int, mode: str, nodes: int | None = None) -> int:
     """Estimated peak allocation of a run, computed without allocating it.
 
-    Every mode runs in two stages, one after the other, so its peak is the
-    larger stage.  A reduced series first holds one chunk of amplitude
-    tables beside the density stack it fills; the tables are freed before
-    the rows and their CSV lines are built.  A joint run first holds M
-    evolved vectors of length 4 (N + 3) for each of up to three start
-    labels, M being the phase-grid size (N + 1 unless ``nodes`` is given),
-    and then renders the joint density, (4 (N + 3))^2 entries, as JSON
-    text.  Validate's stages are the route comparison (one node chunk of
-    evolved vectors, the oracle's block table and its evolved amplitudes
-    at every probe time) and the field reconstruction (M phase-state rows
-    and the field density, each with N + 1 columns).  Every run adds a
-    fixed ``_RUN_BYTES``.
+    Every mode runs in two stages, one after the other, so its peak is
+    ``_RUN_BYTES`` plus the larger stage, each planned by the module that
+    allocates it.  A reduced series first holds one chunk of amplitude
+    rows, then its rows and their CSV lines.  A joint run first evolves M
+    vectors of length 4 (N + 3) for each of up to three start labels, M
+    being the phase-grid size (N + 1 unless ``nodes`` is given), and then
+    renders the joint density, (4 (N + 3))^2 entries, as JSON text.
+    Validate's stages are the route comparison (one node chunk of the
+    phase engine beside the oracle's tables at every probe time) and the
+    field reconstruction.
     """
-    levels = truncation + 1
+    width = 4 * (truncation + 3)
     if mode == "reduced":
-        chunk = min(steps, reduction.chunk_length(truncation))
-        return _RUN_BYTES + max(_ENTRY_BYTES[mode] * chunk * levels, _ROW_BYTES * steps)
-    dim = 4 * (truncation + 3)
-    if nodes is None:
-        nodes = exact_node_count(truncation)
-    if mode == "joint":
-        return _RUN_BYTES + max(
-            _ENTRY_BYTES[mode] * dim * dim, _NODE_BYTES * 3 * nodes * dim
-        )
-    chunk = min(nodes, node_chunk_length(truncation)) * dim
-    oracle = 16 * (truncation + 3) + 4 * min(steps, VALIDATE_PROBES) * levels
-    field = levels * (nodes + levels)
-    return _RUN_BYTES + max(
-        _ENTRY_BYTES[mode] * (chunk + oracle), _FIELD_BYTES * field
-    )
+        stages = (reduced_density_bytes(truncation, steps), _ROW_BYTES * steps)
+    elif mode == "joint":
+        stages = (evolve_mixed_bytes(truncation, width, 3, nodes), _JSON_BYTES * width * width)
+    else:
+        routes = mixed_reduced_density_bytes(truncation, width, nodes)
+        routes += oracle_reduced_density_bytes(truncation, min(steps, VALIDATE_PROBES))
+        stages = (routes, reconstruct_field_density_bytes(truncation, nodes))
+    return _RUN_BYTES + max(stages)
 
 
 def _key(default: object, parse: Callable[[str], object], help: str, flag: str = ""):
@@ -239,9 +220,9 @@ class RunConfig:
         need = work_bytes(truncation, self.steps, self.mode, self.node_count())
         if need > MAX_WORK_BYTES:
             raise ConfigError(
-                f"the run would allocate about {need / 2**30:.3g} GiB, above the "
-                f"{MAX_WORK_BYTES / 2**30:g} GiB limit; lower nbar, steps or "
-                "quadrature_nodes, or raise tail_tolerance"
+                f"the run would allocate about {need / 2**30:.3g} GiB (traced allocation, "
+                f"not process RSS), above the {MAX_WORK_BYTES / 2**30:g} GiB limit; lower "
+                "nbar, steps or quadrature_nodes, or raise tail_tolerance"
             )
 
     def field(self) -> ThermalFieldSpec:
@@ -355,11 +336,23 @@ def config_from_preamble(text: str) -> RunConfig:
     return RunConfig.from_mapping(parse_config_text("\n".join(config_lines)))
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _emit(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout without one.
+
+    A file is written to a new temp file beside it and renamed into place,
+    so a failure leaves no partial output.  The temp file is created with
+    mode 0666 less the umask, as a plain ``open(path, "w")`` creates a new
+    file (``tempfile.mkstemp`` would make it 0600).
+    """
+    if not path:
+        sys.stdout.write(text)
+        return
     directory = os.path.dirname(os.path.abspath(path))
+    name = os.path.join(directory, f".partial-{os.urandom(8).hex()}.tmp")
     tmp_path = None
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".partial-", suffix=".tmp")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp_path = name  # ours to remove from here on
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp_path, path)
@@ -372,13 +365,6 @@ def _atomic_write(path: str, text: str) -> None:
                 os.unlink(tmp_path)
             except OSError:
                 pass
-
-
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output_path:
-        _atomic_write(cfg.output_path, text)
-    else:
-        sys.stdout.write(text)
 
 
 def timeseries_rows(cfg: RunConfig) -> list[tuple[float, ...]]:
@@ -406,7 +392,7 @@ def render_timeseries(cfg: RunConfig) -> str:
 def run_timeseries(cfg: RunConfig) -> dict[str, float]:
     """Write the configured time series; returns its negativity peak."""
     rows = timeseries_rows(cfg)
-    _emit(cfg, _render_rows(cfg, rows))
+    _emit(cfg.output_path, _render_rows(cfg, rows))
     best = max(range(len(rows)), key=lambda i: rows[i][1])
     return {"max_xi": rows[best][1], "argmax_t": rows[best][0]}
 
@@ -525,9 +511,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["mode"] = "validate"
     cfg = load_config(args.config, overrides)
     if cfg.mode == "joint":
-        _emit(cfg, render_joint(cfg))
+        _emit(cfg.output_path, render_joint(cfg))
     elif cfg.mode == "validate":
-        _emit(cfg, render_validation(cfg))
+        _emit(cfg.output_path, render_validation(cfg))
     else:
         run_timeseries(cfg)
     return 0
@@ -543,11 +529,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else:
             entries += run_sweep([job])["jobs"]
     summary = _sweep_summary(entries)
-    text = json.dumps(summary, indent=2) + "\n"
-    if args.summary:
-        _atomic_write(args.summary, text)
-    else:
-        sys.stdout.write(text)
+    _emit(args.summary, json.dumps(summary, indent=2) + "\n")
     return 1 if summary["failed"] else 0
 
 

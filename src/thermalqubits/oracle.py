@@ -49,6 +49,7 @@ __all__ = [
     "jacobi_eigh",
     "numeric_propagator",
     "oracle_reduced_density",
+    "oracle_reduced_density_bytes",
 ]
 
 _EXCITATION = {"ee": 2, "eg": 1, "ge": 1, "gg": 0}
@@ -59,6 +60,10 @@ _LAYOUT = (("ee", 0), ("eg", 1), ("ge", 1), ("gg", 2))
 _PHOTON = np.array([offset for _, offset in _LAYOUT])
 # Position of each start label in the layout.
 _POSITION = {label: k for k, (label, _) in enumerate(_LAYOUT)}
+
+# Traced peak bytes per planned entry of the oracle route, rounded up: 34-57 B
+# at nbar 0.5-100 with three or seven times.
+ENTRY_BYTES = 72
 
 
 def block_table(couplings: CouplingPair, n_max: int) -> np.ndarray:
@@ -243,3 +248,11 @@ def oracle_reduced_density(
         amps = _start_amplitudes(*eigen, label, spec.truncation, times)
         block_rho += np.einsum("n,...ni,...nj->...ij", w_label * probs, amps, amps.conj())
     return TwoQubitDensity(matrix=np.where(same_photons, block_rho, 0.0))
+
+
+def oracle_reduced_density_bytes(truncation: int, times: int) -> int:
+    """Planned peak of :func:`oracle_reduced_density` at ``times`` times,
+    diagonalizing its own table: the (N+3, 4, 4) block table with its
+    eigenvectors, and each label's (T, N+1, 4) evolved amplitudes.  The
+    fixed cost of a call, about 11 kB, is the caller's to add."""
+    return ENTRY_BYTES * (16 * (truncation + 3) + 4 * times * (truncation + 1))

@@ -42,12 +42,14 @@ __all__ = [
     "JointDensity",
     "PureStatePropagator",
     "evolve_mixed",
+    "evolve_mixed_bytes",
     "exact_node_count",
     "mixed_reduced_density",
-    "node_chunk_length",
+    "mixed_reduced_density_bytes",
     "partial_trace_field",
     "quadrature_nodes",
     "reconstruct_field_density",
+    "reconstruct_field_density_bytes",
 ]
 
 
@@ -61,6 +63,40 @@ NODE_CHUNK_ENTRIES = 2**20
 def node_chunk_length(truncation: int) -> int:
     """Phase-grid nodes per solver call of :func:`mixed_reduced_density`."""
     return max(1, NODE_CHUNK_ENTRIES // (4 * (truncation + 3)))
+
+
+# Memory plans.  Each counts the arrays of one call from the solver's entries
+# per node, ``width`` (P F), and the grid size, N + 1 nodes unless ``count``
+# is given, at a traced peak per entry rounded up; the fixed cost of a call,
+# up to about 8 kB, is the caller's to add.  evolve_mixed holds its
+# whole-grid stack, the weighted transpose and the conjugate (48.1-48.6 B
+# per evolved entry at 1,000-20,000 nodes); mixed_reduced_density one node
+# chunk (40-61 B per evolved entry at nbar 0.5-100); and
+# reconstruct_field_density the phase-state rows, conjugated in place, and
+# their average (24-39 B per entry at nbar 0.5-50 and up to 5,000 nodes).
+STACK_ENTRY_BYTES = 56
+CHUNK_ENTRY_BYTES = 72
+FIELD_ENTRY_BYTES = 48
+
+
+def evolve_mixed_bytes(truncation: int, width: int, starts: int, count: int | None = None) -> int:
+    """Planned peak of :func:`evolve_mixed` for ``starts`` start labels,
+    besides the (width x width) matrix it returns."""
+    count = exact_node_count(truncation) if count is None else count
+    return STACK_ENTRY_BYTES * starts * count * width
+
+
+def mixed_reduced_density_bytes(truncation: int, width: int, count: int | None = None) -> int:
+    """Planned peak of :func:`mixed_reduced_density`: one node chunk."""
+    count = exact_node_count(truncation) if count is None else count
+    return CHUNK_ENTRY_BYTES * min(count, node_chunk_length(truncation)) * width
+
+
+def reconstruct_field_density_bytes(truncation: int, count: int | None = None) -> int:
+    """Planned peak of :func:`reconstruct_field_density`: the phase-state
+    rows and the average, N + 1 columns each."""
+    count = exact_node_count(truncation) if count is None else count
+    return FIELD_ENTRY_BYTES * (truncation + 1) * (count + truncation + 1)
 
 
 class PureStatePropagator(Protocol):
@@ -123,7 +159,8 @@ def reconstruct_field_density(
     if interval == "half":
         phis = math.pi * (np.arange(count) + 0.5) / count
     rows = phase_state_rows(spec, phis)
-    return (rows.T * weights) @ rows.conj()
+    # the weighted copy is taken before the rows are conjugated in place
+    return (rows.T * weights) @ np.conjugate(rows, out=rows)
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,18 +32,30 @@ from .fock_thermal import ThermalFieldSpec
 __all__ = [
     "AtomicMixtureSpec",
     "TwoQubitDensity",
-    "chunk_length",
     "reduced_density",
+    "reduced_density_bytes",
 ]
 
 # Amplitude-row entries (time points x photon levels) per chunk of a series;
 # it bounds the working set, and the chunk length follows from the truncation.
 CHUNK_BUDGET = 8192
+# Traced peak bytes per amplitude-row entry of one chunk, rounded up:
+# 126-136 B in full chunks at nbar 0.5-20 and 199 B at nbar 100 with three
+# times per chunk; at one time per chunk, from N = 8192, the coefficients of
+# three start labels make it 336 B per photon level at nbar 1000.
+CHUNK_ENTRY_BYTES = 384
 
 
 def chunk_length(truncation: int) -> int:
     """Time points per chunk of a :func:`reduced_density` series."""
     return max(1, CHUNK_BUDGET // (truncation + 1))
+
+
+def reduced_density_bytes(truncation: int, steps: int) -> int:
+    """Planned peak of :func:`reduced_density` over ``steps`` times: one
+    chunk of amplitude rows.  The fixed cost of a call, about 12 kB, is
+    the caller's to add."""
+    return CHUNK_ENTRY_BYTES * min(steps, chunk_length(truncation)) * (truncation + 1)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,12 @@
 
 The acceptance tests record one line per numbered check; the terminal
 summary hook prints them all at the end of the run, pass or fail, so the
-verdicts stay visible even when pytest captures stdout.
+verdicts stay visible even when pytest captures stdout.  The memory-plan
+tests measure one call with ``traced_peak``.
 """
+
+import gc
+import tracemalloc
 
 import pytest
 
@@ -22,6 +26,25 @@ def criterion():
         return ok
 
     return record
+
+
+@pytest.fixture
+def traced_peak():
+    """Peak traced allocation of one ``call()``, after a warm-up call (of
+    ``warm_up`` if given, else of ``call``) keeps numpy's first-call
+    allocations out."""
+
+    def measure(call, warm_up=None) -> int:
+        (warm_up or call)()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,10 +1,11 @@
 """Configuration parsing, output plumbing and the command entry point."""
 
+import ast
 import dataclasses
-import gc
 import json
 import math
-import tracemalloc
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -304,45 +305,36 @@ def test_file_key_and_flag_parse_to_the_same_config(key, tmp_path):
 
 
 def test_work_estimate_follows_the_planned_arrays():
-    n, dim, nodes = 99, 4 * 102, phase_engine.exact_node_count(99)
+    n, dim = 99, 4 * 102
     # the default grid: rendering the joint density is the larger stage
-    render = cli._ENTRY_BYTES["joint"] * dim * dim
-    assert cli._NODE_BYTES * 3 * nodes * dim < render
+    render = cli._JSON_BYTES * dim * dim
+    assert phase_engine.evolve_mixed_bytes(n, dim, 3) < render
     assert cli.work_bytes(n, 10, "joint") == cli._RUN_BYTES + render
     assert cli.work_bytes(n, 10, "joint", 7) == cli._RUN_BYTES + render
-    # 2000 nodes: the engine's evolved vectors are the larger stage
+    # 2000 nodes: the engine's evolved vectors of three start labels are the larger stage
     assert cli.work_bytes(n, 10, "joint", 2000) == (
-        cli._RUN_BYTES + cli._NODE_BYTES * 3 * 2000 * dim
+        cli._RUN_BYTES + phase_engine.evolve_mixed_bytes(n, dim, 3, 2000)
     )
-    # 8192 // 100 = 81 times per chunk, but only 10 steps to take; the
-    # chunk's tables are the larger stage up to 1000 steps, the rows at 20001
-    assert cli.work_bytes(n, 10, "reduced") == (
-        cli._RUN_BYTES + cli._ENTRY_BYTES["reduced"] * 10 * 100
-    )
-    assert cli.work_bytes(n, 1000, "reduced") == (
-        cli._RUN_BYTES + cli._ENTRY_BYTES["reduced"] * 81 * 100
-    )
+    # the chunk's tables are the larger stage up to 1000 steps, the rows at 20001
+    for steps in (10, 1000):
+        assert cli.work_bytes(n, steps, "reduced") == (
+            cli._RUN_BYTES + reduction.reduced_density_bytes(n, steps)
+        )
+    assert reduction.reduced_density_bytes(n, 1000) > cli._ROW_BYTES * 1000
     assert cli.work_bytes(n, 20001, "reduced") == cli._RUN_BYTES + cli._ROW_BYTES * 20001
 
 
-def _traced_peak(render, cfg):
+def _render_peak(traced_peak, render, cfg):
     """Peak traced allocation of one render, after a warm-up render of the
-    same mode keeps numpy's first-call allocations out."""
-    render(dataclasses.replace(cfg, nbar=0.5))
-    gc.collect()
-    tracemalloc.start()
-    try:
-        render(cfg)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    same mode at nbar 0.5."""
+    return traced_peak(lambda: render(cfg), lambda: render(dataclasses.replace(cfg, nbar=0.5)))
 
 
 @pytest.mark.parametrize(
     "nbar, steps", [(100.0, 3), (1000.0, 3), (1.0, 1001), (20.0, 201), (0.5, 20001)],
     ids=["100.0", "1000.0", "1.0-1001steps", "20.0-201steps", "0.5-20001steps"],
 )
-def test_reduced_entry_term_covers_the_measured_peak(nbar, steps):
+def test_reduced_entry_term_covers_the_measured_peak(nbar, steps, traced_peak):
     # nbar 1000 takes one time per chunk, and all three start labels bound:
     # the per-level arrays set the peak, with no help from _RUN_BYTES; the
     # long series at nbar 1 and 20 fill whole chunks; at 20001 steps the
@@ -350,57 +342,58 @@ def test_reduced_entry_term_covers_the_measured_peak(nbar, steps):
     cfg = RunConfig(nbar=nbar, steps=steps, gamma=0.3, theta=0.9, vartheta=0.4)
     if steps > 3:
         assert steps > reduction.chunk_length(cfg.field().truncation)
-    peak = _traced_peak(render_timeseries, cfg)
+    peak = _render_peak(traced_peak, render_timeseries, cfg)
     assert peak <= cli.work_bytes(cfg.field().truncation, steps, "reduced") - cli._RUN_BYTES
 
 
 @pytest.mark.parametrize(
     "nbar, nodes", [(1.0, "auto"), (5.0, "auto"), (0.5, 1000)], ids=["1", "5", "0.5-1000nodes"]
 )
-def test_joint_plan_covers_the_measured_peak(nbar, nodes):
+def test_joint_plan_covers_the_measured_peak(nbar, nodes, traced_peak):
     # the JSON render sets the peak on the default grid, the engine's
     # evolved vectors on a grid far past the threshold
     cfg = RunConfig(nbar=nbar, steps=3, gamma=0.3, theta=0.9, vartheta=0.4,
                     mode="joint", quadrature_nodes=nodes)
-    peak = _traced_peak(render_joint, cfg)
+    peak = _render_peak(traced_peak, render_joint, cfg)
     plan = cli.work_bytes(cfg.field().truncation, 3, "joint", cfg.node_count())
     assert peak <= plan - cli._RUN_BYTES
 
 
 @pytest.mark.parametrize("nbar", [5.0, 20.0])
-def test_validate_plan_covers_the_measured_peak(nbar):
+def test_validate_plan_covers_the_measured_peak(nbar, traced_peak):
     cfg = RunConfig(nbar=nbar, steps=3, gamma=0.3, theta=0.9, vartheta=0.4, mode="validate")
-    peak = _traced_peak(render_validation, cfg)
+    peak = _render_peak(traced_peak, render_validation, cfg)
     plan = cli.work_bytes(cfg.field().truncation, 3, "validate")
     assert peak <= plan - cli._RUN_BYTES
 
 
-def test_validate_estimate_is_its_larger_stage(monkeypatch):
-    n, dim, nodes = 99, 4 * 102, phase_engine.exact_node_count(99)
-    oracle = 16 * 102 + 4 * 7 * 100
-    field = 100 * (nodes + 100)
-    # the whole grid fits one chunk: the route stage is larger
-    routes = cli._ENTRY_BYTES["validate"] * (nodes * dim + oracle)
-    assert routes > cli._FIELD_BYTES * field
-    assert cli.work_bytes(n, 1001, "validate") == cli._RUN_BYTES + routes
+def test_validate_estimate_is_its_larger_stage():
+    def stages(n, probes, nodes=None):
+        dim = 4 * (n + 3)
+        routes = phase_engine.mixed_reduced_density_bytes(n, dim, nodes)
+        routes += oracle.oracle_reduced_density_bytes(n, probes)
+        return routes, phase_engine.reconstruct_field_density_bytes(n, nodes)
+
+    # at N = 99 the whole grid fits one chunk: the route stage is larger;
     # three steps probe three times
-    assert cli.work_bytes(n, 3, "validate") == cli._RUN_BYTES + cli._ENTRY_BYTES[
-        "validate"
-    ] * (nodes * dim + 16 * 102 + 4 * 3 * 100)
-    # chunks of 5 nodes: the field reconstruction is larger
-    monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", 5 * dim + 1)
-    assert cli.work_bytes(n, 1001, "validate") == cli._RUN_BYTES + cli._FIELD_BYTES * field
-    assert cli.work_bytes(n, 1001, "validate", 3) == cli._RUN_BYTES + max(
-        cli._ENTRY_BYTES["validate"] * (3 * dim + oracle), cli._FIELD_BYTES * 100 * 103
-    )
+    routes, field = stages(99, 7)
+    assert routes > field
+    assert cli.work_bytes(99, 1001, "validate") == cli._RUN_BYTES + routes
+    assert cli.work_bytes(99, 3, "validate") == cli._RUN_BYTES + stages(99, 3)[0]
+    assert cli.work_bytes(99, 1001, "validate", 3) == cli._RUN_BYTES + max(stages(99, 7, 3))
+    # at N = 2314 (nbar 100) a chunk holds 113 of 2315 nodes: the field
+    # reconstruction is larger
+    routes, field = stages(2314, 7)
+    assert field > routes
+    assert cli.work_bytes(2314, 1001, "validate") == cli._RUN_BYTES + field
 
 
 def test_validate_has_no_joint_density_term():
-    # the plan grows with N^2 through the field matrix only, far below the
-    # (4 (N + 3))^2 joint density, so nbar 100 fits the limit
+    # the plan grows with N^2 through the field matrix only, below the bytes
+    # of the complex (4 (N + 3))^2 joint density alone, so nbar 100 fits the limit
     n = ThermalFieldSpec(100.0).truncation
     assert cli.work_bytes(n, 1001, "validate") < cli.MAX_WORK_BYTES
-    assert cli.work_bytes(n, 1001, "validate") < cli._FIELD_BYTES * (4 * (n + 3)) ** 2
+    assert cli.work_bytes(n, 1001, "validate") < 16 * (4 * (n + 3)) ** 2
     assert load_config(None, {"nbar": 100.0, "mode": "validate"}).nbar == 100.0
 
 
@@ -430,6 +423,58 @@ def test_nbar_1e6_plans_the_tables_of_its_truncation():
     n = ThermalFieldSpec(1e6).truncation
     assert 2.2e7 < n < 2.4e7
     assert cli.work_bytes(n, 1001, "reduced") > 8 * cli.MAX_WORK_BYTES
+
+
+@pytest.mark.parametrize(
+    "mode, accepted, refused",
+    [
+        ("joint", (454, 1001), (455, 1001)),
+        ("validate", (3340, 1001), (3341, 1001)),
+        ("reduced", (33, 1_196_032), (33, 1_196_033)),  # N = 33 at nbar 1
+    ],
+)
+def test_refusal_points_of_the_plan(mode, accepted, refused):
+    assert cli.work_bytes(*accepted, mode) <= cli.MAX_WORK_BYTES
+    assert cli.work_bytes(*refused, mode) > cli.MAX_WORK_BYTES
+
+
+@pytest.mark.parametrize(
+    "accepted, refused",
+    [
+        ({"nbar": 19.2, "mode": "joint"}, {"nbar": 19.3, "mode": "joint"}),
+        ({"nbar": 144.5, "mode": "validate"}, {"nbar": 144.6, "mode": "validate"}),
+        ({"nbar": 1.0, "steps": 1_196_032}, {"nbar": 1.0, "steps": 1_196_033}),
+    ],
+    ids=["joint", "validate", "reduced"],
+)
+def test_configs_at_the_refusal_points_are_checked_without_allocating(
+    accepted, refused, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated while checking the config")
+
+    monkeypatch.setattr(ThermalFieldSpec, "probabilities", refuse)
+    load_config(None, accepted)
+    with pytest.raises(ConfigError, match="GiB limit"):
+        load_config(None, refused)
+
+
+def test_cli_leaves_the_memory_plans_to_their_modules():
+    # each stage's chunk rule and bytes per entry live beside its allocation
+    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+    forbidden = {
+        "CHUNK_BUDGET", "NODE_CHUNK_ENTRIES", "chunk_length", "node_chunk_length",
+        "exact_node_count",
+    }
+    assert not named & forbidden
 
 
 def test_rendered_values_round_trip_at_full_precision():
@@ -479,6 +524,22 @@ def test_unwritable_output_is_an_output_error(tmp_path):
     cfg = small_config(steps=2, output_path=str(blocker / "x.csv"))
     with pytest.raises(OutputError):
         run_timeseries(cfg)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_output_files_get_the_mode_of_a_plain_open(umask, tmp_path):
+    out = tmp_path / "series.csv"
+    config = tmp_path / "job.cfg"
+    config.write_text(f"nbar = 0.25\nsteps = 2\noutput_path = {tmp_path / 'job.csv'}\n")
+    summary = tmp_path / "summary.json"
+    previous = os.umask(umask)
+    try:
+        assert main(["run", "--nbar", "0.25", "--steps", "2", "--output", str(out)]) == 0
+        assert main(["sweep", str(config), "--summary", str(summary)]) == 0
+    finally:
+        os.umask(previous)
+    for path in (out, tmp_path / "job.csv", summary):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
 
 
 def test_repeated_renders_are_bitwise_identical():

@@ -329,3 +329,18 @@ def test_oracle_keeps_nothing_between_calls():
         tracemalloc.stop()
     # one table at this size is about 7 kB; 50 retained tables would be 350 kB
     assert grown < 4096
+
+
+def test_plan_counts_the_block_table_and_the_evolved_amplitudes():
+    # N + 3 blocks of 4 x 4 and a (T, N + 1, 4) amplitude stack, at N = 99
+    plan = oracle.ENTRY_BYTES * (16 * 102 + 4 * 7 * 100)
+    assert oracle.oracle_reduced_density_bytes(99, 7) == plan
+
+
+@pytest.mark.parametrize("nbar, times", [(1.0, 7), (20.0, 3), (100.0, 7)])
+def test_plan_covers_the_measured_peak(nbar, times, traced_peak):
+    spec = ThermalFieldSpec(nbar)
+    probes = np.linspace(0.0, 25.0, times)
+    mix, pair = AtomicMixtureSpec(0.9, 0.4), CouplingPair.from_gamma(0.3)
+    peak = traced_peak(lambda: oracle_reduced_density(spec, mix, pair, probes))
+    assert peak <= oracle.oracle_reduced_density_bytes(spec.truncation, times)

@@ -493,3 +493,59 @@ def test_trace_first_returns_a_bare_matrix_for_other_partners():
     assert rho.shape == (2, 2, 2)
     expected = np.diag([0.25, 0.75]) * spec.retained_mass()
     assert np.abs(rho - expected).max() < 1e-15
+
+
+def test_plans_follow_the_grid_and_the_chunk_rule(monkeypatch):
+    n, dim = 99, 4 * 102
+    stack, chunk, field = (
+        phase_engine.STACK_ENTRY_BYTES,
+        phase_engine.CHUNK_ENTRY_BYTES,
+        phase_engine.FIELD_ENTRY_BYTES,
+    )
+    assert phase_engine.evolve_mixed_bytes(n, dim, 3) == stack * 3 * 100 * dim
+    assert phase_engine.evolve_mixed_bytes(n, dim, 2, 2000) == stack * 2 * 2000 * dim
+    assert phase_engine.reconstruct_field_density_bytes(n) == field * 100 * 200
+    assert phase_engine.reconstruct_field_density_bytes(n, 3) == field * 100 * 103
+    # the whole default grid fits one chunk
+    assert phase_engine.mixed_reduced_density_bytes(n, dim) == chunk * 100 * dim
+    assert phase_engine.mixed_reduced_density_bytes(n, dim, 3) == chunk * 3 * dim
+    monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", 5 * dim + 1)
+    assert phase_engine.mixed_reduced_density_bytes(n, dim) == chunk * 5 * dim
+
+
+PLAN_PAIR = CouplingPair.from_gamma(0.3)
+PLAN_MIX = [(w, label) for label, w in AtomicMixtureSpec(0.9, 0.4).weights().items()]
+
+
+@pytest.mark.parametrize("nbar, nodes", [(1.0, None), (5.0, None), (0.5, 500)])
+def test_evolve_mixed_plan_covers_the_measured_peak(nbar, nodes, traced_peak):
+    # the plan leaves out the (P F)^2 matrix the call returns
+    spec = ThermalFieldSpec(nbar)
+    width = 4 * (spec.truncation + 3)
+    peak = traced_peak(
+        lambda: evolve_mixed(phase_propagator(PLAN_PAIR), spec, PLAN_MIX, 25.0, nodes)
+    )
+    plan = phase_engine.evolve_mixed_bytes(spec.truncation, width, 3, nodes)
+    assert peak - 16 * width * width <= plan
+
+
+@pytest.mark.parametrize("nbar, chunk", [(0.5, None), (5.0, None), (5.0, 20)])
+def test_mixed_reduced_density_plan_covers_the_measured_peak(
+    nbar, chunk, traced_peak, monkeypatch
+):
+    spec = ThermalFieldSpec(nbar)
+    width = 4 * (spec.truncation + 3)
+    if chunk is not None:
+        monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", chunk * width)
+    times = np.linspace(0.0, 25.0, 7)
+    peak = traced_peak(
+        lambda: mixed_reduced_density(phase_propagator(PLAN_PAIR), spec, PLAN_MIX, times)
+    )
+    assert peak <= phase_engine.mixed_reduced_density_bytes(spec.truncation, width)
+
+
+@pytest.mark.parametrize("nbar, nodes", [(0.5, None), (20.0, None), (0.5, 5000)])
+def test_reconstruct_field_density_plan_covers_the_measured_peak(nbar, nodes, traced_peak):
+    spec = ThermalFieldSpec(nbar)
+    peak = traced_peak(lambda: reconstruct_field_density(spec, nodes))
+    assert peak <= phase_engine.reconstruct_field_density_bytes(spec.truncation, nodes)

@@ -203,3 +203,24 @@ def test_repeated_calls_retain_no_memory():
     finally:
         tracemalloc.stop()
     assert retained < 4096
+
+
+def test_plan_is_one_chunk_of_amplitude_rows():
+    # 8192 // 100 = 81 times per chunk at N = 99
+    assert reduction.reduced_density_bytes(99, 10) == reduction.CHUNK_ENTRY_BYTES * 10 * 100
+    assert reduction.reduced_density_bytes(99, 1000) == reduction.CHUNK_ENTRY_BYTES * 81 * 100
+
+
+@pytest.mark.parametrize(
+    "nbar, steps", [(1.0, 1001), (20.0, 201), (100.0, 3), (1000.0, 3)],
+    ids=["1.0-1001steps", "20.0-201steps", "100.0", "1000.0"],
+)
+def test_plan_covers_the_measured_peak(nbar, steps, traced_peak):
+    # full chunks at nbar 1 and 20, three times per chunk at nbar 100, and
+    # one time per chunk at nbar 1000, where the per-level coefficients of
+    # all three start labels bound
+    spec = ThermalFieldSpec(nbar)
+    times = np.linspace(0.0, 25.0, steps)
+    mix, pair = AtomicMixtureSpec(0.9, 0.4), CouplingPair.from_gamma(0.3)
+    peak = traced_peak(lambda: reduced_density(spec, mix, pair, times))
+    assert peak <= reduction.reduced_density_bytes(spec.truncation, steps)
