@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -227,6 +227,14 @@ def _check_start(label: str, n_max: int) -> None:
         raise ValueError(f"photon cutoff must be a nonnegative integer, got {n_max}")
 
 
+def _time_array(times) -> np.ndarray:
+    """The times of one solver call as a float array, refusing all but 1-D."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"a solver takes a 1-D array of times, got shape {times.shape}")
+    return times
+
+
 def _written_table(fill, trig, n_max: int, t) -> np.ndarray:
     """One label's complex amplitude table at ``t``, written by ``fill``."""
     out = np.zeros((4,) + np.shape(t) + (n_max + 1,), dtype=complex)
@@ -287,31 +295,37 @@ def _joint_vectors(coefficients: np.ndarray, table: np.ndarray, shifts) -> np.nd
     return out
 
 
-def phase_propagator(couplings: CouplingPair) -> Callable[[np.ndarray, str, float], np.ndarray]:
+def phase_propagator(
+    couplings: CouplingPair,
+) -> Callable[[np.ndarray, str, np.ndarray], Iterator[np.ndarray]]:
     """Bind the couplings, yielding a solver the mixture engine can drive.
 
-    The returned callable maps (field coefficients, atomic label, t) to
-    joint amplitudes: an (M, N+1) stack of coefficient rows gives an
-    (M, 4, N+3) stack over (arrival, Fock level), one amplitude table
-    placed for all of them by :func:`_joint_vectors`.  The block spectrum,
+    The returned callable maps (field coefficients, atomic label, times) to
+    joint amplitudes, one stack per time: an (M, N+1) stack of coefficient
+    rows and a 1-D array of T times give an iterator over T (M, 4, N+3)
+    stacks over (arrival, Fock level), in time order.  The block spectrum,
     its frequencies and the row writers of all three start labels are
     bound on the first call and kept in the closure until a call brings a
-    different truncation, so a call evaluates only the block cos/sin at
-    ``t`` and one label's rows, which equal :func:`amplitude_table`'s
-    bit for bit.
+    different truncation.  A call evaluates the block cos/sin and one
+    label's (4, T, N+1) amplitude table for all its times at once, rows
+    equal to :func:`amplitude_table`'s bit for bit, and builds each time's
+    joint stack with :func:`_joint_vectors` only when the iterator reaches
+    it.
     """
     bound = None
     held = -1  # no truncation is bound yet
 
-    def solver(coefficients: np.ndarray, label: str, t: float) -> np.ndarray:
+    def solver(coefficients: np.ndarray, label: str, times: np.ndarray) -> Iterator[np.ndarray]:
         nonlocal bound, held
         n_max = np.shape(coefficients)[-1] - 1
         _check_start(label, n_max)
+        times = _time_array(times)
         if n_max != held:
             trig, fills = _amplitude_rows(tuple(_BLOCK_SHIFT), n_max, couplings)
             bound, held = (trig, dict(zip(_BLOCK_SHIFT, fills))), n_max
         trig, fills = bound
-        table = _written_table(fills[label], trig, n_max, t)
-        return _joint_vectors(coefficients, table, _ARRIVAL_SHIFTS[label])
+        table = _written_table(fills[label], trig, n_max, times)
+        shifts = _ARRIVAL_SHIFTS[label]
+        return (_joint_vectors(coefficients, table[:, k], shifts) for k in range(len(times)))
 
     return solver

@@ -4,11 +4,13 @@ This module rebuilds the physics of :mod:`thermalqubits.closed_form` from
 the other end: write down each conserved-excitation block of the resonant
 interaction Hamiltonian, diagonalize it numerically, and exponentiate.  It
 deliberately shares no formulas with the closed-form path, and it does not
-call LAPACK either; the blocks are at most 4x4 and a plain cyclic Jacobi
-sweep keeps the whole chain inspectable.  Agreement between the two routes
-is then evidence rather than tautology.  The only code the two share is
-plumbing: both solvers place their own arrival amplitudes into joint
-amplitude stacks through one helper, each with its own photon shifts.
+call LAPACK either; the blocks are at most 4x4 and a cyclic Jacobi sweep,
+its plane rotations applied in round-robin rounds of disjoint pairs, keeps
+the whole chain inspectable.  Agreement between the two routes is then
+evidence rather than tautology.  The only code the two share is plumbing:
+both solvers read their times through one check and place their own
+arrival amplitudes into joint amplitude stacks through one helper, each
+with its own photon shifts.
 
 Blocks are labelled by the total excitation count E (atomic excitations
 plus photons).  E = 0 is the single state |gg, 0>, E = 1 couples
@@ -36,11 +38,11 @@ several measurements makes it once and passes it on
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .closed_form import CouplingPair, _joint_vectors
+from .closed_form import CouplingPair, _joint_vectors, _time_array
 from .fock_thermal import ThermalFieldSpec
 from .reduction import AtomicMixtureSpec, TwoQubitDensity
 
@@ -99,41 +101,48 @@ def jacobi_eigh(matrix: np.ndarray):
     matrix = v @ diag(w) @ v.T for every block.  A block whose largest
     asymmetry exceeds 1e-13 times its largest entry is refused, whatever
     the units of its entries.  Each sweep zeroes every off-diagonal pair
-    (p, q) once with a plane rotation that touches rows and columns p and
-    q only.  A block stops rotating once its off-diagonal norm drops below
-    1e-14 times its largest entry, a rule that does not depend on the
-    units of the entries either (blocks with entries far below 1 still
-    rotate to full relative accuracy), and a zero block never rotates.
-    Every block of a stack goes through exactly the rotations it
-    would go through alone, so the result is bitwise the same.  Quadratic
-    convergence makes 60 sweeps a formality for the 4x4 blocks this module
-    produces.
+    (p, q) once, in the round-robin rounds of :func:`_rounds`: the pairs of
+    a round share no index, so their plane rotations commute and a round
+    applies all of them at once, one pass over the columns and one over
+    the rows.  A block stops rotating once its off-diagonal norm, checked
+    once per sweep, drops below 1e-14 times its largest entry, a rule that
+    does not depend on the units of the entries either (blocks with entries
+    far below 1 still rotate to full relative accuracy), and a zero block
+    never rotates.  Every block of a stack goes through exactly the
+    rotations it would go through alone, so the result is bitwise the same.
+    Quadratic convergence makes 60 sweeps a formality for the 4x4 blocks
+    this module produces.
     """
-    a = np.array(matrix, dtype=float, copy=True)
+    a = np.asarray(matrix, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"need a square matrix or a stack of them, got shape {a.shape}")
     magnitude = np.abs(a).max(axis=(-2, -1), initial=0.0)
     asymmetry = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
     if np.any(asymmetry > 1e-13 * magnitude):
         raise ValueError("matrix is not symmetric")
-    size = a.shape[-1]
-    v = np.broadcast_to(np.eye(size), a.shape).copy()
-    threshold = 1e-14 * magnitude
-    pairs = [(p, q) for p in range(size - 1) for q in range(p + 1, size)]
+    size, stack = a.shape[-1], a.shape[:-2]
+    # blocks along the last axis, so each operation below is one pass over
+    # the whole stack
+    a = np.moveaxis(a.reshape((int(np.prod(stack)), size, size)), 0, -1).copy()
+    v = np.broadcast_to(np.eye(size)[..., None], a.shape).copy()
+    upper = np.triu_indices(size, 1)
+    threshold = 1e-14 * magnitude.reshape(-1)
+    rounds = _rounds(size)
     for _ in range(60):
-        off = np.zeros(a.shape[:-2])
-        for p, q in pairs:
-            off = off + a[..., p, q] ** 2
+        off = np.zeros(a.shape[-1])
+        for p, q in zip(*upper):
+            off = off + a[p, q] ** 2
         rotating = np.sqrt(off) > threshold
         if not rotating.any():
             break
-        for p, q in pairs:
-            active = rotating & (a[..., p, q] != 0.0)
+        for indices in rounds:
+            active = rotating & (a[indices[0], indices[1]] != 0.0)
             if active.any():
-                _rotate(a, v, p, q, active)
+                _rotate(a, v, indices, active, upper)
     else:
         raise RuntimeError("Jacobi sweep did not converge")
-    w = np.diagonal(a, axis1=-2, axis2=-1)
+    w = np.diagonal(a, axis1=0, axis2=1).reshape(stack + (size,))
+    v = np.moveaxis(v, -1, 0).reshape(stack + (size, size))
     order = np.argsort(w, axis=-1, kind="stable")
     return (
         np.take_along_axis(w, order, axis=-1),
@@ -141,34 +150,78 @@ def jacobi_eigh(matrix: np.ndarray):
     )
 
 
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int, active: np.ndarray) -> None:
-    """Zero a[p, q] of every active block by one plane rotation, in place.
+def _rounds(size: int) -> list[tuple[np.ndarray, ...]]:
+    """Every pair p < q of ``size`` indices, in rounds of disjoint pairs.
 
-    a <- g.T a g and v <- v g, with g holding cos at (p, p) and (q, q), sin
-    at (p, q) and -sin at (q, p).  The diagonal moves by -+ tan a[p, q] and
-    the other entries of rows and columns p and q rotate in the
-    tau = sin / (1 + cos) form, which keeps rounding small.  Inactive blocks
-    get tan = 0 and are left exactly as they were.
+    The round-robin (circle) schedule: index 0 stays put while the others
+    turn one place per round, and each round pairs the line's ends inwards.
+    An odd size gets a phantom index, and whichever index the phantom meets
+    sits the round out.  That makes size - 1 rounds for an even size and
+    size rounds for an odd one.  Each round is the index arrays (p, q, p q,
+    q p) that :func:`_rotate` reads: its pairs' p and q, and both joined in
+    the two orders.
     """
-    apq = a[..., p, q]
-    theta = (a[..., q, q] - a[..., p, p]) / (2.0 * np.where(active, apq, 1.0))
+    ring = list(range(1, size + size % 2))
+    rounds = []
+    for _ in ring:
+        line = [0] + ring
+        pairs = sorted(
+            (min(x, y), max(x, y))
+            for x, y in zip(line[: len(line) // 2], line[::-1])
+            if size not in (x, y)
+        )
+        if pairs:
+            p, q = (np.array(side) for side in zip(*pairs))
+            rounds.append((p, q, np.concatenate([p, q]), np.concatenate([q, p])))
+        ring = ring[1:] + ring[:1]
+    return rounds
+
+
+def _rotate(a: np.ndarray, v: np.ndarray, indices, active: np.ndarray, upper) -> None:
+    """Zero a[p, q] of every active block for one round of disjoint pairs,
+    in place.
+
+    ``a`` and its eigenvectors ``v`` are (s, s, K) for K blocks;
+    ``indices`` is one round of :func:`_rounds`, ``active`` its
+    (pairs, K) mask and ``upper`` the strict upper triangle's indices.
+    a <- g.T a g and v <- v g, with g the product of the round's plane
+    rotations, each holding cos at (p, p) and (q, q), sin at (p, q) and
+    -sin at (q, p).  Each pair's diagonal moves by -+ tan a[p, q] and its
+    pivot becomes an exact zero; every other entry of its rows and columns
+    rotates in the tau = sin / (1 + cos) form, which keeps rounding small,
+    columns first and then rows, and the upper triangle is then mirrored
+    into the lower so a stays exactly symmetric.  The q half of a rotation
+    is the p half with p and q swapped and tan negated, which rounds
+    exactly as the q formula does, so each pass is one expression over both
+    halves.  Inactive pairs get tan = 0 and are left exactly as they were.
+    """
+    p, q, pq, qp = indices
+    apq, diagonal = a[p, q], a[pq, pq]  # the diagonal's p entries, then its q entries
+    theta = (diagonal[len(p) :] - diagonal[: len(p)]) / (2.0 * np.where(active, apq, 1.0))
     root = np.sqrt(theta * theta + 1.0)
     sign = np.where(theta >= 0.0, 1.0, -1.0)
     tan = np.where(active, sign / (np.abs(theta) + root), 0.0)
+    tan = np.concatenate([tan, -tan])  # the p halves, then the q halves
     cos = 1.0 / np.sqrt(tan * tan + 1.0)
-    sin = (tan * cos)[..., None]
-    tau = (sin[..., 0] / (1.0 + cos))[..., None]
-    shift = tan * apq
-    rest = [r for r in range(a.shape[-1]) if r not in (p, q)]
-    rp, rq = a[..., rest, p], a[..., rest, q]
-    a[..., rest, p] = a[..., p, rest] = rp - sin * (rq + tau * rp)
-    a[..., rest, q] = a[..., q, rest] = rq + sin * (rp - tau * rq)
-    a[..., p, p] -= shift
-    a[..., q, q] += shift
-    a[..., p, q] = a[..., q, p] = np.where(active, 0.0, apq)
-    vp, vq = v[..., :, p].copy(), v[..., :, q].copy()
-    v[..., :, p] = vp - sin * (vq + tau * vp)
-    v[..., :, q] = vq + sin * (vp - tau * vq)
+    sin = tan * cos
+    tau = sin / (1.0 + cos)
+    pivot = np.where(active, 0.0, apq)
+    shifted = diagonal - tan * np.concatenate([apq, apq])
+    for m in (a, v):  # columns: m <- m g
+        m[:, pq] = _turned(m[:, pq], m[:, qp], sin, tau)
+    a[pq] = _turned(a[pq], a[qp], sin[:, None], tau[:, None])  # rows: a <- g.T a
+    a[upper[1], upper[0]] = a[upper]
+    a[pq, pq] = shifted
+    a[pq, qp] = np.concatenate([pivot, pivot])
+
+
+def _turned(x: np.ndarray, y: np.ndarray, sin: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """x - sin (y + tau x), the tau-form turn of the gathered lines x towards
+    their partners y, evaluated in place in the two gathered copies."""
+    y += tau * x
+    y *= sin
+    x -= y
+    return x
 
 
 def _start_amplitudes(w, v, label: str, n_max: int, t) -> np.ndarray:
@@ -189,29 +242,32 @@ def _start_amplitudes(w, v, label: str, n_max: int, t) -> np.ndarray:
 
 def numeric_propagator(
     couplings: CouplingPair,
-) -> Callable[[np.ndarray, str, float], np.ndarray]:
+) -> Callable[[np.ndarray, str, np.ndarray], Iterator[np.ndarray]]:
     """Bind the couplings, yielding the diagonalized counterpart of the
     closed-form solver for the mixture engine.
 
     Like :func:`thermalqubits.closed_form.phase_propagator`, it maps an
-    (M, N+1) stack of coefficient rows to an (M, 4, N+3) stack, evolving
-    each block once for all rows and placing the amplitudes with
-    ``_joint_vectors`` at this route's own photon shifts.  It also accepts
-    a "ge" start, which the closed-form tables refuse.  The blocks are
-    diagonalized on the first call and kept in the closure; a later call
-    with more photon levels diagonalizes the larger table, and one with
-    fewer reuses the held one.
+    (M, N+1) stack of coefficient rows and a 1-D array of T times to an
+    iterator over T (M, 4, N+3) stacks, in time order.  A call evolves
+    each block once for all its rows and times and places one time's
+    amplitudes at a time with ``_joint_vectors``, at this route's own
+    photon shifts.  It also accepts a "ge" start, which the closed-form
+    tables refuse.  The blocks are diagonalized on the first call and kept
+    in the closure; a later call with more photon levels diagonalizes the
+    larger table, and one with fewer reuses the held one.
     """
     eigen = None
     held = -1
 
-    def solver(coefficients: np.ndarray, label: str, t: float) -> np.ndarray:
+    def solver(coefficients: np.ndarray, label: str, times: np.ndarray) -> Iterator[np.ndarray]:
         nonlocal eigen, held
         n_max = np.shape(coefficients)[-1] - 1
+        times = _time_array(times)
         if eigen is None or n_max > held:
             eigen, held = jacobi_eigh(block_table(couplings, n_max)), n_max
-        amps = _start_amplitudes(*eigen, label, n_max, t)
-        return _joint_vectors(coefficients, amps.T, _EXCITATION[label] - 2 + _PHOTON)
+        amps = _start_amplitudes(*eigen, label, n_max, times)
+        shifts = _EXCITATION[label] - 2 + _PHOTON
+        return (_joint_vectors(coefficients, table.T, shifts) for table in amps)
 
     return solver
 

@@ -20,19 +20,23 @@ dimension P and the Fock dimension F off the solver's output and returns
 plain arrays; a caller that knows its partner wraps them itself, for two
 qubits in :class:`thermalqubits.reduction.TwoQubitDensity`.
 
-Two averages share one node loop.  :func:`evolve_mixed` keeps the whole
-joint density at one time, a (P F)^2 matrix.  When only the partner state
-is wanted, :func:`mixed_reduced_density` traces out the field from each
-evolved chunk of nodes before it is averaged, takes a whole array of
-times, and holds one chunk of evolved vectors at a time, never the joint
-matrix.
+Two averages share one node loop, which makes one solver call per node
+chunk and start label: a solver takes a 1-D array of times and yields one
+evolved stack per time, so its fixed work is done once for all of them.
+:func:`evolve_mixed` keeps the whole joint density at one time, a
+(P F)^2 matrix, and passes that time as a one-entry array.  When only the
+partner state is wanted, :func:`mixed_reduced_density` traces out the
+field from each evolved stack as it arrives, before the average, takes a
+whole array of times, and holds one chunk's stack of evolved vectors at a
+time, never the joint matrix.  Its chunks are sized by the width P F the
+solver returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Protocol
+from typing import Iterable, Iterator, Protocol
 
 import numpy as np
 
@@ -54,15 +58,24 @@ __all__ = [
 
 
 # Joint-vector entries that :func:`mixed_reduced_density` evolves per
-# solver call, counted as 4 (N + 3) per node, the two-qubit solvers' width.
-# It bounds the working set of one node chunk; the chunk length follows
-# from the truncation and never changes the result beyond rounding.
+# solver call.  It bounds the working set of one node chunk; the chunk
+# length follows from the solver's width and never changes the result
+# beyond rounding.
 NODE_CHUNK_ENTRIES = 2**20
 
 
-def node_chunk_length(truncation: int) -> int:
-    """Phase-grid nodes per solver call of :func:`mixed_reduced_density`."""
-    return max(1, NODE_CHUNK_ENTRIES // (4 * (truncation + 3)))
+def node_chunk_length(width: int) -> int:
+    """Phase-grid nodes per solver call of :func:`mixed_reduced_density`,
+    for a solver of ``width`` (P F) entries per node."""
+    return max(1, NODE_CHUNK_ENTRIES // width)
+
+
+def _first_chunk_length(truncation: int) -> int:
+    """Nodes of the first chunk, sized before the solver has shown its
+    width: for 4 (N + 3) entries per node, the width of the package's
+    two-qubit solvers.  Every later chunk follows the width the solver
+    returned."""
+    return node_chunk_length(4 * (truncation + 3))
 
 
 # Memory plans.  Each counts the arrays of one call from the solver's entries
@@ -70,26 +83,33 @@ def node_chunk_length(truncation: int) -> int:
 # is given, at a traced peak per entry rounded up; the fixed cost of a call,
 # up to about 8 kB, is the caller's to add.  evolve_mixed holds its
 # whole-grid stack, the weighted transpose and the conjugate (48.1-48.6 B
-# per evolved entry at 1,000-20,000 nodes); mixed_reduced_density one node
-# chunk (40-61 B per evolved entry at nbar 0.5-100); and
-# reconstruct_field_density the phase-state rows, conjugated in place, and
-# their average (24-39 B per entry at nbar 0.5-50 and up to 5,000 nodes).
+# per evolved entry at 1,000-20,000 nodes) and returns the (P F)^2 complex
+# matrix (16 B per entry); mixed_reduced_density one node chunk (41-71 B
+# per evolved entry at nbar 0.5-100 and 7 times, the solver's tables for
+# all the times of a call included, which grow with the number of times);
+# and reconstruct_field_density the phase-state rows, conjugated in place,
+# and their average (24-39 B per entry at nbar 0.5-50 and up to 5,000
+# nodes).
 STACK_ENTRY_BYTES = 56
+MATRIX_ENTRY_BYTES = 16
 CHUNK_ENTRY_BYTES = 72
 FIELD_ENTRY_BYTES = 48
 
 
 def evolve_mixed_bytes(truncation: int, width: int, starts: int, count: int | None = None) -> int:
     """Planned peak of :func:`evolve_mixed` for ``starts`` start labels,
-    besides the (width x width) matrix it returns."""
+    the (width x width) matrix it returns included."""
     count = exact_node_count(truncation) if count is None else count
-    return STACK_ENTRY_BYTES * starts * count * width
+    return STACK_ENTRY_BYTES * starts * count * width + MATRIX_ENTRY_BYTES * width * width
 
 
 def mixed_reduced_density_bytes(truncation: int, width: int, count: int | None = None) -> int:
-    """Planned peak of :func:`mixed_reduced_density`: one node chunk."""
+    """Planned peak of :func:`mixed_reduced_density`: its largest node
+    chunk, the first one or one sized for ``width``."""
     count = exact_node_count(truncation) if count is None else count
-    return CHUNK_ENTRY_BYTES * min(count, node_chunk_length(truncation)) * width
+    first = min(count, _first_chunk_length(truncation))
+    later = min(count - first, node_chunk_length(width))
+    return CHUNK_ENTRY_BYTES * max(first, later) * width
 
 
 def reconstruct_field_density_bytes(truncation: int, count: int | None = None) -> int:
@@ -103,18 +123,24 @@ class PureStatePropagator(Protocol):
     """Evolves a stack of phase states against one partner basis state.
 
     Takes an (M, N+1) stack of field coefficients, row k holding C_0 .. C_N
-    of one phase state, the partner's starting basis label and the time;
-    returns the (M, P, F) stack of amplitudes over P partner basis states
-    and the F Fock levels the solver needs, entry k evolved from row k.  A
-    1-D row is the M = 1 case and gives one (P, F) array.  Each row must
-    preserve its squared norm to 1e-12 and reduce to the plain embedding at
-    t = 0.  :func:`thermalqubits.closed_form.phase_propagator` builds one
-    from a coupling pair, with P = 4 and F = N+3;
-    :func:`thermalqubits.oracle.numeric_propagator` builds the independently
-    diagonalized counterpart.
+    of one phase state, the partner's starting basis label and a 1-D array
+    of T times; returns an iterator over T (M, P, F) stacks of amplitudes,
+    one per time in the order given, over P partner basis states and the F
+    Fock levels the solver needs, entry k evolved from row k.  A 1-D row is
+    the M = 1 case and gives (P, F) arrays.  A solver does its per-call
+    work once for all T times and builds each time's stack only when it is
+    asked for, so a caller that reduces each stack on arrival holds one at
+    a time.  Each row must preserve its squared norm to 1e-12 and reduce to
+    the plain embedding at t = 0.
+    :func:`thermalqubits.closed_form.phase_propagator` builds one from a
+    coupling pair, with P = 4 and F = N+3;
+    :func:`thermalqubits.oracle.numeric_propagator` builds the
+    independently diagonalized counterpart.
     """
 
-    def __call__(self, coefficients: np.ndarray, label: str, t: float) -> np.ndarray: ...
+    def __call__(
+        self, coefficients: np.ndarray, label: str, times: np.ndarray
+    ) -> Iterator[np.ndarray]: ...
 
 
 def exact_node_count(truncation: int) -> int:
@@ -199,32 +225,41 @@ def _evolved_nodes(
     solver: PureStatePropagator,
     spec: ThermalFieldSpec,
     pairs: list[tuple[float, str]],
-    times: list[float],
+    times: np.ndarray,
     count: int,
     chunk: int,
 ):
-    """Evolve the grid's phase states, ``chunk`` nodes at a time.
+    """Evolve the grid's phase states, one node chunk at a time.
 
     ``pairs`` are the checked starts of :func:`_weighted_starts`.  Yields
     (time index, weights, evolved stack) for every node chunk, start label
-    and time, in that nesting order.  The phase-state rows of a chunk are
-    built once and go to the solver as one stack; ``weights`` are the
-    chunk's node weights times the label weight, one per entry of the
-    (K, P, F) evolved stack.
+    and time, in that nesting order, from one solver call per chunk and
+    label.  The phase-state rows of a chunk are built once and go to the
+    solver as one stack; ``weights`` are the chunk's node weights times the
+    label weight, one per entry of the (K, P, F) evolved stack.  The first
+    chunk has ``chunk`` nodes and each later one about NODE_CHUNK_ENTRIES
+    entries at the width P F of the solver's last stack.
     """
     phis, node_weights = quadrature_nodes(count)
-    for first in range(0, count, chunk):
+    first = 0
+    while first < count:
         rows = phase_state_rows(spec, phis[first : first + chunk])
         weights = node_weights[first : first + chunk]
         for w_label, label in pairs:
-            for k, t in enumerate(times):
-                out = np.asarray(solver(rows, label, t), dtype=complex)
-                if out.ndim != 3 or len(out) != len(rows):
+            k = -1
+            for k, out in enumerate(solver(rows, label, times)):
+                out = np.asarray(out, dtype=complex)
+                if out.ndim != 3 or len(out) != len(rows) or k >= len(times):
                     raise ValueError(
-                        f"solver output shape {out.shape} is not a (P, F) amplitude "
-                        f"stack with one entry per node, {len(rows)} in all"
+                        f"solver output {k} of shape {out.shape} is not a (P, F) amplitude "
+                        f"stack with one entry per node, {len(rows)} in all, for one of "
+                        f"{len(times)} times"
                     )
                 yield k, w_label * weights, out
+            if k + 1 != len(times):
+                raise ValueError(f"solver gave {k + 1} stacks for {len(times)} times")
+        first += len(rows)
+        chunk = node_chunk_length(out[0].size)
 
 
 def evolve_mixed(
@@ -238,21 +273,22 @@ def evolve_mixed(
 
     ``partner_mixture`` lists (weight, starting label) pairs with weights
     summing to one.  The phase states of all grid nodes go to the solver as
-    one (M, N+1) stack, so each start with nonzero weight costs one solver
-    call, and the projectors are averaged in one product with fixed
-    summation order, so repeated runs agree bitwise.  Any grid of more than
-    N nodes makes the average exact rather than approximate; the default
-    is :func:`exact_node_count`.  The partner dimension P and the Fock
-    dimension F are the solver's.  For the partner state alone,
-    :func:`mixed_reduced_density` traces out the field before averaging and
-    never builds this matrix.
+    one (M, N+1) stack with the one-time array [t], so each start with
+    nonzero weight costs one solver call, and the projectors are averaged
+    in one product with fixed summation order, so repeated runs agree
+    bitwise.  Any grid of more than N nodes makes the average exact rather
+    than approximate; the default is :func:`exact_node_count`.  The partner
+    dimension P and the Fock dimension F are the solver's.  For the partner
+    state alone, :func:`mixed_reduced_density` traces out the field before
+    averaging and never builds this matrix.
     """
     if count is None:
         count = exact_node_count(spec.truncation)
     pairs = _weighted_starts(partner_mixture)
     # one whole-grid stack per start label, copied into place as it arrives
+    times = np.array([t], dtype=float)
     for j, (_, w_nodes, out) in enumerate(
-        _evolved_nodes(solver, spec, pairs, [t], count, count)
+        _evolved_nodes(solver, spec, pairs, times, count, count)
     ):
         if j == 0:  # the solver's output fixes P and F
             v = np.empty((len(pairs), count) + out.shape[1:], dtype=complex)
@@ -279,11 +315,12 @@ def mixed_reduced_density(
     node's P x P trace Tr_F |v_k><v_k| in one batched (K, P, F) @ (K, F, P)
     product, scales it by its weight w_k and sums the K traces pairwise, so
     no joint matrix is ever formed.  Nodes go to the solver in chunks of
-    about NODE_CHUNK_ENTRIES joint-vector entries, one call per chunk, start
-    label and time, and the chunk sums are added with one rounding per
-    entry, so the chunk length moves the result by rounding inside a chunk
-    only.  The average stays explicit and weighted, so a grid of N nodes or
-    fewer shows its error here as it does in the joint density.
+    about NODE_CHUNK_ENTRIES joint-vector entries, one call per chunk and
+    start label for all the times, and the chunk sums are added with one
+    rounding per entry, so the chunk length moves the result by rounding
+    inside a chunk only.  The average stays explicit and weighted, so a
+    grid of N nodes or fewer shows its error here as it does in the joint
+    density.
 
     A scalar time gives one (P, P) density, a 1-D array of T times a
     (T, P, P) stack.
@@ -294,9 +331,9 @@ def mixed_reduced_density(
     if count is None:
         count = exact_node_count(spec.truncation)
     pairs = _weighted_starts(partner_mixture)
-    chunk = node_chunk_length(spec.truncation)
-    flat = np.atleast_1d(times).tolist()
+    flat = np.atleast_1d(times)
     terms: list[list[np.ndarray]] = [[] for _ in flat]
+    chunk = _first_chunk_length(spec.truncation)
     for k, weights, v in _evolved_nodes(solver, spec, pairs, flat, count, chunk):
         per_node = np.matmul(v, v.conj().transpose(0, 2, 1)) * weights[:, None, None]
         # nodes along the contiguous axis, so numpy sums them pairwise
@@ -310,8 +347,10 @@ def _exact_sum(stack: np.ndarray) -> np.ndarray:
     """Sum of a (C, ...) complex stack over its first axis, each entry
     rounded once, so the order in which the chunks arrive does not matter."""
     columns = stack.reshape(len(stack), -1).T
-    sums = [complex(math.fsum(c.real), math.fsum(c.imag)) for c in columns]
-    return np.array(sums).reshape(stack.shape[1:])
+    sums = np.empty(len(columns), dtype=complex)
+    sums.real = list(map(math.fsum, columns.real.tolist()))
+    sums.imag = list(map(math.fsum, columns.imag.tolist()))
+    return sums.reshape(stack.shape[1:])
 
 
 def partial_trace_field(rho: JointDensity) -> np.ndarray:

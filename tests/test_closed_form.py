@@ -29,6 +29,12 @@ def amplitudes(label, n, t, pair):
     return amplitude_table(label, n, t, pair)[:, n]
 
 
+def at(solver, coefficients, label, t):
+    """The solver's one stack for the one-time array [t]."""
+    (out,) = solver(coefficients, label, np.array([t]))
+    return out
+
+
 def test_gamma_parametrization_endpoints():
     decoupled = CouplingPair.from_gamma(1.0)
     assert (decoupled.lambda1, decoupled.lambda2) == (2.0, 0.0)
@@ -195,7 +201,7 @@ def test_amplitudes_match_the_diagonalized_blocks():
         solver = numeric_propagator(pair)
         for label, excitation in (("ee", 2), ("eg", 1), ("gg", 0)):
             for t in (0.5, 2.0, 7.3):
-                evolved = solver(np.eye(n_max + 1), label, t)
+                evolved = at(solver, np.eye(n_max + 1), label, t)
                 table = amplitude_table(label, n_max, t, pair)
                 expected = np.zeros_like(evolved)
                 for q, offset in enumerate((0, 1, 1, 2)):
@@ -241,7 +247,7 @@ def test_bad_photon_numbers_are_refused(n):
 
 def test_joint_layout_places_arrivals_at_shifted_photon_numbers():
     coeffs = np.array([0.0, 1.0], dtype=complex)
-    vec = phase_propagator(ASYM)(coeffs, "eg", 0.8)
+    vec = at(phase_propagator(ASYM), coeffs, "eg", 0.8)
     x1, x2, x3, x4 = amplitudes("eg", 1, 0.8, ASYM)
     assert vec[0, 0] == x1
     assert vec[1, 1] == x2
@@ -256,7 +262,7 @@ def test_vacuum_ground_start_assembles_without_arrivals_below_zero():
     # truncation 0 with a gg start drops every entry of the two-photon-down
     # arrival row; the slice must come out empty instead of wrapping
     coeffs = np.array([1.0 + 0j])
-    vec = phase_propagator(ASYM)(coeffs, "gg", 2.4)
+    vec = at(phase_propagator(ASYM), coeffs, "gg", 2.4)
     assert vec[3, 0] == 1.0
     mask = np.ones((4, 3), dtype=bool)
     mask[3, 0] = False
@@ -266,7 +272,7 @@ def test_vacuum_ground_start_assembles_without_arrivals_below_zero():
 def test_propagated_phase_state_keeps_its_norm():
     spec = ThermalFieldSpec(1.0, 1e-8)
     coeffs = phase_state_rows(spec, [1.1])[0]
-    out = phase_propagator(ASYM)(coeffs, "ee", 4.2)
+    out = at(phase_propagator(ASYM), coeffs, "ee", 4.2)
     assert out.shape == (4, spec.truncation + 3)
     norm = float(np.vdot(out, out).real)
     assert norm == pytest.approx(spec.retained_mass(), abs=1e-12)
@@ -279,7 +285,7 @@ def test_propagator_closure_matches_the_direct_call():
     direct = _joint_vectors(
         coeffs, amplitude_table("gg", spec.truncation, 3.3, ASYM), _ARRIVAL_SHIFTS["gg"]
     )
-    assert np.array_equal(solver(coeffs, "gg", 3.3), direct)
+    assert np.array_equal(at(solver, coeffs, "gg", 3.3), direct)
 
 
 @pytest.mark.parametrize("label", ["ee", "eg", "gg"])
@@ -290,10 +296,10 @@ def test_stacked_assembly_equals_row_by_row_calls(label, nbar):
     spec = ThermalFieldSpec(nbar)
     rows = phase_state_rows(spec, quadrature_nodes(9)[0])
     solver = phase_propagator(ASYM)
-    stacked = solver(rows, label, 2.7)
+    stacked = at(solver, rows, label, 2.7)
     assert stacked.shape == (9, 4, spec.truncation + 3)
     for row, out in zip(rows, stacked):
-        assert np.array_equal(out, solver(row, label, 2.7))
+        assert np.array_equal(out, at(solver, row, label, 2.7))
 
 
 def _random_rows(rng, shape):
@@ -309,11 +315,12 @@ def test_bound_solver_matches_the_one_shot_table_across_truncations():
         for shape in ((n_max + 1,), (9, n_max + 1)):
             rows = _random_rows(rng, shape)
             for label in ("ee", "eg", "gg"):
-                for t in (0.0, 2.7):
+                stacks = solver(rows, label, np.array([0.0, 2.7]))
+                for t, out in zip((0.0, 2.7), stacks, strict=True):
                     direct = _joint_vectors(
                         rows, amplitude_table(label, n_max, t, ASYM), _ARRIVAL_SHIFTS[label]
                     )
-                    assert np.array_equal(solver(rows, label, t), direct), (n_max, label)
+                    assert np.array_equal(out, direct), (n_max, label)
 
 
 @pytest.mark.parametrize("label", ["ge", "xx"])
@@ -324,9 +331,9 @@ def test_bound_solver_refuses_what_the_table_refuses(label):
     rows = np.ones(5, dtype=complex)
     for _ in range(2):  # before and after the tables are bound
         with pytest.raises(ValueError) as solver_error:
-            solver(rows, label, 1.0)
+            solver(rows, label, np.array([1.0]))
         assert str(solver_error.value) == str(table_error.value)
-        solver(rows, "ee", 1.0)
+        solver(rows, "ee", np.array([1.0]))
 
 
 def test_bound_solver_evaluates_the_spectrum_once_per_truncation(monkeypatch):
@@ -342,5 +349,26 @@ def test_bound_solver_evaluates_the_spectrum_once_per_truncation(monkeypatch):
     rows = np.ones((3, 13), dtype=complex)
     for t in np.linspace(0.0, 6.0, 7):
         for label in ("ee", "eg", "gg"):
-            solver(rows, label, t)
+            solver(rows, label, np.array([t]))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("label", ["ee", "eg", "gg"])
+def test_time_array_call_equals_one_call_per_time(label):
+    # one call evaluates the cos/sin and the table for all its times; each
+    # stack it yields is bitwise the one-time call's, small-argument series
+    # included (t = 1e-9)
+    spec = ThermalFieldSpec(2.0, 1e-8)
+    rows = phase_state_rows(spec, quadrature_nodes(spec.truncation + 1)[0])
+    times = np.array([0.0, 1e-9, 0.7, 3.1, 12.5, 40.0])
+    solver = phase_propagator(ASYM)
+    stacks = list(solver(rows, label, times))
+    assert len(stacks) == len(times)
+    for t, out in zip(times, stacks):
+        assert np.array_equal(out, at(solver, rows, label, t))
+
+
+@pytest.mark.parametrize("times", [1.0, np.zeros((2, 2))])
+def test_solver_takes_only_a_time_array(times):
+    with pytest.raises(ValueError, match="1-D array of times"):
+        phase_propagator(ASYM)(np.ones(5, dtype=complex), "ee", times)

@@ -25,6 +25,12 @@ from thermalqubits.oracle import (
 )
 
 
+def at(solver, coefficients, label, t):
+    """The solver's one stack for the one-time array [t]."""
+    (out,) = solver(coefficients, label, np.array([t]))
+    return out
+
+
 def test_empty_block_is_the_lone_ground_state():
     # E = 0 holds |gg, 0> at the gg position; its padding states are uncoupled
     table = block_table(CouplingPair(1.5, 0.5), 3)
@@ -60,7 +66,7 @@ def test_negative_excitation_is_refused():
         with pytest.raises(ValueError):
             block_table(pair, n_max)
     with pytest.raises(ValueError):
-        numeric_propagator(pair)(np.zeros(0), "gg", 1.0)
+        numeric_propagator(pair)(np.zeros(0), "gg", np.array([1.0]))
 
 
 def test_jacobi_agrees_with_the_two_by_two_closed_form():
@@ -108,7 +114,7 @@ def test_two_photon_block_spectrum_for_equal_couplings():
 
 def _unit_starts(pair, label, n_max, t):
     """Joint vectors evolved from each |label, n> alone, as (n, arrival, Fock)."""
-    return numeric_propagator(pair)(np.eye(n_max + 1), label, t)
+    return at(numeric_propagator(pair), np.eye(n_max + 1), label, t)
 
 
 def test_block_evolution_starts_at_the_basis_state():
@@ -134,8 +140,8 @@ def test_swapping_labels_swaps_the_couplings():
     # middle arrival rows exchanged
     spec = ThermalFieldSpec(0.5, 1e-8)
     coeffs = phase_state_rows(spec, [0.9])[0]
-    a = numeric_propagator(CouplingPair(1.5, 0.5))(coeffs, "ge", 2.1)
-    b = numeric_propagator(CouplingPair(0.5, 1.5))(coeffs, "eg", 2.1)
+    a = at(numeric_propagator(CouplingPair(1.5, 0.5)), coeffs, "ge", 2.1)
+    b = at(numeric_propagator(CouplingPair(0.5, 1.5)), coeffs, "eg", 2.1)
     assert np.abs(a[0] - b[0]).max() < 1e-13
     assert np.abs(a[1] - b[2]).max() < 1e-13
     assert np.abs(a[2] - b[1]).max() < 1e-13
@@ -145,7 +151,7 @@ def test_swapping_labels_swaps_the_couplings():
 def test_unknown_label_is_refused():
     solver = numeric_propagator(CouplingPair(1.0, 1.0))
     with pytest.raises(ValueError):
-        solver(np.array([1.0 + 0j]), "xx", 1.0)
+        solver(np.array([1.0 + 0j]), "xx", np.array([1.0]))
 
 
 def test_reduced_density_matches_the_closed_form_assembly():
@@ -173,10 +179,10 @@ def test_stacked_propagation_equals_row_by_row_calls(label, nbar):
     spec = ThermalFieldSpec(nbar, 1e-8)
     rows = phase_state_rows(spec, quadrature_nodes(9)[0])
     solver = numeric_propagator(CouplingPair(1.3, 0.4))
-    stacked = solver(rows, label, 2.7)
+    stacked = at(solver, rows, label, 2.7)
     assert stacked.shape == (9, 4, spec.truncation + 3)
     for row, out in zip(rows, stacked):
-        assert np.array_equal(out, solver(row, label, 2.7))
+        assert np.array_equal(out, at(solver, row, label, 2.7))
 
 
 GAMMAS = [0.0, 1e-9, 0.3, 1.0 - 1e-6]
@@ -260,6 +266,53 @@ def test_stacked_jacobi_eigenvalues_match_lapack(gamma):
     assert np.abs(reconstructed - table).max() <= 1e-14 * scale.max()
 
 
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+def test_jacobi_rounds_pair_every_index_once_and_disjointly(size):
+    rounds = oracle._rounds(size)
+    assert len(rounds) == size - 1 + size % 2
+    seen = []
+    for p, q, pq, qp in rounds:
+        assert np.all(p < q)
+        assert len(set(pq.tolist())) == len(pq)  # no index twice in a round
+        assert pq.tolist() == p.tolist() + q.tolist()
+        assert qp.tolist() == q.tolist() + p.tolist()
+        seen += list(zip(p.tolist(), q.tolist()))
+    assert sorted(seen) == [(p, q) for p in range(size) for q in range(p + 1, size)]
+
+
+def _random_symmetric(rng, count, size):
+    """``count`` random symmetric blocks, their scales spread over 1e-6 .. 1e6."""
+    a = rng.standard_normal((count, size, size))
+    scales = 10.0 ** rng.uniform(-6.0, 6.0, count)
+    return (a + a.swapaxes(-1, -2)) * scales[:, None, None]
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+def test_jacobi_eigenvalues_of_random_stacks_match_lapack(size):
+    # the bounds of the block-table comparison below, on blocks whose every
+    # entry is coupled and whose odd sizes leave an index idle in each round
+    stack = _random_symmetric(np.random.default_rng(size), 300, size)
+    w, v = jacobi_eigh(stack)
+    scale = np.abs(stack).max(axis=(-2, -1))
+    gap = np.abs(w - np.linalg.eigvalsh(stack)).max(axis=-1)
+    assert np.all(gap <= 4e-15 * scale)
+    reconstructed = v @ (w[..., None] * v.swapaxes(-1, -2))
+    assert np.all(np.abs(reconstructed - stack).max(axis=(-2, -1)) <= 1e-14 * scale)
+    assert np.abs(v.swapaxes(-1, -2) @ v - np.eye(size)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("size", [3, 5])
+def test_stacked_jacobi_of_odd_size_is_bitwise_the_one_block_calls(size):
+    stack = _random_symmetric(np.random.default_rng(7), 40, size)
+    stack[3] = np.diag(np.arange(size, 0.0, -1.0))  # converged before any rotation
+    stack[5] = 0.0
+    stack[8, 0, 1:] = stack[8, 1:, 0] = 0.0  # index 0 decoupled
+    w, v = jacobi_eigh(stack)
+    for k, block in enumerate(stack):
+        w1, v1 = jacobi_eigh(block)
+        assert np.array_equal(w1, w[k]) and np.array_equal(v1, v[k])
+
+
 def test_time_array_oracle_matches_per_time_calls():
     spec = ThermalFieldSpec(2.0, 1e-8)
     mix = AtomicMixtureSpec(0.8, 0.3)
@@ -271,6 +324,25 @@ def test_time_array_oracle_matches_per_time_calls():
         single = oracle_reduced_density(spec, mix, pair, float(t)).matrix
         assert single.shape == (4, 4)
         assert np.abs(single - rho).max() < 1e-14
+
+
+@pytest.mark.parametrize("label", ["ee", "eg", "ge", "gg"])
+def test_time_array_propagation_matches_per_time_calls(label):
+    spec = ThermalFieldSpec(2.0, 1e-8)
+    rows = phase_state_rows(spec, quadrature_nodes(spec.truncation + 1)[0])
+    times = np.array([0.0, 0.7, 3.1, 12.5, 40.0])
+    solver = numeric_propagator(CouplingPair.from_gamma(0.45))
+    stacks = list(solver(rows, label, times))
+    assert len(stacks) == len(times)
+    for t, out in zip(times, stacks):
+        assert out.shape == (len(rows), 4, spec.truncation + 3)
+        assert np.abs(out - at(solver, rows, label, t)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("times", [1.0, np.zeros((2, 2))])
+def test_propagator_takes_only_a_time_array(times):
+    with pytest.raises(ValueError, match="1-D array of times"):
+        numeric_propagator(CouplingPair(1.0, 1.0))(np.ones(5, dtype=complex), "ee", times)
 
 
 def test_oracle_refuses_a_time_matrix():
@@ -294,13 +366,13 @@ def test_propagator_diagonalizes_once(monkeypatch):
     monkeypatch.setattr(oracle, "jacobi_eigh", counting)
     solver = numeric_propagator(CouplingPair(1.3, 0.4))
     for label, t in (("ee", 1.0), ("gg", 2.0), ("ge", 0.5)):
-        solver(rows, label, t)
+        solver(rows, label, np.array([t]))
     assert shapes == [(spec.truncation + 3, 4, 4)]
     # a smaller cutoff reuses the table it holds
-    solver(rows[:, :3], "gg", 1.0)
+    solver(rows[:, :3], "gg", np.array([1.0]))
     assert shapes == [(spec.truncation + 3, 4, 4)]
     # more photon levels need a larger table, built once more
-    solver(np.ones((1, spec.truncation + 5)), "eg", 1.0)
+    solver(np.ones((1, spec.truncation + 5)), "eg", np.array([1.0]))
     assert shapes[1:] == [(spec.truncation + 7, 4, 4)]
 
 
@@ -312,7 +384,7 @@ def test_oracle_keeps_nothing_between_calls():
     def run(k):
         pair = CouplingPair(1.0 + 1e-3 * k, 0.5)
         oracle_reduced_density(spec, mix, pair, times)
-        numeric_propagator(pair)(np.ones((2, spec.truncation + 1)), "ee", 1.0)
+        at(numeric_propagator(pair), np.ones((2, spec.truncation + 1)), "ee", 1.0)
 
     run(0)
     gc.collect()

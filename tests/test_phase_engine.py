@@ -145,9 +145,9 @@ def test_zero_weight_labels_are_never_evolved():
     inner = phase_propagator(CouplingPair.from_gamma(0.0))
     calls = []
 
-    def solver(coeffs, label, t):
+    def solver(coeffs, label, times):
         calls.append(label)
-        return inner(coeffs, label, t)
+        return inner(coeffs, label, times)
 
     evolve_mixed(solver, spec, [(1.0, "gg"), (0.0, "ee")], 1.0)
     assert set(calls) == {"gg"}
@@ -206,33 +206,53 @@ def test_vacuum_single_start_stays_pure():
 def test_solver_output_length_is_checked():
     spec = ThermalFieldSpec(0.5, 1e-6)
 
-    def broken(coeffs, label, t):
-        return np.ones(7, dtype=complex)
+    def broken(coeffs, label, times):
+        return [np.ones(7, dtype=complex) for _ in times]
 
     with pytest.raises(ValueError, match="amplitude stack"):
         evolve_mixed(broken, spec, [(1.0, "ee")], 0.5)
 
 
+@pytest.mark.parametrize("surplus", [-1, 1])
+def test_solver_must_yield_one_stack_per_time(surplus):
+    spec = ThermalFieldSpec(0.5, 1e-6)
+    inner = phase_propagator(CouplingPair.from_gamma(0.3))
+
+    def miscounting(coeffs, label, times):
+        stacks = list(inner(coeffs, label, times))
+        return stacks[:surplus] if surplus < 0 else stacks + stacks[:surplus]
+
+    with pytest.raises(ValueError, match="3 times"):
+        mixed_reduced_density(miscounting, spec, MIX_PAIRS, TRACE_TIMES)
+
+
 def test_solver_errors_pass_through():
     spec = ThermalFieldSpec(0.5, 1e-6)
 
-    def failing(coeffs, label, t):
+    def failing(coeffs, label, times):
         raise RuntimeError("boom")
 
     with pytest.raises(RuntimeError, match="boom"):
         evolve_mixed(failing, spec, [(1.0, "ee")], 0.5)
 
 
+def _idle_partner(spec, partners):
+    """A solver that leaves every phase state where it starts, with
+    ``partners`` partner states and F = N + 3, so P F = partners (N + 3)."""
+    fock_dim = spec.truncation + 3
+
+    def solver(coeffs, label, times):
+        out = np.zeros(coeffs.shape[:-1] + (partners, fock_dim), dtype=complex)
+        out[..., int(label), : coeffs.shape[-1]] = coeffs
+        return [out for _ in times]
+
+    return solver
+
+
 def test_engine_accepts_other_partner_dimensions():
     spec = ThermalFieldSpec(0.5, 1e-6)
     fock_dim = spec.truncation + 3
-
-    def idle(coeffs, label, t):
-        out = np.zeros(coeffs.shape[:-1] + (2, fock_dim), dtype=complex)
-        out[..., int(label), : coeffs.shape[-1]] = coeffs
-        return out
-
-    joint = evolve_mixed(idle, spec, [(1.0, "0")], 0.0)
+    joint = evolve_mixed(_idle_partner(spec, 2), spec, [(1.0, "0")], 0.0)
     assert joint.fock_dim == fock_dim
     assert joint.matrix.shape == (2 * fock_dim, 2 * fock_dim)
 
@@ -243,7 +263,7 @@ def _jaynes_cummings(g):
     Returns the (M, 2, N+2) stack over (e, g) x Fock levels 0 .. N+1.
     """
 
-    def solver(coeffs, label, t):
+    def at(coeffs, label, t):
         n = np.arange(coeffs.shape[-1])
         out = np.zeros(coeffs.shape[:-1] + (2, len(n) + 1), dtype=complex)
         if label == "e":
@@ -255,6 +275,9 @@ def _jaynes_cummings(g):
             out[..., 1, :-1] = coeffs * np.cos(angle)
             out[..., 0, :-2] = -1j * coeffs[..., 1:] * np.sin(angle[1:])
         return out
+
+    def solver(coeffs, label, times):
+        return (at(coeffs, label, t) for t in times)
 
     return solver
 
@@ -324,7 +347,8 @@ def _per_node_reference(solver, spec, pairs, t):
         if w_label == 0.0:
             continue
         for phi, w_node in zip(*quadrature_nodes(phase_engine.exact_node_count(spec.truncation))):
-            vectors.append(solver(phase_state_rows(spec, [phi])[0], label, t))
+            (out,) = solver(phase_state_rows(spec, [phi])[0], label, np.array([t]))
+            vectors.append(out)
             weights.append(w_label * w_node)
     v = np.array(vectors).reshape(len(vectors), -1)
     return (v.T * np.array(weights)) @ v.conj()
@@ -352,13 +376,13 @@ def test_one_solver_call_per_weighted_label():
     inner = phase_propagator(CouplingPair.from_gamma(0.3))
     calls = []
 
-    def solver(coeffs, label, t):
-        calls.append((label, coeffs.shape))
-        return inner(coeffs, label, t)
+    def solver(coeffs, label, times):
+        calls.append((label, coeffs.shape, times.tolist()))
+        return inner(coeffs, label, times)
 
     evolve_mixed(solver, spec, [(0.5, "ee"), (0.0, "eg"), (0.5, "gg")], 1.0, count=11)
     shape = (11, spec.truncation + 1)
-    assert calls == [("ee", shape), ("gg", shape)]
+    assert calls == [("ee", shape, [1.0]), ("gg", shape, [1.0])]
 
 
 MIX = AtomicMixtureSpec(0.9, 0.4)
@@ -409,31 +433,93 @@ def test_chunk_length_changes_nothing_but_rounding(make_solver, monkeypatch):
     results = []
     for nodes in (1, 7, phase_engine.exact_node_count(spec.truncation)):
         monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", nodes * row)
-        assert phase_engine.node_chunk_length(spec.truncation) == nodes
+        assert phase_engine.node_chunk_length(row) == nodes
         results.append(mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES))
     for rho in results[1:]:
         assert np.abs(rho - results[0]).max() < 1e-15
 
 
-def test_trace_first_calls_the_solver_once_per_chunk_label_and_time(monkeypatch):
+def test_trace_first_calls_the_solver_once_per_chunk_and_label(monkeypatch):
     spec = ThermalFieldSpec(0.5, 1e-6)
     monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", 10 * 4 * (spec.truncation + 3))
     inner = phase_propagator(CouplingPair.from_gamma(0.3))
     calls = []
 
-    def solver(coeffs, label, t):
-        calls.append((label, t, coeffs.shape[0]))
-        return inner(coeffs, label, t)
+    def solver(coeffs, label, times):
+        calls.append((label, times.tolist(), coeffs.shape[0]))
+        return inner(coeffs, label, times)
 
     pairs = [(0.5, "ee"), (0.0, "eg"), (0.5, "gg")]
     mixed_reduced_density(solver, spec, pairs, np.array([1.0, 2.0]), count=25)
-    expected = [
-        (label, t, rows)
-        for rows in (10, 10, 5)
-        for label in ("ee", "gg")
-        for t in (1.0, 2.0)
-    ]
+    expected = [(label, [1.0, 2.0], rows) for rows in (10, 10, 5) for label in ("ee", "gg")]
     assert calls == expected
+
+
+def _one_time_at_a_time(solver):
+    """The solver called once per time, each call with a one-time array."""
+
+    def per_time(coeffs, label, times):
+        return [next(iter(solver(coeffs, label, np.array([t])))) for t in times]
+
+    return per_time
+
+
+@pytest.mark.parametrize("nbar", [0.5, 2.0, 20.0])
+def test_time_array_solver_calls_are_bitwise_the_per_time_calls(nbar):
+    spec = ThermalFieldSpec(nbar, 1e-8)
+    solver = phase_propagator(TRACE_PAIR)
+    reference = _one_time_at_a_time(phase_propagator(TRACE_PAIR))
+    assert np.array_equal(
+        mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES),
+        mixed_reduced_density(reference, spec, MIX_PAIRS, TRACE_TIMES),
+    )
+    t = TRACE_TIMES[1]
+    joint = evolve_mixed(solver, spec, MIX_PAIRS, t).matrix
+    assert np.array_equal(joint, _per_node_reference(solver, spec, MIX_PAIRS, t))
+
+
+def test_time_array_solver_calls_are_bitwise_the_per_time_calls_over_chunks(monkeypatch):
+    spec = ThermalFieldSpec(2.0, 1e-8)
+    count = phase_engine.exact_node_count(spec.truncation)
+    monkeypatch.setattr(
+        phase_engine, "NODE_CHUNK_ENTRIES", (count // 3 + 1) * 4 * (spec.truncation + 3)
+    )
+    inner = phase_propagator(TRACE_PAIR)
+    calls = []
+
+    def solver(coeffs, label, times):
+        calls.append(len(coeffs))
+        return inner(coeffs, label, times)
+
+    rho = mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES)
+    assert len(calls) == 3 * 3  # three chunks, three weighted labels
+    reference = _one_time_at_a_time(phase_propagator(TRACE_PAIR))
+    assert np.array_equal(rho, mixed_reduced_density(reference, spec, MIX_PAIRS, TRACE_TIMES))
+
+
+@pytest.mark.parametrize("partners, sizes", [(2, [10, 15]), (8, [10, 5, 5, 5])])
+def test_later_chunks_follow_the_solver_width(partners, sizes, monkeypatch):
+    # the first chunk is sized for 4 (N + 3) entries per node; once the
+    # solver has shown its width each chunk holds about NODE_CHUNK_ENTRIES
+    spec = ThermalFieldSpec(0.5, 1e-6)
+    budget = 10 * 4 * (spec.truncation + 3)
+    monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", budget)
+    inner = _idle_partner(spec, partners)
+    calls = []
+
+    def solver(coeffs, label, times):
+        calls.append(len(coeffs))
+        return inner(coeffs, label, times)
+
+    rho = mixed_reduced_density(solver, spec, [(1.0, "1")], TRACE_TIMES, count=25)
+    assert calls == sizes
+    width = partners * (spec.truncation + 3)
+    assert all(size * width <= budget for size in sizes[1:])
+    expected = np.zeros((partners, partners))
+    expected[1, 1] = spec.retained_mass()
+    assert np.abs(rho - expected).max() < 1e-15
+    plan = phase_engine.mixed_reduced_density_bytes(spec.truncation, width, 25)
+    assert plan == phase_engine.CHUNK_ENTRY_BYTES * max(sizes) * width
 
 
 def test_bound_solver_tables_die_with_their_solver():
@@ -481,13 +567,7 @@ def test_trace_first_checks_its_inputs():
 
 def test_trace_first_returns_a_bare_matrix_for_other_partners():
     spec = ThermalFieldSpec(0.5, 1e-6)
-    fock_dim = spec.truncation + 3
-
-    def idle(coeffs, label, t):
-        out = np.zeros(coeffs.shape[:-1] + (2, fock_dim), dtype=complex)
-        out[..., int(label), : coeffs.shape[-1]] = coeffs
-        return out
-
+    idle = _idle_partner(spec, 2)
     rho = mixed_reduced_density(idle, spec, [(0.25, "0"), (0.75, "1")], np.array([0.0, 1.0]))
     assert isinstance(rho, np.ndarray)
     assert rho.shape == (2, 2, 2)
@@ -502,8 +582,9 @@ def test_plans_follow_the_grid_and_the_chunk_rule(monkeypatch):
         phase_engine.CHUNK_ENTRY_BYTES,
         phase_engine.FIELD_ENTRY_BYTES,
     )
-    assert phase_engine.evolve_mixed_bytes(n, dim, 3) == stack * 3 * 100 * dim
-    assert phase_engine.evolve_mixed_bytes(n, dim, 2, 2000) == stack * 2 * 2000 * dim
+    matrix = phase_engine.MATRIX_ENTRY_BYTES * dim * dim
+    assert phase_engine.evolve_mixed_bytes(n, dim, 3) == stack * 3 * 100 * dim + matrix
+    assert phase_engine.evolve_mixed_bytes(n, dim, 2, 2000) == stack * 2 * 2000 * dim + matrix
     assert phase_engine.reconstruct_field_density_bytes(n) == field * 100 * 200
     assert phase_engine.reconstruct_field_density_bytes(n, 3) == field * 100 * 103
     # the whole default grid fits one chunk
@@ -519,14 +600,13 @@ PLAN_MIX = [(w, label) for label, w in AtomicMixtureSpec(0.9, 0.4).weights().ite
 
 @pytest.mark.parametrize("nbar, nodes", [(1.0, None), (5.0, None), (0.5, 500)])
 def test_evolve_mixed_plan_covers_the_measured_peak(nbar, nodes, traced_peak):
-    # the plan leaves out the (P F)^2 matrix the call returns
     spec = ThermalFieldSpec(nbar)
     width = 4 * (spec.truncation + 3)
     peak = traced_peak(
         lambda: evolve_mixed(phase_propagator(PLAN_PAIR), spec, PLAN_MIX, 25.0, nodes)
     )
     plan = phase_engine.evolve_mixed_bytes(spec.truncation, width, 3, nodes)
-    assert peak - 16 * width * width <= plan
+    assert peak <= plan
 
 
 @pytest.mark.parametrize("nbar, chunk", [(0.5, None), (5.0, None), (5.0, 20)])
