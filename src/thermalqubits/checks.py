@@ -17,7 +17,7 @@ import numpy as np
 from .closed_form import CouplingPair, amplitude_table, block_spectrum, phase_propagator
 from .entanglement import closed_form_negativity, negativity
 from .fock_thermal import ThermalFieldSpec
-from .oracle import block_table, jacobi_eigh, oracle_reduced_density
+from .oracle import block_table, oracle_reduced_density
 from .phase_engine import mixed_reduced_density, reconstruct_field_density
 from .reduction import AtomicMixtureSpec, TwoQubitDensity, reduced_density
 
@@ -46,28 +46,16 @@ def column_norm_defect(
     return worst
 
 
-def spectrum_defect(
-    couplings: CouplingPair,
-    n_max: int,
-    *,
-    eigen: tuple[np.ndarray, np.ndarray] | None = None,
-) -> float:
+def spectrum_defect(couplings: CouplingPair, n_max: int) -> float:
     """Largest gap between the closed-form frequencies +-Omega_plus,
-    +-Omega_minus of blocks 0 .. n_max and the Jacobi eigenvalues of the
-    same blocks built entry by entry.
+    +-Omega_minus of blocks 0 .. n_max and the eigenvalues of the same
+    blocks built entry by entry.
 
-    The blocks E = 2 .. n_max + 2 of one :func:`block_table` are
-    diagonalized as one stack, with the rotations the oracle route applies
-    to each of them, and the closed-form frequencies of all of them come
-    from one spectrum array call.  ``eigen`` is the ``(w, v)`` pair of
-    :func:`jacobi_eigh` on the whole ``block_table(couplings, n_max)``, for
-    a caller that already holds it; each block's eigenvalues in a stack are
-    bitwise those of the block alone, so passing it changes no digit.
+    The blocks E = 2 .. n_max + 2 of one :func:`block_table` go to numpy's
+    ``eigvalsh`` as one stack, and the closed-form frequencies of all of
+    them come from one spectrum array call.
     """
-    if eigen is None:
-        w, _ = jacobi_eigh(block_table(couplings, n_max)[2:])
-    else:
-        w = eigen[0][2:]
+    w = np.linalg.eigvalsh(block_table(couplings, n_max)[2:])
     *_, omega_plus_sq, omega_minus_sq = block_spectrum(np.arange(n_max + 1), couplings)
     op, om = np.sqrt(omega_plus_sq), np.sqrt(omega_minus_sq)
     reference = np.sort(np.stack([-op, -om, om, op], axis=-1), axis=-1)
@@ -80,23 +68,19 @@ def route_gap(
     couplings: CouplingPair,
     times: float | np.ndarray,
     count: int | None = None,
-    *,
-    eigen: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Largest pairwise entry gap of the three reduced-density routes.
 
     The routes are the closed-form reduction, the phase-state average
     traced over the field (on ``count`` nodes, None for the default grid)
-    and the Jacobi oracle.  ``times`` is one time or a 1-D array of them;
-    the result is the maximum over all of them.  ``eigen``, the oracle's
-    diagonalized ``block_table(couplings, spec.truncation)``, goes to the
-    oracle route; without it that route diagonalizes its own.
+    and the diagonalized oracle.  ``times`` is one time or a 1-D array of
+    them; the result is the maximum over all of them.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     pairs = [(w, label) for label, w in mixture.weights().items()]
     closed = reduced_density(spec, mixture, couplings, times).matrix
     quad = mixed_reduced_density(phase_propagator(couplings), spec, pairs, times, count)
-    direct = oracle_reduced_density(spec, mixture, couplings, times, eigen=eigen).matrix
+    direct = oracle_reduced_density(spec, mixture, couplings, times).matrix
     gaps = (closed - quad, closed - direct, quad - direct)
     return max(float(np.abs(gap).max()) for gap in gaps)
 

@@ -39,7 +39,7 @@ from . import checks
 from .closed_form import ATOM_LABELS, CouplingPair, block_spectrum, phase_propagator
 from .entanglement import negativity
 from .fock_thermal import ThermalFieldSpec
-from .oracle import block_table, jacobi_eigh, oracle_reduced_density_bytes
+from .oracle import oracle_reduced_density_bytes
 from .phase_engine import (
     evolve_mixed, evolve_mixed_bytes, mixed_reduced_density_bytes, reconstruct_field_density_bytes
 )
@@ -127,8 +127,8 @@ def work_bytes(truncation: int, steps: int, mode: str, nodes: int | None = None)
     being the phase-grid size (N + 1 unless ``nodes`` is given), and then
     renders the joint density, (4 (N + 3))^2 entries, as JSON text.
     Validate's stages are the route comparison (one node chunk of the
-    phase engine beside the oracle's tables at every probe time) and the
-    field reconstruction.
+    phase engine with its solver's tables, beside the oracle's tables, at
+    every probe time) and the field reconstruction.
     """
     width = 4 * (truncation + 3)
     if mode == "reduced":
@@ -136,8 +136,9 @@ def work_bytes(truncation: int, steps: int, mode: str, nodes: int | None = None)
     elif mode == "joint":
         stages = (evolve_mixed_bytes(truncation, width, 3, nodes), _JSON_BYTES * width * width)
     else:
-        routes = mixed_reduced_density_bytes(truncation, width, nodes)
-        routes += oracle_reduced_density_bytes(truncation, min(steps, VALIDATE_PROBES))
+        probes = min(steps, VALIDATE_PROBES)
+        routes = mixed_reduced_density_bytes(truncation, width, probes, nodes)
+        routes += oracle_reduced_density_bytes(truncation, probes)
         stages = (routes, reconstruct_field_density_bytes(truncation, nodes))
     return _RUN_BYTES + max(stages)
 
@@ -436,15 +437,11 @@ def render_validation(cfg: RunConfig) -> str:
     probes = np.linspace(cfg.t_min, cfg.t_max, min(cfg.steps, VALIDATE_PROBES))
     rng = np.random.default_rng(0)
     full_err, half_err = checks.field_reconstruction_residuals(field, cfg.node_count())
-    # one diagonalization serves the spectrum line and the oracle route
-    eigen = jacobi_eigh(block_table(couplings, field.truncation))
     lines = {
         "unitarity defect": checks.column_norm_defect(couplings, field.truncation, probes),
-        "spectrum vs block diagonalization": checks.spectrum_defect(
-            couplings, field.truncation, eigen=eigen
-        ),
+        "spectrum vs block diagonalization": checks.spectrum_defect(couplings, field.truncation),
         "reduced density, three routes": checks.route_gap(
-            field, cfg.mixture(), couplings, probes, cfg.node_count(), eigen=eigen
+            field, cfg.mixture(), couplings, probes, cfg.node_count()
         ),
         "field reconstruction, full period": full_err,
         "field reconstruction, half period": half_err,

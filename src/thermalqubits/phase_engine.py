@@ -85,14 +85,17 @@ def _first_chunk_length(truncation: int) -> int:
 # whole-grid stack, the weighted transpose and the conjugate (48.1-48.6 B
 # per evolved entry at 1,000-20,000 nodes) and returns the (P F)^2 complex
 # matrix (16 B per entry); mixed_reduced_density one node chunk (41-71 B
-# per evolved entry at nbar 0.5-100 and 7 times, the solver's tables for
-# all the times of a call included, which grow with the number of times);
-# and reconstruct_field_density the phase-state rows, conjugated in place,
+# per evolved entry at nbar 0.5-100 and 7 times) beside the tables a
+# solver call keeps for all its times (22-40 B per time and width entry
+# for the closed-form solver and 44-53 B for the diagonalized one, from
+# the growth of the peak between 200 and 1,000 times at nbar 0.5-20); and
+# reconstruct_field_density the phase-state rows, conjugated in place,
 # and their average (24-39 B per entry at nbar 0.5-50 and up to 5,000
 # nodes).
 STACK_ENTRY_BYTES = 56
 MATRIX_ENTRY_BYTES = 16
 CHUNK_ENTRY_BYTES = 72
+TIME_ENTRY_BYTES = 56
 FIELD_ENTRY_BYTES = 48
 
 
@@ -103,13 +106,16 @@ def evolve_mixed_bytes(truncation: int, width: int, starts: int, count: int | No
     return STACK_ENTRY_BYTES * starts * count * width + MATRIX_ENTRY_BYTES * width * width
 
 
-def mixed_reduced_density_bytes(truncation: int, width: int, count: int | None = None) -> int:
-    """Planned peak of :func:`mixed_reduced_density`: its largest node
-    chunk, the first one or one sized for ``width``."""
+def mixed_reduced_density_bytes(
+    truncation: int, width: int, times: int, count: int | None = None
+) -> int:
+    """Planned peak of :func:`mixed_reduced_density` at ``times`` times:
+    its largest node chunk, the first one or one sized for ``width``, and
+    the solver's tables for all the times of one call."""
     count = exact_node_count(truncation) if count is None else count
     first = min(count, _first_chunk_length(truncation))
     later = min(count - first, node_chunk_length(width))
-    return CHUNK_ENTRY_BYTES * max(first, later) * width
+    return (CHUNK_ENTRY_BYTES * max(first, later) + TIME_ENTRY_BYTES * times) * width
 
 
 def reconstruct_field_density_bytes(truncation: int, count: int | None = None) -> int:

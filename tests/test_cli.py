@@ -370,7 +370,7 @@ def test_validate_plan_covers_the_measured_peak(nbar, traced_peak):
 def test_validate_estimate_is_its_larger_stage():
     def stages(n, probes, nodes=None):
         dim = 4 * (n + 3)
-        routes = phase_engine.mixed_reduced_density_bytes(n, dim, nodes)
+        routes = phase_engine.mixed_reduced_density_bytes(n, dim, probes, nodes)
         routes += oracle.oracle_reduced_density_bytes(n, probes)
         return routes, phase_engine.reconstruct_field_density_bytes(n, nodes)
 
@@ -587,25 +587,23 @@ def test_validation_report_shape_and_tolerances():
 
 
 def test_validate_diagonalizes_the_block_table_once(monkeypatch):
-    # the spectrum line and the oracle route share one diagonalization,
-    # whichever module name the call goes through
+    # only the oracle route needs eigenvectors; the spectrum line takes
+    # eigenvalues alone from its own eigvalsh call
     calls = []
-    original = oracle.jacobi_eigh
+    original = np.linalg.eigh
 
-    def counting(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return original(*args, **kwargs)
+    def counting(matrix, *args, **kwargs):
+        calls.append(np.shape(matrix))
+        return original(matrix, *args, **kwargs)
 
-    for module in (cli, checks, oracle):
-        if getattr(module, "jacobi_eigh", None) is original:
-            monkeypatch.setattr(module, "jacobi_eigh", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     cfg = small_config(steps=5, mode="validate")
     render_validation(cfg)
     assert calls == [(cfg.field().truncation + 3, 4, 4)]
 
 
 def _separate_report(cfg):
-    """The validate report from each check on its own, each diagonalizing itself."""
+    """The validate report from each check called on its own."""
     field, couplings = cfg.field(), cfg.couplings()
     probes = np.linspace(cfg.t_min, cfg.t_max, min(cfg.steps, cli.VALIDATE_PROBES))
     full, half = checks.field_reconstruction_residuals(field, cfg.node_count())

@@ -1,4 +1,9 @@
-"""The diagonalization route: block layout, Jacobi sweeps and evolution."""
+"""The diagonalization route: block layout, block spectra and evolution.
+
+The route diagonalizes its blocks with numpy's ``eigh``.  The tests whose
+names still say "jacobi" date from a hand-written Jacobi solver; they now
+check what the route takes from ``eigh`` on its block tables.
+"""
 
 import gc
 import math
@@ -19,7 +24,6 @@ from thermalqubits import (
 from thermalqubits import checks, oracle
 from thermalqubits.oracle import (
     block_table,
-    jacobi_eigh,
     numeric_propagator,
     oracle_reduced_density,
 )
@@ -70,44 +74,52 @@ def test_negative_excitation_is_refused():
 
 
 def test_jacobi_agrees_with_the_two_by_two_closed_form():
-    w, v = jacobi_eigh(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    half_gap = math.sqrt(1.25)
-    assert w[0] == pytest.approx(2.5 - half_gap, rel=1e-14)
-    assert w[1] == pytest.approx(2.5 + half_gap, rel=1e-14)
-    assert np.allclose(v.T @ v, np.eye(2), atol=1e-14)
+    # E = 1 is a two-level problem: the bright state (l1 |eg0> + l2 |ge0>) / W
+    # couples to |gg1> with W = sqrt(l1^2 + l2^2), the dark state stays at 0
+    l1, l2 = 2.0, 1.0
+    w, v = np.linalg.eigh(block_table(CouplingPair(l1, l2), 0)[1])
+    big_w = math.sqrt(l1 * l1 + l2 * l2)
+    np.testing.assert_allclose(w, [-big_w, 0.0, 0.0, big_w], rtol=0.0, atol=1e-14 * big_w)
+    for k in (0, 3):
+        bright = math.copysign(1.0, w[k]) / big_w
+        np.testing.assert_allclose(
+            v[1:, k] * np.sign(v[3, k]),
+            np.array([l1 * bright, l2 * bright, 1.0]) / math.sqrt(2.0),
+            rtol=0.0,
+            atol=1e-14,
+        )
+    assert np.all(v[0, [0, 3]] == 0.0)  # the ee padding state stays out
+    assert np.allclose(v.T @ v, np.eye(4), atol=1e-14)
 
 
 def test_jacobi_reconstructs_random_symmetric_matrices():
+    # block tables at random couplings: ascending eigenvalues, orthonormal
+    # eigenvectors, and v diag(w) v^T gives the table back
     rng = np.random.default_rng(3)
-    for size in (3, 4, 6):
-        a = rng.standard_normal((size, size))
-        m = (a + a.T) / 2.0
-        w, v = jacobi_eigh(m)
-        assert np.all(np.diff(w) >= 0.0)
-        assert np.allclose(v @ np.diag(w) @ v.T, m, atol=1e-12)
-        assert np.allclose(v.T @ v, np.eye(size), atol=1e-12)
-
-
-def test_jacobi_rejects_nonsquare_and_nonsymmetric_input():
-    with pytest.raises(ValueError):
-        jacobi_eigh(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for n_max in (3, 4, 6):
+        table = block_table(CouplingPair(*rng.uniform(0.05, 2.0, 2)), n_max)
+        w, v = np.linalg.eigh(table)
+        assert np.all(np.diff(w, axis=-1) >= 0.0)
+        assert np.allclose(v @ (w[..., None] * v.swapaxes(-1, -2)), table, atol=1e-12)
+        assert np.allclose(v.swapaxes(-1, -2) @ v, np.eye(4), atol=1e-12)
 
 
 def test_jacobi_symmetry_check_is_relative_to_the_entries():
-    # a nilpotent block far below 1 is as asymmetric as one of order 1
-    with pytest.raises(ValueError, match="not symmetric"):
-        jacobi_eigh(np.array([[0.0, 1e-14], [0.0, 0.0]]))
-    w, v = jacobi_eigh(np.zeros((2, 2)))
-    assert w.tolist() == [0.0, 0.0]
-    assert np.array_equal(v, np.eye(2))
+    # eigh reads one triangle, so every block must be exactly symmetric, at
+    # any coupling scale; the uncoupled block E = 0 comes back as w = 0 and
+    # v = +-I exactly, which keeps its padding amplitudes exact zeros
+    for scale in (1.0, 1e-15, 1e-70):
+        table = block_table(CouplingPair(1.4 * scale, 0.55 * scale), 5)
+        assert np.array_equal(table, table.swapaxes(-1, -2))
+        w, v = np.linalg.eigh(table)
+        assert w[0].tolist() == [0.0, 0.0, 0.0, 0.0]
+        assert np.array_equal(np.abs(v[0]), np.eye(4))
 
 
 def test_two_photon_block_spectrum_for_equal_couplings():
     # E = 2, lambda1 = lambda2 = lam: eigenvalues 0, 0 and +-lam sqrt(6)
     lam = 1.3
-    w, _ = jacobi_eigh(block_table(CouplingPair(lam, lam), 0)[2])
+    w = np.linalg.eigvalsh(block_table(CouplingPair(lam, lam), 0)[2])
     expected = np.sort([-lam * math.sqrt(6.0), 0.0, 0.0, lam * math.sqrt(6.0)])
     np.testing.assert_allclose(w, expected, rtol=0.0, atol=1e-13)
 
@@ -214,51 +226,64 @@ def test_block_table_refuses_a_bad_cutoff():
         block_table(CouplingPair(1.0, 1.0), 2.5)
 
 
-@pytest.mark.parametrize("gamma", GAMMAS)
+@pytest.mark.parametrize("gamma", GAMMAS + [1.0])
 def test_stacked_jacobi_is_bitwise_the_one_block_calls(gamma):
+    # each block's eigenpairs do not depend on the stack it sits in, so the
+    # oracle's densities do not depend on its cutoff beyond the blocks it
+    # reads, and numeric_propagator may reuse a larger table it holds
     table = block_table(CouplingPair.from_gamma(gamma), 60)
-    w, v = jacobi_eigh(table)
+    w, v = np.linalg.eigh(table)
     assert w.shape == (63, 4) and v.shape == (63, 4, 4)
     for n, block in enumerate(table):
-        w1, v1 = jacobi_eigh(block[None])
+        w1, v1 = np.linalg.eigh(block[None])
         assert np.array_equal(w1[0], w[n]) and np.array_equal(v1[0], v[n])
-        w2, v2 = jacobi_eigh(block)
+        w2, v2 = np.linalg.eigh(block)
         assert np.array_equal(w2, w[n]) and np.array_equal(v2, v[n])
+    w3, v3 = np.linalg.eigh(block_table(CouplingPair.from_gamma(gamma), 17))
+    assert np.array_equal(w3, w[:20]) and np.array_equal(v3, v[:20])
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
+def test_padding_positions_stay_exact_zeros(gamma):
+    # the padding states of blocks E = 0 and 1 (every position of E = 0 but
+    # gg, the ee position of E = 1) are uncoupled, so the diagonalization
+    # must leave their amplitudes exactly zero at every time
+    w, v = np.linalg.eigh(block_table(CouplingPair.from_gamma(gamma), 6))
+    times = np.array([0.0, 1.3, 7.9, 2.5e3])
+    gg = oracle._start_amplitudes(w, v, "gg", 6, times)
+    assert np.all(gg[:, 0, :3] == 0.0) and np.all(gg[:, 1, 0] == 0.0)
+    for label in ("eg", "ge"):
+        assert np.all(oracle._start_amplitudes(w, v, label, 6, times)[:, 0, 0] == 0.0)
 
 
 def test_stacked_jacobi_handles_blocks_converging_at_different_sweeps():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((5, 4, 4))
-    stack = (a + a.swapaxes(-1, -2)) / 2.0
-    stack[1] = np.diag([3.0, -1.0, 2.0, 0.5])  # converged before any rotation
-    stack[2] = 0.0
-    w, v = jacobi_eigh(stack)
-    for k in range(5):
-        w1, v1 = jacobi_eigh(stack[k])
+    # blocks that need different work share one stack: the zero block E = 0,
+    # degenerate (gamma 0), decoupled (gamma 1) and tiny (1e-70) couplings;
+    # each comes back as if alone and reconstructs at its own scale
+    pairs = [
+        CouplingPair.from_gamma(0.0),
+        CouplingPair.from_gamma(1.0),
+        CouplingPair(1.4e-70, 0.55e-70),
+        CouplingPair.from_gamma(0.3),
+    ]
+    stack = np.concatenate([block_table(pair, 4) for pair in pairs])
+    w, v = np.linalg.eigh(stack)
+    for k, block in enumerate(stack):
+        w1, v1 = np.linalg.eigh(block)
         assert np.array_equal(w1, w[k]) and np.array_equal(v1, v[k])
-        assert np.allclose(v[k] @ np.diag(w[k]) @ v[k].T, stack[k], atol=1e-13)
-    assert np.array_equal(w[1], [-1.0, 0.5, 2.0, 3.0])
-
-
-@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e-15, 1e-70])
-def test_rescaled_couplings_leave_every_route_in_agreement(scale):
-    # only lambda t enters the dynamics, so couplings scaled by s and times by
-    # 1/s give the same densities; the sweep must still rotate small blocks
-    pair = CouplingPair(1.4 * scale, 0.55 * scale)
-    spec = ThermalFieldSpec(1.0)
-    times = np.array([0.0, 1.3, 7.9, 25.0]) / scale
-    assert checks.route_gap(spec, AtomicMixtureSpec(0.9, 0.4), pair, times) <= 1e-12
-    assert checks.spectrum_defect(pair, spec.truncation) / scale <= 1e-11
+        scale = np.abs(block).max()
+        assert np.abs(v[k] @ np.diag(w[k]) @ v[k].T - block).max() <= 1e-13 * scale
+    assert np.all(w[:: block_table(pairs[0], 4).shape[0]] == 0.0)
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_stacked_jacobi_eigenvalues_match_lapack(gamma):
-    # numpy's eigvalsh is a test-only reference.  Against a 40-digit
-    # reference eigvalsh itself misses by up to 8.5 ulp of the block scale
-    # on these blocks and the Jacobi sweep by up to 3.8, so the two are
-    # compared at 4e-15 of the scale rather than at one rounding.
+    # the oracle route takes eigh's eigenpairs and the spectrum line
+    # eigvalsh's eigenvalues, two LAPACK drivers that differ by a few ulp
+    # of the block scale (up to 2.5e-15 at N = 300), so they are compared
+    # at 4e-15 of the scale rather than bitwise
     table = block_table(CouplingPair.from_gamma(gamma), 300)
-    w, v = jacobi_eigh(table)
+    w, v = np.linalg.eigh(table)
     scale = np.abs(table).max(axis=(-2, -1))
     gap = np.abs(w - np.linalg.eigvalsh(table)).max(axis=-1)
     assert np.all(gap <= 4e-15 * scale)
@@ -266,51 +291,51 @@ def test_stacked_jacobi_eigenvalues_match_lapack(gamma):
     assert np.abs(reconstructed - table).max() <= 1e-14 * scale.max()
 
 
-@pytest.mark.parametrize("size", [2, 3, 4, 5])
-def test_jacobi_rounds_pair_every_index_once_and_disjointly(size):
-    rounds = oracle._rounds(size)
-    assert len(rounds) == size - 1 + size % 2
-    seen = []
-    for p, q, pq, qp in rounds:
-        assert np.all(p < q)
-        assert len(set(pq.tolist())) == len(pq)  # no index twice in a round
-        assert pq.tolist() == p.tolist() + q.tolist()
-        assert qp.tolist() == q.tolist() + p.tolist()
-        seen += list(zip(p.tolist(), q.tolist()))
-    assert sorted(seen) == [(p, q) for p in range(size) for q in range(p + 1, size)]
-
-
-def _random_symmetric(rng, count, size):
-    """``count`` random symmetric blocks, their scales spread over 1e-6 .. 1e6."""
-    a = rng.standard_normal((count, size, size))
+def _random_tables(rng, count, n_max):
+    """``count`` block tables at random couplings, scales spread over 1e-6 .. 1e6."""
     scales = 10.0 ** rng.uniform(-6.0, 6.0, count)
-    return (a + a.swapaxes(-1, -2)) * scales[:, None, None]
+    return np.stack(
+        [block_table(CouplingPair(*(s * rng.uniform(0.05, 1.0, 2))), n_max) for s in scales]
+    )
 
 
 @pytest.mark.parametrize("size", [2, 3, 4, 5])
 def test_jacobi_eigenvalues_of_random_stacks_match_lapack(size):
-    # the bounds of the block-table comparison below, on blocks whose every
-    # entry is coupled and whose odd sizes leave an index idle in each round
-    stack = _random_symmetric(np.random.default_rng(size), 300, size)
-    w, v = jacobi_eigh(stack)
+    # the bounds of the block-table comparison above, on stacks of tables
+    # whose couplings span twelve decades; ``size`` is the tables' cutoff
+    stack = _random_tables(np.random.default_rng(size), 300, size)
+    w, v = np.linalg.eigh(stack)
     scale = np.abs(stack).max(axis=(-2, -1))
     gap = np.abs(w - np.linalg.eigvalsh(stack)).max(axis=-1)
     assert np.all(gap <= 4e-15 * scale)
     reconstructed = v @ (w[..., None] * v.swapaxes(-1, -2))
     assert np.all(np.abs(reconstructed - stack).max(axis=(-2, -1)) <= 1e-14 * scale)
-    assert np.abs(v.swapaxes(-1, -2) @ v - np.eye(size)).max() <= 1e-14
+    assert np.abs(v.swapaxes(-1, -2) @ v - np.eye(4)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("size", [3, 5])
 def test_stacked_jacobi_of_odd_size_is_bitwise_the_one_block_calls(size):
-    stack = _random_symmetric(np.random.default_rng(7), 40, size)
-    stack[3] = np.diag(np.arange(size, 0.0, -1.0))  # converged before any rotation
-    stack[5] = 0.0
-    stack[8, 0, 1:] = stack[8, 1:, 0] = 0.0  # index 0 decoupled
-    w, v = jacobi_eigh(stack)
-    for k, block in enumerate(stack):
-        w1, v1 = jacobi_eigh(block)
-        assert np.array_equal(w1, w[k]) and np.array_equal(v1, v[k])
+    # tables of odd cutoff at random couplings, with a decoupled second atom
+    # (lambda2 = 0) among them, stacked on a leading axis
+    stack = _random_tables(np.random.default_rng(7), 40, size)
+    stack[8] = block_table(CouplingPair(1.3, 0.0), size)
+    w, v = np.linalg.eigh(stack)
+    for k, table in enumerate(stack):
+        for n, block in enumerate(table):
+            w1, v1 = np.linalg.eigh(block)
+            assert np.array_equal(w1, w[k, n]) and np.array_equal(v1, v[k, n])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e-15, 1e-70])
+def test_rescaled_couplings_leave_every_route_in_agreement(scale):
+    # only lambda t enters the dynamics, so couplings scaled by s and times by
+    # 1/s give the same densities; the diagonalization must still resolve
+    # blocks whose entries are far below 1
+    pair = CouplingPair(1.4 * scale, 0.55 * scale)
+    spec = ThermalFieldSpec(1.0)
+    times = np.array([0.0, 1.3, 7.9, 25.0]) / scale
+    assert checks.route_gap(spec, AtomicMixtureSpec(0.9, 0.4), pair, times) <= 1e-12
+    assert checks.spectrum_defect(pair, spec.truncation) / scale <= 1e-11
 
 
 def test_time_array_oracle_matches_per_time_calls():
@@ -357,13 +382,13 @@ def test_propagator_diagonalizes_once(monkeypatch):
     spec = ThermalFieldSpec(0.5, 1e-8)
     rows = phase_state_rows(spec, np.array([0.0, 1.0, 2.0]))
     shapes = []
-    original = oracle.jacobi_eigh
+    original = np.linalg.eigh
 
     def counting(matrix, *args, **kwargs):
         shapes.append(np.shape(matrix))
         return original(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(oracle, "jacobi_eigh", counting)
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     solver = numeric_propagator(CouplingPair(1.3, 0.4))
     for label, t in (("ee", 1.0), ("gg", 2.0), ("ge", 0.5)):
         solver(rows, label, np.array([t]))

@@ -518,8 +518,9 @@ def test_later_chunks_follow_the_solver_width(partners, sizes, monkeypatch):
     expected = np.zeros((partners, partners))
     expected[1, 1] = spec.retained_mass()
     assert np.abs(rho - expected).max() < 1e-15
-    plan = phase_engine.mixed_reduced_density_bytes(spec.truncation, width, 25)
-    assert plan == phase_engine.CHUNK_ENTRY_BYTES * max(sizes) * width
+    plan = phase_engine.mixed_reduced_density_bytes(spec.truncation, width, len(TRACE_TIMES), 25)
+    per_node, per_time = phase_engine.CHUNK_ENTRY_BYTES, phase_engine.TIME_ENTRY_BYTES
+    assert plan == (per_node * max(sizes) + per_time * len(TRACE_TIMES)) * width
 
 
 def test_bound_solver_tables_die_with_their_solver():
@@ -577,9 +578,10 @@ def test_trace_first_returns_a_bare_matrix_for_other_partners():
 
 def test_plans_follow_the_grid_and_the_chunk_rule(monkeypatch):
     n, dim = 99, 4 * 102
-    stack, chunk, field = (
+    stack, chunk, per_time, field = (
         phase_engine.STACK_ENTRY_BYTES,
         phase_engine.CHUNK_ENTRY_BYTES,
+        phase_engine.TIME_ENTRY_BYTES,
         phase_engine.FIELD_ENTRY_BYTES,
     )
     matrix = phase_engine.MATRIX_ENTRY_BYTES * dim * dim
@@ -587,11 +589,11 @@ def test_plans_follow_the_grid_and_the_chunk_rule(monkeypatch):
     assert phase_engine.evolve_mixed_bytes(n, dim, 2, 2000) == stack * 2 * 2000 * dim + matrix
     assert phase_engine.reconstruct_field_density_bytes(n) == field * 100 * 200
     assert phase_engine.reconstruct_field_density_bytes(n, 3) == field * 100 * 103
-    # the whole default grid fits one chunk
-    assert phase_engine.mixed_reduced_density_bytes(n, dim) == chunk * 100 * dim
-    assert phase_engine.mixed_reduced_density_bytes(n, dim, 3) == chunk * 3 * dim
+    # the whole default grid fits one chunk; the solver's tables grow with the times
+    assert phase_engine.mixed_reduced_density_bytes(n, dim, 7) == (chunk * 100 + per_time * 7) * dim
+    assert phase_engine.mixed_reduced_density_bytes(n, dim, 1, 3) == (chunk * 3 + per_time) * dim
     monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", 5 * dim + 1)
-    assert phase_engine.mixed_reduced_density_bytes(n, dim) == chunk * 5 * dim
+    assert phase_engine.mixed_reduced_density_bytes(n, dim, 7) == (chunk * 5 + per_time * 7) * dim
 
 
 PLAN_PAIR = CouplingPair.from_gamma(0.3)
@@ -621,7 +623,25 @@ def test_mixed_reduced_density_plan_covers_the_measured_peak(
     peak = traced_peak(
         lambda: mixed_reduced_density(phase_propagator(PLAN_PAIR), spec, PLAN_MIX, times)
     )
-    assert peak <= phase_engine.mixed_reduced_density_bytes(spec.truncation, width)
+    assert peak <= phase_engine.mixed_reduced_density_bytes(spec.truncation, width, 7)
+
+
+@pytest.mark.parametrize("make_solver", [phase_propagator, numeric_propagator])
+@pytest.mark.parametrize("times", [7, 50, 200])
+@pytest.mark.parametrize("nbar", [0.5, 5.0])
+def test_mixed_reduced_density_plan_covers_the_solver_tables_of_every_time(
+    nbar, times, make_solver, traced_peak
+):
+    # a solver call keeps its tables for all the times it is given beside
+    # the node chunk; without a time term the plan falls short from about
+    # 50 times at nbar 0.5 (1.9x) and 200 at nbar 5
+    spec = ThermalFieldSpec(nbar)
+    width = 4 * (spec.truncation + 3)
+    probes = np.linspace(0.0, 25.0, times)
+    peak = traced_peak(
+        lambda: mixed_reduced_density(make_solver(PLAN_PAIR), spec, PLAN_MIX, probes)
+    )
+    assert peak <= phase_engine.mixed_reduced_density_bytes(spec.truncation, width, times=times)
 
 
 @pytest.mark.parametrize("nbar, nodes", [(0.5, None), (20.0, None), (0.5, 5000)])
