@@ -7,7 +7,8 @@ its own grid and against its own threshold; neither re-derives a measured
 number.  The routes themselves stay apart: this module only puts their
 outputs side by side.  Each route takes the whole time array, block
 table or density stack in one call, so a check costs one call per route,
-not one per time point, block or state.
+not one per time point, block or state.  Maxima are numpy's, so a NaN
+anywhere reads as NaN, never as the largest finite gap beside it.
 """
 
 from __future__ import annotations
@@ -38,12 +39,12 @@ def column_norm_defect(
     Every column of an amplitude table is the evolved image of one basis
     state, so unitarity makes it a unit vector at every time.
     """
-    worst = 0.0
+    worst = []
     for label in ("ee", "eg", "gg"):
         table = amplitude_table(label, n_max, times, couplings)
         norms = np.sum(np.abs(table) ** 2, axis=0)
-        worst = max(worst, float(np.abs(norms - 1.0).max()))
-    return worst
+        worst.append(np.abs(norms - 1.0).max())
+    return float(np.max(worst))
 
 
 def spectrum_defect(couplings: CouplingPair, n_max: int) -> float:
@@ -82,7 +83,7 @@ def route_gap(
     quad = mixed_reduced_density(phase_propagator(couplings), spec, pairs, times, count)
     direct = oracle_reduced_density(spec, mixture, couplings, times).matrix
     gaps = (closed - quad, closed - direct, quad - direct)
-    return max(float(np.abs(gap).max()) for gap in gaps)
+    return float(np.max([np.abs(gap).max() for gap in gaps]))
 
 
 def field_reconstruction_residuals(

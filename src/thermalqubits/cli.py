@@ -211,6 +211,13 @@ class RunConfig:
             raise ConfigError(f"steps must be at least 1, got {self.steps}")
         if self.t_max < self.t_min:
             raise ConfigError(f"t_max {self.t_max} is below t_min {self.t_min}")
+        # the time grid needs its span and every block phase Omega t a double;
+        # Omega_+ of the top block is the largest frequency
+        reach = math.sqrt(top[3]) * max(abs(self.t_min), abs(self.t_max))
+        if not (math.isfinite(self.t_max - self.t_min) and math.isfinite(reach)):
+            raise ConfigError(f"times {self.t_min} to {self.t_max} leave the double range: "
+                              f"the span or the phase Omega_+ t at photon cutoff {truncation} "
+                              "overflows")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
         nodes = self.quadrature_nodes

@@ -28,8 +28,9 @@ evolved stack per time, so its fixed work is done once for all of them.
 partner state is wanted, :func:`mixed_reduced_density` traces out the
 field from each evolved stack as it arrives, before the average, takes a
 whole array of times, and holds one chunk's stack of evolved vectors at a
-time, never the joint matrix.  Its chunks are sized by the width P F the
-solver returns.
+time, never the joint matrix.  Its chunks are sized in the engine's own
+units, the N + 1 phase-state coefficients of a node, so every partner
+gets the same number of nodes per solver call.
 """
 
 from __future__ import annotations
@@ -57,42 +58,33 @@ __all__ = [
 ]
 
 
-# Joint-vector entries that :func:`mixed_reduced_density` evolves per
-# solver call.  It bounds the working set of one node chunk; the chunk
-# length follows from the solver's width and never changes the result
-# beyond rounding.
-NODE_CHUNK_ENTRIES = 2**20
+# Phase-state coefficients that :func:`mixed_reduced_density` builds per
+# solver call, nodes x (N + 1).  It bounds the working set of one node
+# chunk; the chunk length never changes the result beyond rounding.
+NODE_CHUNK_ENTRIES = 2**18
 
 
-def node_chunk_length(width: int) -> int:
+def node_chunk_length(truncation: int) -> int:
     """Phase-grid nodes per solver call of :func:`mixed_reduced_density`,
-    for a solver of ``width`` (P F) entries per node."""
-    return max(1, NODE_CHUNK_ENTRIES // width)
-
-
-def _first_chunk_length(truncation: int) -> int:
-    """Nodes of the first chunk, sized before the solver has shown its
-    width: for 4 (N + 3) entries per node, the width of the package's
-    two-qubit solvers.  Every later chunk follows the width the solver
-    returned."""
-    return node_chunk_length(4 * (truncation + 3))
+    at N + 1 phase-state coefficients per node."""
+    return max(1, NODE_CHUNK_ENTRIES // (truncation + 1))
 
 
 # Memory plans.  Each counts the arrays of one call from the solver's entries
 # per node, ``width`` (P F), and the grid size, N + 1 nodes unless ``count``
 # is given, at a traced peak per entry rounded up; the fixed cost of a call,
 # up to about 8 kB, is the caller's to add.  evolve_mixed holds its
-# whole-grid stack, the weighted transpose and the conjugate (48.1-48.6 B
-# per evolved entry at 1,000-20,000 nodes) and returns the (P F)^2 complex
-# matrix (16 B per entry); mixed_reduced_density one node chunk (41-71 B
-# per evolved entry at nbar 0.5-100 and 7 times) beside the tables a
-# solver call keeps for all its times (22-40 B per time and width entry
-# for the closed-form solver and 44-53 B for the diagonalized one, from
-# the growth of the peak between 200 and 1,000 times at nbar 0.5-20); and
-# reconstruct_field_density the phase-state rows, conjugated in place,
-# and their average (24-39 B per entry at nbar 0.5-50 and up to 5,000
-# nodes).
-STACK_ENTRY_BYTES = 56
+# whole-grid stack, conjugated in place, and the weighted transpose
+# (32.0-33.2 B per evolved entry at nbar 0.5-5 and 34-20,000 nodes) and
+# returns the (P F)^2 complex matrix (16 B per entry); mixed_reduced_density
+# one node chunk (41-71 B per evolved entry at nbar 0.5-100 and 7 times)
+# beside the tables a solver call keeps for all its times (22-40 B per time
+# and width entry for the closed-form solver and 44-53 B for the
+# diagonalized one, from the growth of the peak between 200 and 1,000 times
+# at nbar 0.5-20); and reconstruct_field_density the phase-state rows,
+# conjugated in place, and their average (24-39 B per entry at nbar 0.5-50
+# and up to 5,000 nodes).
+STACK_ENTRY_BYTES = 40
 MATRIX_ENTRY_BYTES = 16
 CHUNK_ENTRY_BYTES = 72
 TIME_ENTRY_BYTES = 56
@@ -110,12 +102,10 @@ def mixed_reduced_density_bytes(
     truncation: int, width: int, times: int, count: int | None = None
 ) -> int:
     """Planned peak of :func:`mixed_reduced_density` at ``times`` times:
-    its largest node chunk, the first one or one sized for ``width``, and
-    the solver's tables for all the times of one call."""
+    one node chunk and the solver's tables for all the times of one call."""
     count = exact_node_count(truncation) if count is None else count
-    first = min(count, _first_chunk_length(truncation))
-    later = min(count - first, node_chunk_length(width))
-    return (CHUNK_ENTRY_BYTES * max(first, later) + TIME_ENTRY_BYTES * times) * width
+    chunk = min(count, node_chunk_length(truncation))
+    return (CHUNK_ENTRY_BYTES * chunk + TIME_ENTRY_BYTES * times) * width
 
 
 def reconstruct_field_density_bytes(truncation: int, count: int | None = None) -> int:
@@ -190,9 +180,13 @@ def reconstruct_field_density(
     phis, weights = quadrature_nodes(count)
     if interval == "half":
         phis = math.pi * (np.arange(count) + 0.5) / count
-    rows = phase_state_rows(spec, phis)
-    # the weighted copy is taken before the rows are conjugated in place
-    return (rows.T * weights) @ np.conjugate(rows, out=rows)
+    return _projector_average(phase_state_rows(spec, phis), weights)
+
+
+def _projector_average(v: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum of w_k v_k v_k^H over the rows v_k of ``v``.  The weighted copy
+    is taken before ``v`` is conjugated in place, so ``v`` is spent."""
+    return (v.T * weights) @ np.conjugate(v, out=v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,9 +236,8 @@ def _evolved_nodes(
     and time, in that nesting order, from one solver call per chunk and
     label.  The phase-state rows of a chunk are built once and go to the
     solver as one stack; ``weights`` are the chunk's node weights times the
-    label weight, one per entry of the (K, P, F) evolved stack.  The first
-    chunk has ``chunk`` nodes and each later one about NODE_CHUNK_ENTRIES
-    entries at the width P F of the solver's last stack.
+    label weight, one per entry of the (K, P, F) evolved stack.  Every
+    chunk has ``chunk`` nodes but the last.
     """
     phis, node_weights = quadrature_nodes(count)
     first = 0
@@ -265,7 +258,6 @@ def _evolved_nodes(
             if k + 1 != len(times):
                 raise ValueError(f"solver gave {k + 1} stacks for {len(times)} times")
         first += len(rows)
-        chunk = node_chunk_length(out[0].size)
 
 
 def evolve_mixed(
@@ -303,7 +295,7 @@ def evolve_mixed(
     del out  # the last label's stack, already copied
     fock_dim = v.shape[-1]
     v = v.reshape(len(pairs) * count, -1)
-    return JointDensity(matrix=(v.T * weights.ravel()) @ v.conj(), fock_dim=fock_dim)
+    return JointDensity(matrix=_projector_average(v, weights.ravel()), fock_dim=fock_dim)
 
 
 def mixed_reduced_density(
@@ -321,10 +313,10 @@ def mixed_reduced_density(
     node's P x P trace Tr_F |v_k><v_k| in one batched (K, P, F) @ (K, F, P)
     product, scales it by its weight w_k and sums the K traces pairwise, so
     no joint matrix is ever formed.  Nodes go to the solver in chunks of
-    about NODE_CHUNK_ENTRIES joint-vector entries, one call per chunk and
-    start label for all the times, and the chunk sums are added with one
-    rounding per entry, so the chunk length moves the result by rounding
-    inside a chunk only.  The average stays explicit and weighted, so a
+    about NODE_CHUNK_ENTRIES phase-state coefficients, one call per chunk
+    and start label for all the times, and the chunk sums are added into
+    one result in grid order, so the chunk length moves the result by
+    rounding only.  The average stays explicit and weighted, so a
     grid of N nodes or fewer shows its error here as it does in the joint
     density.
 
@@ -338,25 +330,16 @@ def mixed_reduced_density(
         count = exact_node_count(spec.truncation)
     pairs = _weighted_starts(partner_mixture)
     flat = np.atleast_1d(times)
-    terms: list[list[np.ndarray]] = [[] for _ in flat]
-    chunk = _first_chunk_length(spec.truncation)
+    rho = None
+    chunk = node_chunk_length(spec.truncation)
     for k, weights, v in _evolved_nodes(solver, spec, pairs, flat, count, chunk):
         per_node = np.matmul(v, v.conj().transpose(0, 2, 1)) * weights[:, None, None]
         # nodes along the contiguous axis, so numpy sums them pairwise
         by_entry = np.ascontiguousarray(per_node.reshape(len(v), -1).T)
-        terms[k].append(by_entry.sum(axis=1).reshape(per_node.shape[1:]))
-    rho = np.array([_exact_sum(np.array(chunks)) for chunks in terms])
+        if rho is None:  # the solver's output fixes P
+            rho = np.zeros((len(flat),) + per_node.shape[1:], dtype=complex)
+        rho[k] += by_entry.sum(axis=1).reshape(per_node.shape[1:])
     return rho[0] if times.ndim == 0 else rho
-
-
-def _exact_sum(stack: np.ndarray) -> np.ndarray:
-    """Sum of a (C, ...) complex stack over its first axis, each entry
-    rounded once, so the order in which the chunks arrive does not matter."""
-    columns = stack.reshape(len(stack), -1).T
-    sums = np.empty(len(columns), dtype=complex)
-    sums.real = list(map(math.fsum, columns.real.tolist()))
-    sums.imag = list(map(math.fsum, columns.imag.tolist()))
-    return sums.reshape(stack.shape[1:])
 
 
 def partial_trace_field(rho: JointDensity) -> np.ndarray:

@@ -44,6 +44,18 @@ def test_column_norm_defect_sees_a_scaled_table(monkeypatch):
     assert checks.column_norm_defect(PAIR, 12, TIMES) >= 1e-9
 
 
+@pytest.mark.parametrize("label", ["ee", "eg", "gg"])
+def test_column_norm_defect_sees_a_nan_table(label, monkeypatch):
+    original = checks.amplitude_table
+
+    def planted(name, *args):
+        table = original(name, *args)
+        return table * np.nan if name == label else table
+
+    monkeypatch.setattr(checks, "amplitude_table", planted)
+    assert math.isnan(checks.column_norm_defect(PAIR, 12, TIMES))
+
+
 def test_spectrum_defect_sees_a_shifted_frequency(monkeypatch):
     assert checks.spectrum_defect(PAIR, 12) <= 1e-11
     original = checks.block_spectrum
@@ -66,6 +78,14 @@ def test_route_gap_sees_each_perturbed_route(route, monkeypatch):
     monkeypatch.setattr(checks, route, _shifted(getattr(checks, route), PLANT))
     # the other two routes agree with each other, so the gap is the plant
     assert checks.route_gap(SPEC, MIX, PAIR, TIMES) == pytest.approx(PLANT, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "route", ["reduced_density", "mixed_reduced_density", "oracle_reduced_density"]
+)
+def test_route_gap_sees_a_nan_in_each_route(route, monkeypatch):
+    monkeypatch.setattr(checks, route, _shifted(getattr(checks, route), np.nan))
+    assert math.isnan(checks.route_gap(SPEC, MIX, PAIR, TIMES))
 
 
 def test_route_gap_takes_one_time_or_an_array():

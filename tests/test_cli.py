@@ -240,6 +240,36 @@ def test_means_without_a_truncation_are_config_errors(argv, monkeypatch, capsys)
     assert "config error: mean photon number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--t-max", "1e308", "--steps", "3"],
+        ["validate", "--t-max", "1e308"],
+        ["run", "--mode", "joint", "--nbar", "0.5", "--t-max", "1e308"],
+        ["run", "--t-min=-1.7e308", "--t-max", "1.7e308", "--lambda1", "1e-8",
+         "--lambda2", "1e-8", "--steps", "3"],
+    ],
+)
+def test_times_whose_phase_overflows_are_config_errors(argv, monkeypatch, capsys):
+    # the last one keeps every phase finite, but not the span t_max - t_min
+    def refuse(*args, **kwargs):
+        raise AssertionError("rendered a run with overflowing phases")
+
+    for name in ("run_timeseries", "render_joint", "render_validation"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert main(argv) == 2
+    assert "config error: times" in capsys.readouterr().err
+
+
+def test_times_below_the_phase_overflow_stay_accepted(capsys):
+    # the top phase Omega_+ t reaches 1.17e308 here, within a factor 1.6 of the overflow
+    cfg = load_config(None, {"t_max": 1e307, "steps": 3})
+    top = closed_form.block_spectrum(cfg.field().truncation, cfg.couplings())[3]
+    assert 1e308 < math.sqrt(top) * cfg.t_max < math.inf
+    assert main(["run", "--t-max", "1e307", "--steps", "3"]) == 0
+    assert len(data_lines(capsys.readouterr().out)) == 3
+
+
 @pytest.mark.parametrize("gamma", [0.0, 1e-9, 1.0 - 1e-6, 1.0])
 def test_the_gamma_family_stays_accepted_at_nbar_100(gamma):
     assert RunConfig(nbar=100.0, gamma=gamma).couplings().lambda1 == 1.0 + gamma

@@ -1,8 +1,6 @@
 """The diagonalization route: block layout, block spectra and evolution.
 
-The route diagonalizes its blocks with numpy's ``eigh``.  The tests whose
-names still say "jacobi" date from a hand-written Jacobi solver; they now
-check what the route takes from ``eigh`` on its block tables.
+The route diagonalizes its blocks with numpy's ``eigh``.
 """
 
 import gc
@@ -73,7 +71,7 @@ def test_negative_excitation_is_refused():
         numeric_propagator(pair)(np.zeros(0), "gg", np.array([1.0]))
 
 
-def test_jacobi_agrees_with_the_two_by_two_closed_form():
+def test_eigh_agrees_with_the_two_by_two_closed_form():
     # E = 1 is a two-level problem: the bright state (l1 |eg0> + l2 |ge0>) / W
     # couples to |gg1> with W = sqrt(l1^2 + l2^2), the dark state stays at 0
     l1, l2 = 2.0, 1.0
@@ -92,7 +90,7 @@ def test_jacobi_agrees_with_the_two_by_two_closed_form():
     assert np.allclose(v.T @ v, np.eye(4), atol=1e-14)
 
 
-def test_jacobi_reconstructs_random_symmetric_matrices():
+def test_eigh_reconstructs_block_tables_at_random_couplings():
     # block tables at random couplings: ascending eigenvalues, orthonormal
     # eigenvectors, and v diag(w) v^T gives the table back
     rng = np.random.default_rng(3)
@@ -104,7 +102,7 @@ def test_jacobi_reconstructs_random_symmetric_matrices():
         assert np.allclose(v.swapaxes(-1, -2) @ v, np.eye(4), atol=1e-12)
 
 
-def test_jacobi_symmetry_check_is_relative_to_the_entries():
+def test_block_tables_stay_exactly_symmetric_at_every_scale():
     # eigh reads one triangle, so every block must be exactly symmetric, at
     # any coupling scale; the uncoupled block E = 0 comes back as w = 0 and
     # v = +-I exactly, which keeps its padding amplitudes exact zeros
@@ -227,7 +225,7 @@ def test_block_table_refuses_a_bad_cutoff():
 
 
 @pytest.mark.parametrize("gamma", GAMMAS + [1.0])
-def test_stacked_jacobi_is_bitwise_the_one_block_calls(gamma):
+def test_stacked_eigh_is_bitwise_the_one_block_calls(gamma):
     # each block's eigenpairs do not depend on the stack it sits in, so the
     # oracle's densities do not depend on its cutoff beyond the blocks it
     # reads, and numeric_propagator may reuse a larger table it holds
@@ -256,7 +254,7 @@ def test_padding_positions_stay_exact_zeros(gamma):
         assert np.all(oracle._start_amplitudes(w, v, label, 6, times)[:, 0, 0] == 0.0)
 
 
-def test_stacked_jacobi_handles_blocks_converging_at_different_sweeps():
+def test_stacked_eigh_returns_each_kind_of_block_as_if_alone():
     # blocks that need different work share one stack: the zero block E = 0,
     # degenerate (gamma 0), decoupled (gamma 1) and tiny (1e-70) couplings;
     # each comes back as if alone and reconstructs at its own scale
@@ -277,7 +275,7 @@ def test_stacked_jacobi_handles_blocks_converging_at_different_sweeps():
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
-def test_stacked_jacobi_eigenvalues_match_lapack(gamma):
+def test_eigh_and_eigvalsh_agree_on_block_tables(gamma):
     # the oracle route takes eigh's eigenpairs and the spectrum line
     # eigvalsh's eigenvalues, two LAPACK drivers that differ by a few ulp
     # of the block scale (up to 2.5e-15 at N = 300), so they are compared
@@ -300,7 +298,7 @@ def _random_tables(rng, count, n_max):
 
 
 @pytest.mark.parametrize("size", [2, 3, 4, 5])
-def test_jacobi_eigenvalues_of_random_stacks_match_lapack(size):
+def test_eigh_and_eigvalsh_agree_on_random_stacks(size):
     # the bounds of the block-table comparison above, on stacks of tables
     # whose couplings span twelve decades; ``size`` is the tables' cutoff
     stack = _random_tables(np.random.default_rng(size), 300, size)
@@ -314,7 +312,7 @@ def test_jacobi_eigenvalues_of_random_stacks_match_lapack(size):
 
 
 @pytest.mark.parametrize("size", [3, 5])
-def test_stacked_jacobi_of_odd_size_is_bitwise_the_one_block_calls(size):
+def test_stacked_eigh_of_odd_size_is_bitwise_the_one_block_calls(size):
     # tables of odd cutoff at random couplings, with a decoupled second atom
     # (lambda2 = 0) among them, stacked on a leading axis
     stack = _random_tables(np.random.default_rng(7), 40, size)

@@ -428,12 +428,12 @@ def test_coarse_grid_error_shows_on_both_reduced_routes(count):
 @pytest.mark.parametrize("make_solver", [phase_propagator, numeric_propagator])
 def test_chunk_length_changes_nothing_but_rounding(make_solver, monkeypatch):
     spec = ThermalFieldSpec(2.0, 1e-8)
-    row = 4 * (spec.truncation + 3)
+    row = spec.truncation + 1
     solver = make_solver(TRACE_PAIR)
     results = []
     for nodes in (1, 7, phase_engine.exact_node_count(spec.truncation)):
         monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", nodes * row)
-        assert phase_engine.node_chunk_length(row) == nodes
+        assert phase_engine.node_chunk_length(spec.truncation) == nodes
         results.append(mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES))
     for rho in results[1:]:
         assert np.abs(rho - results[0]).max() < 1e-15
@@ -441,7 +441,7 @@ def test_chunk_length_changes_nothing_but_rounding(make_solver, monkeypatch):
 
 def test_trace_first_calls_the_solver_once_per_chunk_and_label(monkeypatch):
     spec = ThermalFieldSpec(0.5, 1e-6)
-    monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", 10 * 4 * (spec.truncation + 3))
+    monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", 10 * (spec.truncation + 1))
     inner = phase_propagator(CouplingPair.from_gamma(0.3))
     calls = []
 
@@ -482,7 +482,7 @@ def test_time_array_solver_calls_are_bitwise_the_per_time_calls_over_chunks(monk
     spec = ThermalFieldSpec(2.0, 1e-8)
     count = phase_engine.exact_node_count(spec.truncation)
     monkeypatch.setattr(
-        phase_engine, "NODE_CHUNK_ENTRIES", (count // 3 + 1) * 4 * (spec.truncation + 3)
+        phase_engine, "NODE_CHUNK_ENTRIES", (count // 3 + 1) * (spec.truncation + 1)
     )
     inner = phase_propagator(TRACE_PAIR)
     calls = []
@@ -497,30 +497,34 @@ def test_time_array_solver_calls_are_bitwise_the_per_time_calls_over_chunks(monk
     assert np.array_equal(rho, mixed_reduced_density(reference, spec, MIX_PAIRS, TRACE_TIMES))
 
 
-@pytest.mark.parametrize("partners, sizes", [(2, [10, 15]), (8, [10, 5, 5, 5])])
-def test_later_chunks_follow_the_solver_width(partners, sizes, monkeypatch):
-    # the first chunk is sized for 4 (N + 3) entries per node; once the
-    # solver has shown its width each chunk holds about NODE_CHUNK_ENTRIES
+@pytest.mark.parametrize("partners", [2, 8])
+def test_every_partner_gets_the_chunks_of_a_two_qubit_solver(partners, monkeypatch):
+    # chunks count phase-state coefficients, N + 1 per node, so the width
+    # P F of the solver's stacks sizes no chunk; the plan scales with it
     spec = ThermalFieldSpec(0.5, 1e-6)
-    budget = 10 * 4 * (spec.truncation + 3)
-    monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", budget)
-    inner = _idle_partner(spec, partners)
-    calls = []
+    monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", 10 * (spec.truncation + 1))
+    assert phase_engine.node_chunk_length(spec.truncation) == 10
 
-    def solver(coeffs, label, times):
-        calls.append(len(coeffs))
-        return inner(coeffs, label, times)
+    def counted(inner, calls):
+        def solver(coeffs, label, times):
+            calls.append(len(coeffs))
+            return inner(coeffs, label, times)
 
-    rho = mixed_reduced_density(solver, spec, [(1.0, "1")], TRACE_TIMES, count=25)
-    assert calls == sizes
-    width = partners * (spec.truncation + 3)
-    assert all(size * width <= budget for size in sizes[1:])
+        return solver
+
+    two_qubit, calls = [], []
+    solver = counted(phase_propagator(TRACE_PAIR), two_qubit)
+    mixed_reduced_density(solver, spec, [(1.0, "ee")], TRACE_TIMES, count=25)
+    idle = counted(_idle_partner(spec, partners), calls)
+    rho = mixed_reduced_density(idle, spec, [(1.0, "1")], TRACE_TIMES, count=25)
+    assert calls == two_qubit == [10, 10, 5]
     expected = np.zeros((partners, partners))
     expected[1, 1] = spec.retained_mass()
     assert np.abs(rho - expected).max() < 1e-15
+    width = partners * (spec.truncation + 3)
     plan = phase_engine.mixed_reduced_density_bytes(spec.truncation, width, len(TRACE_TIMES), 25)
     per_node, per_time = phase_engine.CHUNK_ENTRY_BYTES, phase_engine.TIME_ENTRY_BYTES
-    assert plan == (per_node * max(sizes) + per_time * len(TRACE_TIMES)) * width
+    assert plan == (per_node * 10 + per_time * len(TRACE_TIMES)) * width
 
 
 def test_bound_solver_tables_die_with_their_solver():
@@ -592,7 +596,7 @@ def test_plans_follow_the_grid_and_the_chunk_rule(monkeypatch):
     # the whole default grid fits one chunk; the solver's tables grow with the times
     assert phase_engine.mixed_reduced_density_bytes(n, dim, 7) == (chunk * 100 + per_time * 7) * dim
     assert phase_engine.mixed_reduced_density_bytes(n, dim, 1, 3) == (chunk * 3 + per_time) * dim
-    monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", 5 * dim + 1)
+    monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", 5 * (n + 1) + 1)
     assert phase_engine.mixed_reduced_density_bytes(n, dim, 7) == (chunk * 5 + per_time * 7) * dim
 
 
@@ -618,7 +622,7 @@ def test_mixed_reduced_density_plan_covers_the_measured_peak(
     spec = ThermalFieldSpec(nbar)
     width = 4 * (spec.truncation + 3)
     if chunk is not None:
-        monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", chunk * width)
+        monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", chunk * (spec.truncation + 1))
     times = np.linspace(0.0, 25.0, 7)
     peak = traced_peak(
         lambda: mixed_reduced_density(phase_propagator(PLAN_PAIR), spec, PLAN_MIX, times)
