@@ -96,11 +96,14 @@ def field_reconstruction_residuals(
     half-period one is the odd coherences the half grid cannot cancel,
     order one by design.
     """
-    target = np.diag(spec.probabilities()).astype(complex)
-    return tuple(
-        float(np.abs(reconstruct_field_density(spec, count, interval) - target).max())
-        for interval in ("full", "half")
-    )
+    probabilities = spec.probabilities()
+
+    def residual(interval: str) -> float:
+        average = reconstruct_field_density(spec, count, interval)
+        average[np.diag_indices_from(average)] -= probabilities
+        return float(np.abs(average).max())
+
+    return residual("full"), residual("half")
 
 
 def negativity_route_gap(densities: TwoQubitDensity) -> float:

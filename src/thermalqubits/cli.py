@@ -122,10 +122,10 @@ def work_bytes(truncation: int, steps: int, mode: str, nodes: int | None = None)
     Every mode runs in two stages, one after the other, so its peak is
     ``_RUN_BYTES`` plus the larger stage, each planned by the module that
     allocates it.  A reduced series first holds one chunk of amplitude
-    rows, then its rows and their CSV lines.  A joint run first evolves M
-    vectors of length 4 (N + 3) for each of up to three start labels, M
-    being the phase-grid size (N + 1 unless ``nodes`` is given), and then
-    renders the joint density, (4 (N + 3))^2 entries, as JSON text.
+    rows, then its rows and their CSV lines.  A joint run first sums the
+    joint density, (4 (N + 3))^2 entries, over the phase grid (N + 1 nodes
+    unless ``nodes`` is given), one node chunk of evolved vectors of
+    length 4 (N + 3) at a time, and then renders it as JSON text.
     Validate's stages are the route comparison (one node chunk of the
     phase engine with its solver's tables, beside the oracle's tables, at
     every probe time) and the field reconstruction.
@@ -134,7 +134,7 @@ def work_bytes(truncation: int, steps: int, mode: str, nodes: int | None = None)
     if mode == "reduced":
         stages = (reduced_density_bytes(truncation, steps), _ROW_BYTES * steps)
     elif mode == "joint":
-        stages = (evolve_mixed_bytes(truncation, width, 3, nodes), _JSON_BYTES * width * width)
+        stages = (evolve_mixed_bytes(truncation, width, nodes), _JSON_BYTES * width * width)
     else:
         probes = min(steps, VALIDATE_PROBES)
         routes = mixed_reduced_density_bytes(truncation, width, probes, nodes)

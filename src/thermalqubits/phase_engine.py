@@ -20,24 +20,26 @@ dimension P and the Fock dimension F off the solver's output and returns
 plain arrays; a caller that knows its partner wraps them itself, for two
 qubits in :class:`thermalqubits.reduction.TwoQubitDensity`.
 
-Two averages share one node loop, which makes one solver call per node
-chunk and start label: a solver takes a 1-D array of times and yields one
-evolved stack per time, so its fixed work is done once for all of them.
+Both averages run through one node loop.  It walks the grid in node
+chunks sized in the engine's own units, the N + 1 phase-state
+coefficients of a node, so every partner gets the same number of nodes
+per solver call, and makes one solver call per chunk and start label: a
+solver takes a 1-D array of times and yields one evolved stack per time,
+so its fixed work is done once for all of them.  Each stack is reduced
+as it arrives and added into its time's sum in grid order, so the loop
+holds one chunk's stack of evolved vectors at a time.
 :func:`evolve_mixed` keeps the whole joint density at one time, a
 (P F)^2 matrix, and passes that time as a one-entry array.  When only the
 partner state is wanted, :func:`mixed_reduced_density` traces out the
-field from each evolved stack as it arrives, before the average, takes a
-whole array of times, and holds one chunk's stack of evolved vectors at a
-time, never the joint matrix.  Its chunks are sized in the engine's own
-units, the N + 1 phase-state coefficients of a node, so every partner
-gets the same number of nodes per solver call.
+field from each stack before the average, takes a whole array of times,
+and never forms the joint matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 import numpy as np
 
@@ -58,44 +60,45 @@ __all__ = [
 ]
 
 
-# Phase-state coefficients that :func:`mixed_reduced_density` builds per
-# solver call, nodes x (N + 1).  It bounds the working set of one node
-# chunk; the chunk length never changes the result beyond rounding.
+# Phase-state coefficients that the node loop builds per solver call,
+# nodes x (N + 1).  It bounds the working set of one node chunk; the chunk
+# length never changes the result beyond rounding.
 NODE_CHUNK_ENTRIES = 2**18
 
 
 def node_chunk_length(truncation: int) -> int:
-    """Phase-grid nodes per solver call of :func:`mixed_reduced_density`,
-    at N + 1 phase-state coefficients per node."""
+    """Phase-grid nodes per solver call, at N + 1 phase-state coefficients
+    per node."""
     return max(1, NODE_CHUNK_ENTRIES // (truncation + 1))
 
 
 # Memory plans.  Each counts the arrays of one call from the solver's entries
 # per node, ``width`` (P F), and the grid size, N + 1 nodes unless ``count``
 # is given, at a traced peak per entry rounded up; the fixed cost of a call,
-# up to about 8 kB, is the caller's to add.  evolve_mixed holds its
-# whole-grid stack, conjugated in place, and the weighted transpose
-# (32.0-33.2 B per evolved entry at nbar 0.5-5 and 34-20,000 nodes) and
-# returns the (P F)^2 complex matrix (16 B per entry); mixed_reduced_density
-# one node chunk (41-71 B per evolved entry at nbar 0.5-100 and 7 times)
-# beside the tables a solver call keeps for all its times (22-40 B per time
-# and width entry for the closed-form solver and 44-53 B for the
-# diagonalized one, from the growth of the peak between 200 and 1,000 times
-# at nbar 0.5-20); and reconstruct_field_density the phase-state rows,
-# conjugated in place, and their average (24-39 B per entry at nbar 0.5-50
-# and up to 5,000 nodes).
-STACK_ENTRY_BYTES = 40
-MATRIX_ENTRY_BYTES = 16
+# up to about 8 kB, is the caller's to add.  evolve_mixed holds one node
+# chunk, its stack conjugated in place and the weighted transpose (36-45 B
+# per evolved entry at nbar 0.5-15 and 21-20,000 nodes), beside the
+# (P F)^2 complex sum it returns and one start label's product (32 B per
+# entry); mixed_reduced_density one node chunk (41-71 B per evolved entry
+# at nbar 0.5-100 and 7 times) beside the tables a solver call keeps for
+# all its times (22-40 B per time and width entry for the closed-form
+# solver and 44-53 B for the diagonalized one, from the growth of the peak
+# between 200 and 1,000 times at nbar 0.5-20); and
+# reconstruct_field_density the phase-state rows, conjugated in place, and
+# their average (24-39 B per entry at nbar 0.5-50 and up to 5,000 nodes).
+STACK_ENTRY_BYTES = 48
+MATRIX_ENTRY_BYTES = 32
 CHUNK_ENTRY_BYTES = 72
 TIME_ENTRY_BYTES = 56
 FIELD_ENTRY_BYTES = 48
 
 
-def evolve_mixed_bytes(truncation: int, width: int, starts: int, count: int | None = None) -> int:
-    """Planned peak of :func:`evolve_mixed` for ``starts`` start labels,
-    the (width x width) matrix it returns included."""
+def evolve_mixed_bytes(truncation: int, width: int, count: int | None = None) -> int:
+    """Planned peak of :func:`evolve_mixed`: one node chunk of evolved
+    vectors, the (width x width) sum it returns and one label's product."""
     count = exact_node_count(truncation) if count is None else count
-    return STACK_ENTRY_BYTES * starts * count * width + MATRIX_ENTRY_BYTES * width * width
+    chunk = min(count, node_chunk_length(truncation))
+    return STACK_ENTRY_BYTES * chunk * width + MATRIX_ENTRY_BYTES * width * width
 
 
 def mixed_reduced_density_bytes(
@@ -126,8 +129,9 @@ class PureStatePropagator(Protocol):
     the M = 1 case and gives (P, F) arrays.  A solver does its per-call
     work once for all T times and builds each time's stack only when it is
     asked for, so a caller that reduces each stack on arrival holds one at
-    a time.  Each row must preserve its squared norm to 1e-12 and reduce to
-    the plain embedding at t = 0.
+    a time; each stack belongs to the caller, which may overwrite it.
+    Each row must preserve its squared norm to 1e-12 and reduce to the
+    plain embedding at t = 0.
     :func:`thermalqubits.closed_form.phase_propagator` builds one from a
     coupling pair, with P = 4 and F = N+3;
     :func:`thermalqubits.oracle.numeric_propagator` builds the
@@ -184,8 +188,10 @@ def reconstruct_field_density(
 
 
 def _projector_average(v: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Sum of w_k v_k v_k^H over the rows v_k of ``v``.  The weighted copy
-    is taken before ``v`` is conjugated in place, so ``v`` is spent."""
+    """Sum of w_k v_k v_k^H over the entries v_k of ``v``, each flattened
+    to one row.  The weighted copy is taken before ``v`` is conjugated in
+    place, so ``v`` is spent."""
+    v = v.reshape(len(v), -1)
     return (v.T * weights) @ np.conjugate(v, out=v)
 
 
@@ -221,30 +227,34 @@ def _weighted_starts(partner_mixture: Iterable[tuple[float, str]]) -> list[tuple
     return [(w, label) for w, label in pairs if w != 0.0]
 
 
-def _evolved_nodes(
+def _grid_sums(
     solver: PureStatePropagator,
     spec: ThermalFieldSpec,
-    pairs: list[tuple[float, str]],
+    partner_mixture: Iterable[tuple[float, str]],
     times: np.ndarray,
-    count: int,
-    chunk: int,
-):
-    """Evolve the grid's phase states, one node chunk at a time.
+    count: int | None,
+    reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[list[np.ndarray], int]:
+    """Sum ``reduce(stack, weights)`` over the grid, one sum per time.
 
-    ``pairs`` are the checked starts of :func:`_weighted_starts`.  Yields
-    (time index, weights, evolved stack) for every node chunk, start label
-    and time, in that nesting order, from one solver call per chunk and
-    label.  The phase-state rows of a chunk are built once and go to the
-    solver as one stack; ``weights`` are the chunk's node weights times the
-    label weight, one per entry of the (K, P, F) evolved stack.  Every
-    chunk has ``chunk`` nodes but the last.
+    Checks the starts with :func:`_weighted_starts`, then walks the grid
+    (``count`` nodes, :func:`exact_node_count` by default) in node chunks
+    of :func:`node_chunk_length`.  The phase-state rows of a chunk are
+    built once and go to the solver as one stack, one call per chunk and
+    start label for all ``times``.  Each evolved (K, P, F) stack is checked
+    and reduced with its ``weights``, the chunk's node weights times the
+    label weight, and the result is added into its time's sum in grid
+    order.  Returns the T sums and the solver's F.
     """
+    count = exact_node_count(spec.truncation) if count is None else count
+    pairs = _weighted_starts(partner_mixture)
     phis, node_weights = quadrature_nodes(count)
-    first = 0
-    while first < count:
+    chunk = node_chunk_length(spec.truncation)
+    sums = [0] * len(times)  # each an array from its first term on, then added in place
+    for first in range(0, count, chunk):
         rows = phase_state_rows(spec, phis[first : first + chunk])
-        weights = node_weights[first : first + chunk]
         for w_label, label in pairs:
+            weights = w_label * node_weights[first : first + chunk]
             k = -1
             for k, out in enumerate(solver(rows, label, times)):
                 out = np.asarray(out, dtype=complex)
@@ -254,10 +264,20 @@ def _evolved_nodes(
                         f"stack with one entry per node, {len(rows)} in all, for one of "
                         f"{len(times)} times"
                     )
-                yield k, w_label * weights, out
+                sums[k] += reduce(out, weights)
             if k + 1 != len(times):
                 raise ValueError(f"solver gave {k + 1} stacks for {len(times)} times")
-        first += len(rows)
+    return sums, out.shape[-1]
+
+
+def _traced_average(v: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum of w_k Tr_F |v_k><v_k| over the (P, F) entries v_k of ``v``:
+    every node's P x P trace in one batched (K, P, F) @ (K, F, P) product,
+    scaled by its weight and summed pairwise over the K nodes."""
+    per_node = np.matmul(v, v.conj().transpose(0, 2, 1)) * weights[:, None, None]
+    # nodes along the contiguous axis, so numpy sums them pairwise
+    by_entry = np.ascontiguousarray(per_node.reshape(len(v), -1).T)
+    return by_entry.sum(axis=1).reshape(per_node.shape[1:])
 
 
 def evolve_mixed(
@@ -270,32 +290,21 @@ def evolve_mixed(
     """Joint density at time t from a diagonal partner mixture in the field.
 
     ``partner_mixture`` lists (weight, starting label) pairs with weights
-    summing to one.  The phase states of all grid nodes go to the solver as
-    one (M, N+1) stack with the one-time array [t], so each start with
-    nonzero weight costs one solver call, and the projectors are averaged
-    in one product with fixed summation order, so repeated runs agree
-    bitwise.  Any grid of more than N nodes makes the average exact rather
-    than approximate; the default is :func:`exact_node_count`.  The partner
-    dimension P and the Fock dimension F are the solver's.  For the partner
-    state alone, :func:`mixed_reduced_density` traces out the field before
-    averaging and never builds this matrix.
+    summing to one.  The phase states of a node chunk go to the solver as
+    one (K, N+1) stack with the one-time array [t], so each start with
+    nonzero weight costs one solver call per chunk; each call's projectors
+    are averaged in one product and the products are added in grid order,
+    so repeated runs agree bitwise and the chunk length moves the result
+    by rounding only.  Any grid of more than N nodes makes the average
+    exact rather than approximate; the default is :func:`exact_node_count`.
+    The partner dimension P and the Fock dimension F are the solver's.
+    For the partner state alone, :func:`mixed_reduced_density` traces out
+    the field before averaging and never builds this matrix.
     """
-    if count is None:
-        count = exact_node_count(spec.truncation)
-    pairs = _weighted_starts(partner_mixture)
-    # one whole-grid stack per start label, copied into place as it arrives
-    times = np.array([t], dtype=float)
-    for j, (_, w_nodes, out) in enumerate(
-        _evolved_nodes(solver, spec, pairs, times, count, count)
-    ):
-        if j == 0:  # the solver's output fixes P and F
-            v = np.empty((len(pairs), count) + out.shape[1:], dtype=complex)
-            weights = np.empty((len(pairs), count))
-        v[j], weights[j] = out, w_nodes
-    del out  # the last label's stack, already copied
-    fock_dim = v.shape[-1]
-    v = v.reshape(len(pairs) * count, -1)
-    return JointDensity(matrix=_projector_average(v, weights.ravel()), fock_dim=fock_dim)
+    (matrix,), fock_dim = _grid_sums(
+        solver, spec, partner_mixture, np.array([t], dtype=float), count, _projector_average
+    )
+    return JointDensity(matrix=matrix, fock_dim=fock_dim)
 
 
 def mixed_reduced_density(
@@ -308,17 +317,13 @@ def mixed_reduced_density(
     """Partner density at each time, with the field traced out before the
     grid average.
 
-    The same average as ``partial_trace_field(evolve_mixed(...))``, but each
-    evolved stack is reduced on arrival: a chunk of K nodes forms every
-    node's P x P trace Tr_F |v_k><v_k| in one batched (K, P, F) @ (K, F, P)
-    product, scales it by its weight w_k and sums the K traces pairwise, so
-    no joint matrix is ever formed.  Nodes go to the solver in chunks of
-    about NODE_CHUNK_ENTRIES phase-state coefficients, one call per chunk
-    and start label for all the times, and the chunk sums are added into
-    one result in grid order, so the chunk length moves the result by
-    rounding only.  The average stays explicit and weighted, so a
-    grid of N nodes or fewer shows its error here as it does in the joint
-    density.
+    The same average as ``partial_trace_field(evolve_mixed(...))``, over
+    the same node chunks, but each evolved stack is reduced on arrival to
+    the weighted sum of its nodes' P x P traces Tr_F |v_k><v_k|, so no
+    joint matrix is ever formed, and one solver call per chunk and start
+    label serves all the times.  The average stays explicit and weighted,
+    so a grid of N nodes or fewer shows its error here as it does in the
+    joint density.
 
     A scalar time gives one (P, P) density, a 1-D array of T times a
     (T, P, P) stack.
@@ -326,20 +331,10 @@ def mixed_reduced_density(
     times = np.asarray(times, dtype=float)
     if times.ndim > 1 or times.size == 0:
         raise ValueError(f"need a time or a 1-D array of times, got shape {times.shape}")
-    if count is None:
-        count = exact_node_count(spec.truncation)
-    pairs = _weighted_starts(partner_mixture)
-    flat = np.atleast_1d(times)
-    rho = None
-    chunk = node_chunk_length(spec.truncation)
-    for k, weights, v in _evolved_nodes(solver, spec, pairs, flat, count, chunk):
-        per_node = np.matmul(v, v.conj().transpose(0, 2, 1)) * weights[:, None, None]
-        # nodes along the contiguous axis, so numpy sums them pairwise
-        by_entry = np.ascontiguousarray(per_node.reshape(len(v), -1).T)
-        if rho is None:  # the solver's output fixes P
-            rho = np.zeros((len(flat),) + per_node.shape[1:], dtype=complex)
-        rho[k] += by_entry.sum(axis=1).reshape(per_node.shape[1:])
-    return rho[0] if times.ndim == 0 else rho
+    sums, _ = _grid_sums(
+        solver, spec, partner_mixture, np.atleast_1d(times), count, _traced_average
+    )
+    return sums[0] if times.ndim == 0 else np.array(sums)
 
 
 def partial_trace_field(rho: JointDensity) -> np.ndarray:

@@ -336,15 +336,17 @@ def test_file_key_and_flag_parse_to_the_same_config(key, tmp_path):
 
 def test_work_estimate_follows_the_planned_arrays():
     n, dim = 99, 4 * 102
-    # the default grid: rendering the joint density is the larger stage
+    # up to 2000 nodes: rendering the joint density is the larger stage
     render = cli._JSON_BYTES * dim * dim
-    assert phase_engine.evolve_mixed_bytes(n, dim, 3) < render
-    assert cli.work_bytes(n, 10, "joint") == cli._RUN_BYTES + render
-    assert cli.work_bytes(n, 10, "joint", 7) == cli._RUN_BYTES + render
-    # 2000 nodes: the engine's evolved vectors of three start labels are the larger stage
-    assert cli.work_bytes(n, 10, "joint", 2000) == (
-        cli._RUN_BYTES + phase_engine.evolve_mixed_bytes(n, dim, 3, 2000)
-    )
+    assert phase_engine.evolve_mixed_bytes(n, dim, 2000) < render
+    for nodes in (None, 7, 2000):
+        assert cli.work_bytes(n, 10, "joint", nodes) == cli._RUN_BYTES + render
+    # a full chunk of 2621 nodes: the engine's evolved vectors are, and
+    # they stop growing past one chunk, however large the grid
+    chunk = phase_engine.evolve_mixed_bytes(n, dim, 2621)
+    assert chunk > render
+    for nodes in (2621, 10**7):
+        assert cli.work_bytes(n, 10, "joint", nodes) == cli._RUN_BYTES + chunk
     # the chunk's tables are the larger stage up to 1000 steps, the rows at 20001
     for steps in (10, 1000):
         assert cli.work_bytes(n, steps, "reduced") == (
@@ -434,7 +436,7 @@ def test_validate_has_no_joint_density_term():
         ["run", "--nbar", "100", "--mode", "joint"],
         ["validate", "--nbar", "200"],
         ["run", "--nbar", "0.5", "--steps", "100000000"],
-        ["run", "--nbar", "0.5", "--mode", "joint", "--quadrature-nodes", "10000000"],
+        ["validate", "--nbar", "0.5", "--quadrature-nodes", "10000000"],
         ["run", "--nbar", "8.9e15"],
     ],
 )

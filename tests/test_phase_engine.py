@@ -21,22 +21,44 @@ from thermalqubits import (
     reconstruct_field_density,
     reduced_density,
 )
-from thermalqubits import phase_engine
+from thermalqubits import closed_form, oracle, phase_engine, reduction
 from thermalqubits.oracle import numeric_propagator
 from thermalqubits.phase_engine import mixed_reduced_density
 
 
-def test_engine_imports_only_the_field_module_of_the_package():
-    # the average is partner-agnostic: no qubit labels or density types inside
-    tree = ast.parse(open(phase_engine.__file__, encoding="utf-8").read())
-    imported = set()
+def _package_imports(module):
+    """The package modules ``module`` imports, each with the names it takes
+    from it (empty for a plain ``import``)."""
+    tree = ast.parse(open(module.__file__, encoding="utf-8").read())
+    imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
+            for alias in node.names:
+                imported.setdefault(alias.name, set())
         elif isinstance(node, ast.ImportFrom):
-            imported.add("." * node.level + (node.module or ""))
-    package = {name for name in imported if name.startswith((".", "thermalqubits"))}
-    assert package == {".fock_thermal"}
+            names = imported.setdefault("." * node.level + (node.module or ""), set())
+            names.update(alias.name for alias in node.names)
+    return {
+        name.removeprefix("thermalqubits").lstrip("."): names
+        for name, names in imported.items()
+        if name.startswith((".", "thermalqubits"))
+    }
+
+
+def test_engine_imports_only_the_field_module_of_the_package():
+    # the average is partner-agnostic: no qubit labels or density types inside
+    assert set(_package_imports(phase_engine)) == {"fock_thermal"}
+
+
+def test_routes_share_plumbing_but_no_formula():
+    # the diagonalized reference may borrow the closed form's coupling
+    # type, amplitude placement and time check, never its spectrum or
+    # tables; the closed form and the direct reduction never see the oracle
+    assert _package_imports(oracle).get("closed_form", set()) <= {
+        "CouplingPair", "_joint_vectors", "_time_array"
+    }
+    for module in (closed_form, reduction):
+        assert "oracle" not in _package_imports(module)
 
 
 def test_single_node_grid():
@@ -340,18 +362,20 @@ def test_both_solvers_agree_inside_the_engine():
 
 
 def _per_node_reference(solver, spec, pairs, t):
-    """The grid average with one solver call per (label, node)."""
-    vectors = []
-    weights = []
+    """The grid average with one solver call per (label, node), one
+    product per label, added in label order."""
+    phis, node_weights = quadrature_nodes(phase_engine.exact_node_count(spec.truncation))
+    total = 0
     for w_label, label in pairs:
         if w_label == 0.0:
             continue
-        for phi, w_node in zip(*quadrature_nodes(phase_engine.exact_node_count(spec.truncation))):
+        vectors = []
+        for phi in phis:
             (out,) = solver(phase_state_rows(spec, [phi])[0], label, np.array([t]))
             vectors.append(out)
-            weights.append(w_label * w_node)
-    v = np.array(vectors).reshape(len(vectors), -1)
-    return (v.T * np.array(weights)) @ v.conj()
+        v = np.array(vectors).reshape(len(vectors), -1)
+        total += (v.T * (w_label * node_weights)) @ v.conj()
+    return total
 
 
 def test_stacked_engine_matches_a_per_node_loop():
@@ -425,8 +449,21 @@ def test_coarse_grid_error_shows_on_both_reduced_routes(count):
     assert np.abs(joint - exact).max() > 1e-2
 
 
+# both averages of the node loop, each with an array of times: the
+# partner density over all of them and the joint density at the last
+GRID_ROUTES = {
+    "reduced": lambda solver, spec, pairs, times, count=None: mixed_reduced_density(
+        solver, spec, pairs, times, count
+    ),
+    "joint": lambda solver, spec, pairs, times, count=None: evolve_mixed(
+        solver, spec, pairs, times[-1], count
+    ).matrix,
+}
+
+
+@pytest.mark.parametrize("route", GRID_ROUTES)
 @pytest.mark.parametrize("make_solver", [phase_propagator, numeric_propagator])
-def test_chunk_length_changes_nothing_but_rounding(make_solver, monkeypatch):
+def test_chunk_length_changes_nothing_but_rounding(make_solver, route, monkeypatch):
     spec = ThermalFieldSpec(2.0, 1e-8)
     row = spec.truncation + 1
     solver = make_solver(TRACE_PAIR)
@@ -434,12 +471,13 @@ def test_chunk_length_changes_nothing_but_rounding(make_solver, monkeypatch):
     for nodes in (1, 7, phase_engine.exact_node_count(spec.truncation)):
         monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", nodes * row)
         assert phase_engine.node_chunk_length(spec.truncation) == nodes
-        results.append(mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES))
+        results.append(GRID_ROUTES[route](solver, spec, MIX_PAIRS, TRACE_TIMES))
     for rho in results[1:]:
         assert np.abs(rho - results[0]).max() < 1e-15
 
 
-def test_trace_first_calls_the_solver_once_per_chunk_and_label(monkeypatch):
+@pytest.mark.parametrize("route", GRID_ROUTES)
+def test_trace_first_calls_the_solver_once_per_chunk_and_label(route, monkeypatch):
     spec = ThermalFieldSpec(0.5, 1e-6)
     monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", 10 * (spec.truncation + 1))
     inner = phase_propagator(CouplingPair.from_gamma(0.3))
@@ -450,8 +488,10 @@ def test_trace_first_calls_the_solver_once_per_chunk_and_label(monkeypatch):
         return inner(coeffs, label, times)
 
     pairs = [(0.5, "ee"), (0.0, "eg"), (0.5, "gg")]
-    mixed_reduced_density(solver, spec, pairs, np.array([1.0, 2.0]), count=25)
-    expected = [(label, [1.0, 2.0], rows) for rows in (10, 10, 5) for label in ("ee", "gg")]
+    times = np.array([1.0, 2.0])
+    GRID_ROUTES[route](solver, spec, pairs, times, count=25)
+    called = times.tolist() if route == "reduced" else [2.0]
+    expected = [(label, called, rows) for rows in (10, 10, 5) for label in ("ee", "gg")]
     assert calls == expected
 
 
@@ -589,8 +629,12 @@ def test_plans_follow_the_grid_and_the_chunk_rule(monkeypatch):
         phase_engine.FIELD_ENTRY_BYTES,
     )
     matrix = phase_engine.MATRIX_ENTRY_BYTES * dim * dim
-    assert phase_engine.evolve_mixed_bytes(n, dim, 3) == stack * 3 * 100 * dim + matrix
-    assert phase_engine.evolve_mixed_bytes(n, dim, 2, 2000) == stack * 2 * 2000 * dim + matrix
+    # the joint sum holds one chunk of 2621 nodes at N = 99, whatever the grid
+    assert phase_engine.node_chunk_length(n) == 2621
+    assert phase_engine.evolve_mixed_bytes(n, dim) == stack * 100 * dim + matrix
+    assert phase_engine.evolve_mixed_bytes(n, dim, 2000) == stack * 2000 * dim + matrix
+    for nodes in (2621, 10**7):
+        assert phase_engine.evolve_mixed_bytes(n, dim, nodes) == stack * 2621 * dim + matrix
     assert phase_engine.reconstruct_field_density_bytes(n) == field * 100 * 200
     assert phase_engine.reconstruct_field_density_bytes(n, 3) == field * 100 * 103
     # the whole default grid fits one chunk; the solver's tables grow with the times
@@ -604,14 +648,17 @@ PLAN_PAIR = CouplingPair.from_gamma(0.3)
 PLAN_MIX = [(w, label) for label, w in AtomicMixtureSpec(0.9, 0.4).weights().items()]
 
 
-@pytest.mark.parametrize("nbar, nodes", [(1.0, None), (5.0, None), (0.5, 500)])
+@pytest.mark.parametrize(
+    "nbar, nodes", [(1.0, None), (5.0, None), (0.5, 500), (0.5, 20000)]
+)
 def test_evolve_mixed_plan_covers_the_measured_peak(nbar, nodes, traced_peak):
+    # 20,000 nodes at nbar 0.5 (N = 20) take two chunks of up to 12,483
     spec = ThermalFieldSpec(nbar)
     width = 4 * (spec.truncation + 3)
     peak = traced_peak(
         lambda: evolve_mixed(phase_propagator(PLAN_PAIR), spec, PLAN_MIX, 25.0, nodes)
     )
-    plan = phase_engine.evolve_mixed_bytes(spec.truncation, width, 3, nodes)
+    plan = phase_engine.evolve_mixed_bytes(spec.truncation, width, nodes)
     assert peak <= plan
 
 
