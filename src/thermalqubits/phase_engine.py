@@ -20,19 +20,15 @@ dimension P and the Fock dimension F off the solver's output and returns
 plain arrays; a caller that knows its partner wraps them itself, for two
 qubits in :class:`thermalqubits.reduction.TwoQubitDensity`.
 
-Both averages run through one node loop.  It walks the grid in node
-chunks sized in the engine's own units, the N + 1 phase-state
-coefficients of a node, so every partner gets the same number of nodes
-per solver call, and makes one solver call per chunk and start label: a
-solver takes a 1-D array of times and yields one evolved stack per time,
-so its fixed work is done once for all of them.  Each stack is reduced
-as it arrives and added into its time's sum in grid order, so the loop
-holds one chunk's stack of evolved vectors at a time.
-:func:`evolve_mixed` keeps the whole joint density at one time, a
-(P F)^2 matrix, and passes that time as a one-entry array.  When only the
-partner state is wanted, :func:`mixed_reduced_density` traces out the
-field from each stack before the average, takes a whole array of times,
-and never forms the joint matrix.
+Both averages run through one node loop.  It walks the grid in chunks
+sized in the N + 1 phase-state coefficients of a node, so every partner
+gets the same nodes per solver call, builds each chunk only when it
+reaches it, and makes one solver call per chunk and start label for all
+the times.  Each evolved stack is reduced on arrival and added into its
+time's sum in grid order, so the loop holds one chunk at a time.
+:func:`evolve_mixed` keeps the whole joint density, a (P F)^2 matrix, at
+one time; :func:`mixed_reduced_density` traces out the field from each
+stack first, takes an array of times and never forms the joint matrix.
 """
 
 from __future__ import annotations
@@ -129,7 +125,8 @@ class PureStatePropagator(Protocol):
     the M = 1 case and gives (P, F) arrays.  A solver does its per-call
     work once for all T times and builds each time's stack only when it is
     asked for, so a caller that reduces each stack on arrival holds one at
-    a time; each stack belongs to the caller, which may overwrite it.
+    a time.  Each stack is fresh and writable, the caller's to overwrite
+    (:func:`evolve_mixed` conjugates it in place).
     Each row must preserve its squared norm to 1e-12 and reduce to the
     plain embedding at t = 0.
     :func:`thermalqubits.closed_form.phase_propagator` builds one from a
@@ -161,9 +158,17 @@ def quadrature_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
     periodic trapezoid rule, exact for any trigonometric polynomial of
     degree below ``count``.
     """
+    return next(_node_chunks(count, count))
+
+
+def _node_chunks(count: int, chunk: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The :func:`quadrature_nodes` grid in pieces of up to ``chunk`` nodes,
+    each built only when reached, so a walk never holds the whole grid."""
     if count < 1:
         raise ValueError(f"need at least one node, got {count}")
-    return math.tau * np.arange(count) / count, np.full(count, 1.0 / count)
+    for first in range(0, count, chunk):
+        stop = min(first + chunk, count)
+        yield math.tau * np.arange(first, stop) / count, np.full(stop - first, 1.0 / count)
 
 
 def reconstruct_field_density(
@@ -237,24 +242,20 @@ def _grid_sums(
 ) -> tuple[list[np.ndarray], int]:
     """Sum ``reduce(stack, weights)`` over the grid, one sum per time.
 
-    Checks the starts with :func:`_weighted_starts`, then walks the grid
-    (``count`` nodes, :func:`exact_node_count` by default) in node chunks
-    of :func:`node_chunk_length`.  The phase-state rows of a chunk are
-    built once and go to the solver as one stack, one call per chunk and
-    start label for all ``times``.  Each evolved (K, P, F) stack is checked
-    and reduced with its ``weights``, the chunk's node weights times the
-    label weight, and the result is added into its time's sum in grid
-    order.  Returns the T sums and the solver's F.
+    Checks the starts, then walks ``count`` nodes (:func:`exact_node_count`
+    by default) in chunks of :func:`node_chunk_length`, with one solver
+    call per chunk and start label for all ``times``.  Each evolved
+    (K, P, F) stack is checked, reduced with the chunk's node weights times
+    the label weight, and added into its time's sum in grid order.  Returns
+    the T sums and the solver's F.
     """
     count = exact_node_count(spec.truncation) if count is None else count
     pairs = _weighted_starts(partner_mixture)
-    phis, node_weights = quadrature_nodes(count)
-    chunk = node_chunk_length(spec.truncation)
     sums = [0] * len(times)  # each an array from its first term on, then added in place
-    for first in range(0, count, chunk):
-        rows = phase_state_rows(spec, phis[first : first + chunk])
+    for phis, node_weights in _node_chunks(count, node_chunk_length(spec.truncation)):
+        rows = phase_state_rows(spec, phis)
         for w_label, label in pairs:
-            weights = w_label * node_weights[first : first + chunk]
+            weights = w_label * node_weights
             k = -1
             for k, out in enumerate(solver(rows, label, times)):
                 out = np.asarray(out, dtype=complex)

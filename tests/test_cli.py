@@ -345,7 +345,7 @@ def test_work_estimate_follows_the_planned_arrays():
     # they stop growing past one chunk, however large the grid
     chunk = phase_engine.evolve_mixed_bytes(n, dim, 2621)
     assert chunk > render
-    for nodes in (2621, 10**7):
+    for nodes in (2621, 10**7, 10**9):
         assert cli.work_bytes(n, 10, "joint", nodes) == cli._RUN_BYTES + chunk
     # the chunk's tables are the larger stage up to 1000 steps, the rows at 20001
     for steps in (10, 1000):

@@ -263,10 +263,14 @@ def _idle_partner(spec, partners):
     ``partners`` partner states and F = N + 3, so P F = partners (N + 3)."""
     fock_dim = spec.truncation + 3
 
-    def solver(coeffs, label, times):
+    def at_rest(coeffs, label):
         out = np.zeros(coeffs.shape[:-1] + (partners, fock_dim), dtype=complex)
         out[..., int(label), : coeffs.shape[-1]] = coeffs
-        return [out for _ in times]
+        return out
+
+    def solver(coeffs, label, times):
+        # a fresh stack per time: the caller may overwrite each one
+        return [at_rest(coeffs, label) for _ in times]
 
     return solver
 
@@ -535,6 +539,29 @@ def test_time_array_solver_calls_are_bitwise_the_per_time_calls_over_chunks(monk
     assert len(calls) == 3 * 3  # three chunks, three weighted labels
     reference = _one_time_at_a_time(phase_propagator(TRACE_PAIR))
     assert np.array_equal(rho, mixed_reduced_density(reference, spec, MIX_PAIRS, TRACE_TIMES))
+
+
+@pytest.mark.parametrize("route", GRID_ROUTES)
+def test_grid_walk_holds_one_chunk_of_nodes_however_large_the_grid(
+    route, traced_peak, monkeypatch
+):
+    # chunks of 10 nodes over a grid of 10,000: the angles and weights of
+    # the whole grid alone would take 160 kB, ten times the plan, which
+    # stops growing past one chunk; 8 kB is the fixed cost of a call
+    spec = ThermalFieldSpec(0.5, 1e-6)
+    monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", 10 * (spec.truncation + 1))
+    times, count = np.array([0.0, 1.0]), 10_000
+    solver = _idle_partner(spec, 1)
+    peak = traced_peak(lambda: GRID_ROUTES[route](solver, spec, [(1.0, "0")], times, count))
+    width = spec.truncation + 3
+    if route == "joint":
+        plan = phase_engine.evolve_mixed_bytes(spec.truncation, width, count)
+        assert plan == phase_engine.evolve_mixed_bytes(spec.truncation, width, 10)
+    else:
+        plan = phase_engine.mixed_reduced_density_bytes(spec.truncation, width, 2, count)
+        assert plan == phase_engine.mixed_reduced_density_bytes(spec.truncation, width, 2, 10)
+    assert 16 * count > 10 * plan
+    assert peak <= plan + 8192
 
 
 @pytest.mark.parametrize("partners", [2, 8])
