@@ -50,10 +50,6 @@ __all__ = [
 # Row order used for the atomic part of every joint vector and matrix.
 ATOM_LABELS = ("ee", "eg", "ge", "gg")
 
-# Block index reached from |label, n photons>: ee sits in block n, eg in n-1,
-# gg in n-2.
-_BLOCK_SHIFT = {"ee": 0, "eg": -1, "gg": -2}
-
 # Photon shift of each arrival state relative to the start, rows ordered as
 # ATOM_LABELS.
 _ARRIVAL_SHIFTS = {
@@ -61,6 +57,10 @@ _ARRIVAL_SHIFTS = {
     "eg": (-1, 0, 0, 1),
     "gg": (-2, -1, -1, 0),
 }
+
+# A start's block is the photon shift of its ee arrival: ee sits in block n,
+# eg in n-1, gg in n-2.
+_BLOCK_SHIFT = {label: shifts[0] for label, shifts in _ARRIVAL_SHIFTS.items()}
 
 
 @dataclass(frozen=True)
@@ -129,20 +129,14 @@ def _block_trig(t: np.ndarray, omegas) -> list[np.ndarray]:
 
     Column m + 2 is block m of ``omegas`` = (Omega_+, Omega_-) over blocks -2 .. M,
     ``t`` a scalar or a (T, 1) column; the empty block's Omega_- terms are zeros.
-    Below |Omega t| = 1e-4 the ratio is its Taylor series, evaluated only there.
+    Where Omega = 0 (block -2's Omega_+, block -1's Omega_-, and every Omega_-
+    at equal couplings) the ratio is its exact limit t.
     """
     out = []
     for omega in omegas:
         x = t * omega
-        # a zero Omega gives x = 0, which the series covers
-        ratio = np.sin(x) / np.where(omega == 0.0, 1.0, omega)
-        small = np.abs(x) < 1e-4
-        if small.any():
-            xs = x[small]
-            x2 = xs * xs
-            ts = np.broadcast_to(t, x.shape)[small]
-            ratio[small] = ts * (1.0 - x2 / 6.0 + x2 * x2 / 120.0)
-        out += [np.cos(x), ratio]
+        zero = omega == 0.0
+        out += [np.cos(x), np.where(zero, t, np.sin(x) / np.where(zero, 1.0, omega))]
     out[2][..., 0] = out[3][..., 0] = 0.0
     return out
 
@@ -150,47 +144,43 @@ def _block_trig(t: np.ndarray, omegas) -> list[np.ndarray]:
 def _label_rows(label: str, n_max: int, spectrum, couplings: CouplingPair):
     """One start label's time-independent coefficients, bound to a writer of its rows.
 
-    The writer ``fill(re, im, trig)`` meets the :func:`_block_trig` columns at
-    the label's block shift.  Sin prefactors are imaginary (real part exactly
-    0.0) and fill the imaginary part.
+    Each label is data: a cosine mix (q, w), written to real row q as
+    w cos_+ + (1 - w) cos_-; a cosine difference (q, c), written as
+    c (cos_+ - cos_-); and two sine rows (q, p, a, b), written to imaginary
+    row q as p (a sin_+ - b sin_-), with sin = sin(Omega t)/Omega.  The writer
+    ``fill(re, im, trig)`` meets the :func:`_block_trig` columns at the
+    label's block shift.
     """
     cols = slice(_BLOCK_SHIFT[label] + 2, _BLOCK_SHIFT[label] + n_max + 3)
     gap, mu_p, mu_m = (arr[cols] for arr in spectrum[:3])
     l1, l2 = couplings.lambda1, couplings.lambda2
     n = np.arange(n_max + 1)
+    half = 1.0 / (2.0 * gap)
     if label == "ee":
-        w = -mu_m / (2.0 * gap)
-        p2 = (-1j * l2 * np.sqrt(n + 1) / (2.0 * gap)).imag.copy()
-        a2, b2 = 4.0 * l1 * l1 * (n + 2) - mu_m, 4.0 * l1 * l1 * (n + 2) - mu_p
-        p3 = (-1j * l1 * np.sqrt(n + 1) / (2.0 * gap)).imag.copy()
-        a3, b3 = 4.0 * l2 * l2 * (n + 2) - mu_m, 4.0 * l2 * l2 * (n + 2) - mu_p
-        c = 2.0 * l1 * l2 * np.sqrt((n + 1) * (n + 2)) / gap
-        def rows(re, im, cos_p, g_p, cos_m, g_m):
-            re[0], re[3] = w * cos_p + (1.0 - w) * cos_m, c * (cos_p - cos_m)
-            im[1], im[2] = p2 * (a2 * g_p - b2 * g_m), p3 * (a3 * g_p - b3 * g_m)
+        k1, k2 = 4.0 * l1 * l1 * (n + 2), 4.0 * l2 * l2 * (n + 2)
+        mix, diff = (0, -mu_m / (2.0 * gap)), (3, 2.0 * l1 * l2 * np.sqrt((n + 1) * (n + 2)) / gap)
+        sines = [(1, -l2 * np.sqrt(n + 1) * half, k1 - mu_m, k1 - mu_p),
+                 (2, -l1 * np.sqrt(n + 1) * half, k2 - mu_m, k2 - mu_p)]
     elif label == "eg":
-        p1 = (1j * l2 * np.sqrt(n) / (2.0 * gap)).imag.copy()
-        a1, b1 = mu_m - 4.0 * l1 * l1 * (n + 1), 4.0 * l1 * l1 * (n + 1) - mu_p
-        w = (l1 * l1 - l2 * l2 + gap) / (2.0 * gap)
-        c = l1 * l2 * (2 * n + 1) / gap
-        p4 = (1j * l1 * np.sqrt(n + 1) / (2.0 * gap)).imag.copy()
-        a4, b4 = mu_m + 4.0 * l2 * l2 * n, mu_p + 4.0 * l2 * l2 * n
-        def rows(re, im, cos_p, g_p, cos_m, g_m):
-            re[1], re[2] = w * cos_p + (1.0 - w) * cos_m, c * (cos_p - cos_m)
-            im[0], im[3] = p1 * (a1 * g_p + b1 * g_m), p4 * (a4 * g_m - b4 * g_p)
+        k1, k2 = 4.0 * l1 * l1 * (n + 1), 4.0 * l2 * l2 * n
+        a1, b1, a4, b4 = mu_m - k1, k1 - mu_p, mu_m + k2, mu_p + k2
+        mix, diff = (1, (l1 * l1 - l2 * l2 + gap) / (2.0 * gap)), (2, l1 * l2 * (2 * n + 1) / gap)
+        # rows 0 and 3 are p (a1 sin_+ + b1 sin_-) and p (a4 sin_- - b4 sin_+);
+        # negation is exact, so the signs fold into a and b at no rounding
+        sines = [(0, l2 * np.sqrt(n) * half, a1, -b1), (3, l1 * np.sqrt(n + 1) * half, -b4, -a4)]
     else:
-        c = 2.0 * l1 * l2 * np.sqrt(n * (n - 1)) / gap
-        p2 = (-1j * l1 * np.sqrt(n) / (2.0 * gap)).imag.copy()
-        a2, b2 = 4.0 * l2 * l2 * (n - 1) + mu_p, 4.0 * l2 * l2 * (n - 1) + mu_m
-        p3 = (-1j * l2 * np.sqrt(n) / (2.0 * gap)).imag.copy()
-        a3, b3 = 4.0 * l1 * l1 * (n - 1) + mu_p, 4.0 * l1 * l1 * (n - 1) + mu_m
-        w = mu_p / (2.0 * gap)
-        def rows(re, im, cos_p, g_p, cos_m, g_m):
-            re[0], re[3] = c * (cos_p - cos_m), w * cos_p + (1.0 - w) * cos_m
-            im[1], im[2] = p2 * (a2 * g_p - b2 * g_m), p3 * (a3 * g_p - b3 * g_m)
+        k2, k1 = 4.0 * l2 * l2 * (n - 1), 4.0 * l1 * l1 * (n - 1)
+        mix, diff = (3, mu_p / (2.0 * gap)), (0, 2.0 * l1 * l2 * np.sqrt(n * (n - 1)) / gap)
+        sines = [(1, -l1 * np.sqrt(n) * half, k2 + mu_p, k2 + mu_m),
+                 (2, -l2 * np.sqrt(n) * half, k1 + mu_p, k1 + mu_m)]
+    (q_mix, w), (q_diff, c) = mix, diff
 
     def fill(re, im, trig):
-        rows(re, im, *(f[..., cols] for f in trig))
+        cos_p, g_p, cos_m, g_m = (f[..., cols] for f in trig)
+        re[q_mix] = w * cos_p + (1.0 - w) * cos_m
+        re[q_diff] = c * (cos_p - cos_m)
+        for q, p, a, b in sines:
+            im[q] = p * (a * g_p - b * g_m)
 
     return fill
 

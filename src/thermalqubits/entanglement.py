@@ -38,7 +38,7 @@ def _as_stack(rho: TwoQubitDensity | np.ndarray) -> tuple[np.ndarray, bool]:
     stack = m.reshape(-1, 4, 4)
     # entry pair by entry pair, so a whole series makes no stack-sized temporaries
     upper = [(i, j) for i in range(4) for j in range(i, 4)]
-    if max(np.abs(stack[:, i, j] - np.conj(stack[:, j, i])).max() for i, j in upper) > 1e-8:
+    if max(np.abs(stack[:, i, j] - np.conj(stack[:, j, i])).max(initial=0.0) for i, j in upper) > 1e-8:
         raise ValueError("density matrix is not Hermitian")
     return stack, m.ndim == 2
 
@@ -73,9 +73,10 @@ def negativity(rho: TwoQubitDensity | np.ndarray) -> NegativityResult:
     times; the transpose is taken over the second qubit.
     """
     m, single = _as_stack(rho)
-    # 256 densities per eigenvalue call, so a long series makes no big copies
+    # 256 densities per eigenvalue call, so a long series makes no big copies;
+    # an empty stack still makes one (empty) call, so its eigenvalues are (0, 4)
     pt = m.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2)
-    blocks = (pt[k : k + 256].reshape(-1, 4, 4) for k in range(0, len(pt), 256))
+    blocks = (pt[k : k + 256].reshape(-1, 4, 4) for k in range(0, max(len(pt), 1), 256))
     eigs = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
     eigs = np.where((eigs > _NEGATIVE_EIGENVALUE_FLOOR) & (eigs < 0.0), 0.0, eigs)
     negative = np.minimum(eigs, 0.0)

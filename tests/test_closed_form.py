@@ -103,6 +103,49 @@ def test_equal_couplings_keep_the_slow_branch_at_zero():
         assert np.all(block_spectrum(np.arange(0, 41), pair)[4] == 0.0)
 
 
+def sine_ratio_columns(n_max, t, pair):
+    """The (T, n_max + 3) sin(Omega t)/Omega columns and the frequencies behind them."""
+    _, _, _, omega_plus_sq, omega_minus_sq = block_spectrum(np.arange(-2, n_max + 1), pair)
+    _, ratio_plus, _, ratio_minus = closed_form._amplitude_rows((), n_max, pair)[0](t)
+    omegas = (np.sqrt(omega_plus_sq), np.sqrt(np.maximum(omega_minus_sq, 0.0)))
+    return (ratio_plus, ratio_minus), omegas
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0])
+def test_zero_frequency_ratios_are_exactly_the_time(gamma):
+    t = np.concatenate([[0.0, -2.5], np.geomspace(1e-9, 1e4, 40)])
+    (ratio_plus, ratio_minus), (omega_plus, omega_minus) = sine_ratio_columns(
+        60, t, CouplingPair.from_gamma(gamma)
+    )
+    # block -2's Omega_+ and block -1's Omega_- vanish at every gamma, and
+    # every Omega_- at gamma 0; the empty block's Omega_- terms are dropped
+    zero_plus, zero_minus = omega_plus == 0.0, omega_minus == 0.0
+    zero_minus[0] = False
+    assert np.flatnonzero(zero_plus).tolist() == [0]
+    assert np.flatnonzero(zero_minus).tolist() == (list(range(1, 63)) if gamma == 0.0 else [1])
+    assert (ratio_plus[:, zero_plus] == t[:, None]).all()
+    assert (ratio_minus[:, zero_minus] == t[:, None]).all()
+    assert not ratio_minus[:, 0].any()
+
+
+@pytest.mark.parametrize("n_max", [5, 60, 400])
+@pytest.mark.parametrize("gamma", [1e-9, 1e-6])
+def test_small_argument_ratios_stay_within_3_ulp_of_the_series(gamma, n_max):
+    t = np.geomspace(1e-6, 1e3, 91)
+    ratios, omegas = sine_ratio_columns(n_max, t, CouplingPair.from_gamma(gamma))
+    checked = 0
+    for ratio, omega in zip(ratios, omegas):
+        x = t[:, None] * omega
+        small = (x != 0.0) & (np.abs(x) < 1e-4)
+        # the reference series in extended precision where the platform has it
+        ts = np.broadcast_to(t[:, None], x.shape)[small].astype(np.longdouble)
+        xs = ts * np.broadcast_to(omega, x.shape)[small]
+        series = ts * (1.0 - xs**2 / 6.0 + xs**4 / 120.0)
+        assert (np.abs(ratio[small] - series) <= 3.0 * np.spacing(np.abs(ratio[small]))).all()
+        checked += small.sum()
+    assert checked > 500
+
+
 def test_block_index_below_the_bottom_is_refused():
     for m in (-3, np.array([0, 5, -3])):
         with pytest.raises(ValueError, match="at least -2, got -3"):

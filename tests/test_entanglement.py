@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from thermalqubits import (
+    AtomicMixtureSpec,
+    CouplingPair,
+    ThermalFieldSpec,
     TwoQubitDensity,
     closed_form_gamma,
     closed_form_negativity,
     negativity,
+    reduced_density,
     upsilon_witness,
 )
 
@@ -68,6 +72,18 @@ def test_stack_gives_the_single_matrix_results():
         assert one.upsilon == res.upsilon[k]
         assert one.negative_eigenvalues == tuple(e for e in res.negative_eigenvalues[k] if e < 0.0)
     assert np.array_equal(negativity(stack.matrix).xi, res.xi)
+
+
+def test_empty_stack_scores_as_empty_arrays():
+    # a reduced series over no times is a (0, 4, 4) stack; all three
+    # scorers give empty results of the stack shapes
+    spec, mixture = ThermalFieldSpec(1.0), AtomicMixtureSpec(0.9, 0.4)
+    rho = reduced_density(spec, mixture, CouplingPair.from_gamma(0.3), np.array([]))
+    assert rho.matrix.shape == (0, 4, 4)
+    res = negativity(rho)
+    assert res.xi.shape == res.upsilon.shape == (0,)
+    assert res.negative_eigenvalues.shape == (0, 4)
+    assert closed_form_negativity(rho).shape == upsilon_witness(rho).shape == (0,)
 
 
 def test_single_witness_is_bitwise_its_stack_entry():
