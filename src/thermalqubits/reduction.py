@@ -64,19 +64,24 @@ class AtomicMixtureSpec:
 
     The eg weight is cos(theta)^2; the remainder sin(theta)^2 splits
     between ee and gg as cos(vartheta)^2 to sin(vartheta)^2, so the three
-    weights partition one by construction.
+    weights partition one by construction.  Where one of an angle's pair
+    rounds to exactly 1 the other is exactly 0, so theta = fl(pi/2), whose
+    cosine is 6.1e-17, starts no eg component.
     """
 
     theta: float
     vartheta: float
 
     def weights(self) -> dict[str, float]:
-        excited = math.sin(self.theta) ** 2
-        return {
-            "ee": excited * math.cos(self.vartheta) ** 2,
-            "eg": math.cos(self.theta) ** 2,
-            "gg": excited * math.sin(self.vartheta) ** 2,
-        }
+        eg, excited = _square_split(self.theta)
+        ee, gg = _square_split(self.vartheta)
+        return {"ee": excited * ee, "eg": eg, "gg": excited * gg}
+
+
+def _square_split(angle: float) -> tuple[float, float]:
+    """(cos^2, sin^2) of ``angle``, each exactly 0 where the other is exactly 1."""
+    c2, s2 = math.cos(angle) ** 2, math.sin(angle) ** 2
+    return (0.0 if s2 == 1.0 else c2), (0.0 if c2 == 1.0 else s2)
 
 
 def _unwrap(entries: np.ndarray):

@@ -6,13 +6,15 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from thermalqubits import (
     ThermalFieldSpec,
-    TwoQubitDensity,
     checks,
     cli,
     closed_form,
@@ -95,6 +97,49 @@ def test_partner_pairs_cover_the_three_starts():
     pairs = dict((label, w) for w, label in small_config(theta=0.3, vartheta=0.4).partner_pairs())
     assert set(pairs) == {"ee", "eg", "gg"}
     assert math.fsum(pairs.values()) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_default_mixture_is_exactly_the_ee_start():
+    # theta = fl(pi/2) has cos(theta) = 6.1e-17; its eg weight is 0, not 3.7e-33
+    assert RunConfig().mixture().weights() == {"ee": 1.0, "eg": 0.0, "gg": 0.0}
+    assert RunConfig().partner_pairs() == [(1.0, "ee"), (0.0, "eg"), (0.0, "gg")]
+
+
+def test_default_series_binds_one_start_label(monkeypatch):
+    bound = []
+    original = reduction._amplitude_rows
+
+    def recording(labels, *args):
+        bound.append(list(labels))
+        return original(labels, *args)
+
+    monkeypatch.setattr(reduction, "_amplitude_rows", recording)
+    cfg = RunConfig(steps=3)
+    rows = timeseries_rows(cfg)
+    assert bound == [["ee"]]
+    # the t = 0 row: all of the retained mass in ee, the rest exactly 0
+    assert rows[0][3] == pytest.approx(cfg.field().retained_mass(), abs=1e-15)
+    assert rows[0][4:] == (0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def test_default_joint_run_makes_one_solver_call_per_node_chunk(monkeypatch):
+    labels = []
+    original = cli.phase_propagator
+
+    def counting(couplings):
+        solver = original(couplings)
+
+        def counted(rows, label, times):
+            labels.append(label)
+            return solver(rows, label, times)
+
+        return counted
+
+    monkeypatch.setattr(cli, "phase_propagator", counting)
+    monkeypatch.setattr(phase_engine, "node_chunk_length", lambda truncation: 4)
+    cfg = small_config(mode="joint")
+    render_joint(cfg)
+    assert labels == ["ee"] * math.ceil((cfg.field().truncation + 1) / 4)
 
 
 def test_parse_key_value_lines():
@@ -579,6 +624,8 @@ def test_repeated_renders_are_bitwise_identical():
     assert render_timeseries(cfg) == render_timeseries(cfg)
     jcfg = small_config(mode="joint", steps=3)
     assert render_joint(jcfg) == render_joint(jcfg)
+    vcfg = small_config(mode="validate", steps=5)
+    assert render_validation(vcfg) == render_validation(vcfg)
 
 
 def test_joint_output_carries_the_full_matrix():
@@ -650,7 +697,7 @@ def _separate_report(cfg):
         ("field reconstruction, half period", half),
         (
             "negativity, closed form vs eigenvalues",
-            checks.negativity_route_gap(cli._random_x_states(np.random.default_rng(0), 200)),
+            checks.negativity_route_gap(cli._sample_x_states(200)),
         ),
     ]
     return "".join(f"{label}: {value:.3e}\n" for label, value in values)
@@ -813,16 +860,69 @@ def test_validate_subcommand_overrides_the_mode(capsys):
     assert "unitarity defect" in capsys.readouterr().out
 
 
-def test_random_x_states_draw_the_per_state_stream():
-    # six draws per state, in the order a one-state-at-a-time loop takes them
-    stack = cli._random_x_states(np.random.default_rng(0), 200)
-    rng = np.random.default_rng(0)
-    for rho in stack.matrix:
-        populations = rng.random(4) + 1e-3
-        populations = populations / populations.sum()
-        magnitude = math.sqrt(populations[1] * populations[2]) * rng.random()
-        phase = math.tau * rng.random()
-        expected = TwoQubitDensity.from_components(
-            *populations, magnitude * complex(math.cos(phase), math.sin(phase))
-        )
-        assert np.array_equal(rho, expected.matrix)
+def test_sample_x_states_are_fixed_valid_and_spread():
+    # no generator: two calls give the same bits, and the sample reaches
+    # both sides of the entanglement boundary and every coherence quadrant
+    stack = cli._sample_x_states(200)
+    assert np.array_equal(stack.matrix, cli._sample_x_states(200).matrix)
+    assert len(stack.matrix) == 200
+    assert np.allclose(stack.trace, 1.0, rtol=0.0, atol=1e-15)
+    assert np.all(np.abs(stack.B_coh) ** 2 <= stack.B_egeg * stack.B_gege)
+    xi = negativity(stack).xi
+    assert np.count_nonzero(xi > 0.0) >= 20
+    assert np.count_nonzero(xi == 0.0) >= 20
+    quadrants = np.floor(np.angle(stack.B_coh) / (math.pi / 2)) % 4
+    assert set(quadrants.tolist()) == {0.0, 1.0, 2.0, 3.0}
+
+
+_NO_RANDOM_SCRIPT = textwrap.dedent(
+    r"""
+    import json, sys
+    import numpy
+
+    def loaded():
+        return sorted(name for name in sys.modules if name.startswith("numpy.random"))
+
+    baseline = loaded()
+    from thermalqubits.cli import main
+
+    tiny = "nbar = 0.25\ntail_tolerance = 1e-4\nsteps = 3\nt_max = 2\n"
+    configs = {
+        "reduced": tiny + "output_path = reduced.csv\n",
+        "joint": tiny + "output_path = joint.json\n",
+        "validate": tiny + "output_path = validate.txt\n",
+        "sweep": tiny + "output_path = sweep.csv\n",
+    }
+    for name, text in configs.items():
+        with open(name + ".cfg", "w") as handle:
+            handle.write(text)
+    codes = [
+        main(["run", "reduced.cfg"]),
+        main(["run", "joint.cfg", "--mode", "joint"]),
+        main(["validate", "validate.cfg"]),
+        main(["sweep", "sweep.cfg", "--summary", "summary.json"]),
+    ]
+    print(json.dumps({"codes": codes, "baseline": baseline, "after": loaded()}))
+    """
+)
+
+
+def test_no_command_imports_numpy_random(tmp_path):
+    # numpy.random adds about 5 MB to a validate process; no command needs
+    # it, so every command leaves the same numpy.random modules loaded as a
+    # bare "import numpy" does, whether that numpy loads them eagerly or not
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_RANDOM_SCRIPT],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0]
+    assert (tmp_path / "validate.txt").read_text().count("\n") == 6
+    assert result["after"] == result["baseline"]

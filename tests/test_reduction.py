@@ -29,9 +29,11 @@ def test_weights_partition_unity():
 
 
 def test_weight_dials_reach_each_pure_start():
-    assert AtomicMixtureSpec(math.pi / 2.0, 0.0).weights()["ee"] == pytest.approx(1.0)
-    assert AtomicMixtureSpec(0.0, 0.0).weights()["eg"] == 1.0
-    assert AtomicMixtureSpec(math.pi / 2.0, math.pi / 2.0).weights()["gg"] == pytest.approx(1.0)
+    # sin(fl(pi/2)) rounds to 1, so its partner cos^2 is taken as exactly 0
+    half = math.pi / 2.0
+    assert AtomicMixtureSpec(half, 0.0).weights() == {"ee": 1.0, "eg": 0.0, "gg": 0.0}
+    assert AtomicMixtureSpec(0.0, 0.0).weights() == {"ee": 0.0, "eg": 1.0, "gg": 0.0}
+    assert AtomicMixtureSpec(half, half).weights() == {"ee": 0.0, "eg": 0.0, "gg": 1.0}
 
 
 def test_components_round_trip():
