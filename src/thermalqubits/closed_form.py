@@ -29,6 +29,16 @@ term carrying Omega_minus there is dropped: nothing evolves.
 
 Amplitude tables broadcast over a 1-D array of times.  A series shares each
 block's cos/sin among |ee, n>, |eg, n+1> and |gg, n+2>, all in block n.
+Every row is written in one block frame, the N + 3 columns of blocks
+-2 .. N: each start label's coefficients sit there at its block shift, with
+zeros outside its window of n = 0 .. N, so a row is a few whole contiguous
+passes over the frame.  The cosine difference cos_+ - cos_- is formed once
+per evaluation for every label, and the rows read cos_- + w (cos_+ - cos_-),
+c (cos_+ - cos_-) and (p a) sin_+ - (p b) sin_- with sin = sin(Omega t)/Omega.
+Near equal couplings sin_- is about t, so each b it multiplies is written
+by Vieta's formulas as a multiple of l1^2 - l2^2 = (l1 - l2)(l1 + l2),
+never as a difference of nearly equal numbers: columns stay unit vectors
+to rounding at any gamma and long times.
 """
 
 from __future__ import annotations
@@ -108,7 +118,7 @@ def block_spectrum(m: int | np.ndarray, couplings: CouplingPair):
         raise ValueError(f"block index must be at least -2, got {np.min(m)}")
     l1, l2 = couplings.lambda1, couplings.lambda2
     s2 = l1 * l1 + l2 * l2
-    d2 = l1 * l1 - l2 * l2
+    d2 = (l1 - l2) * (l1 + l2)
     two_m3 = 2 * m + 3
     pairs = (m + 1) * (m + 2)
     cross = 16.0 * (l1 * l1) * (l2 * l2) * pairs
@@ -124,86 +134,129 @@ def block_spectrum(m: int | np.ndarray, couplings: CouplingPair):
     return gap, mu_plus, mu_minus, omega_plus_sq, omega_minus_sq
 
 
-def _block_trig(t: np.ndarray, omegas) -> list[np.ndarray]:
-    """[cos Omega_+ t, sin(Omega_+ t)/Omega_+, cos Omega_- t, sin(Omega_- t)/Omega_-].
+def _block_trig(t: np.ndarray, omegas, safe, zeros) -> list[np.ndarray]:
+    """[cos_+ - cos_-, sin(Omega_+ t)/Omega_+, cos_-, sin(Omega_- t)/Omega_-], cos_pm = cos Omega_pm t.
 
     Column m + 2 is block m of ``omegas`` = (Omega_+, Omega_-) over blocks -2 .. M,
     ``t`` a scalar or a (T, 1) column; the empty block's Omega_- terms are zeros.
-    Where Omega = 0 (block -2's Omega_+, block -1's Omega_-, and every Omega_-
-    at equal couplings) the ratio is its exact limit t.
+    ``safe`` holds each Omega with its zeros replaced by 1, and ``zeros`` the
+    columns where Omega = 0 (block -2's Omega_+, block -1's Omega_-, and every
+    Omega_- at equal couplings); there the ratio is its exact limit t.  The
+    sine overwrites its argument, and the cosine difference its cos_+.
     """
     out = []
-    for omega in omegas:
+    for omega, divisor, zero in zip(omegas, safe, zeros):
         x = t * omega
-        zero = omega == 0.0
-        out += [np.cos(x), np.where(zero, t, np.sin(x) / np.where(zero, 1.0, omega))]
+        cos = np.cos(x)
+        np.sin(x, out=x)
+        x /= divisor
+        x[..., zero] = t
+        out += [cos, x]
     out[2][..., 0] = out[3][..., 0] = 0.0
+    out[0] -= out[2]
+    return out
+
+
+def _framed(values: np.ndarray, window: slice, n_max: int) -> np.ndarray:
+    """``values`` over n = 0 .. n_max at ``window`` of the N + 3 block columns, zeros elsewhere."""
+    out = np.zeros(n_max + 3)
+    out[window] = values
     return out
 
 
 def _label_rows(label: str, n_max: int, spectrum, couplings: CouplingPair):
     """One start label's time-independent coefficients, bound to a writer of its rows.
 
-    Each label is data: a cosine mix (q, w), written to real row q as
-    w cos_+ + (1 - w) cos_-; a cosine difference (q, c), written as
-    c (cos_+ - cos_-); and two sine rows (q, p, a, b), written to imaginary
-    row q as p (a sin_+ - b sin_-), with sin = sin(Omega t)/Omega.  The writer
-    ``fill(re, im, trig)`` meets the :func:`_block_trig` columns at the
-    label's block shift.
+    Returns ``(window, fill)``.  Each label is data: a cosine mix (q, w),
+    written to real row q as cos_- + w (cos_+ - cos_-); a cosine difference
+    (q, c), written as c (cos_+ - cos_-); and two sine rows (q, p a, p b),
+    written to imaginary row q as (p a) sin_+ - (p b) sin_-, with
+    sin = sin(Omega t)/Omega.  Every coefficient sits in the block frame,
+    the N + 3 block columns of :func:`_block_trig`, with zeros outside the
+    label's ``window`` of n = 0 .. N at its block shift, so
+    ``fill(re, im, trig)`` writes whole (T, N + 3) rows and the caller
+    slices the window out.
+
+    Each b that multiplies sin_- is taken by Vieta's formulas
+    (mu_+ + mu_- = 2 (l1^2 + l2^2), mu_+ mu_- = -16 l1^2 l2^2 (m+1)(m+2))
+    as a multiple of l1^2 - l2^2 = (l1 - l2)(l1 + l2): near equal couplings
+    sin_- is about t, and the direct differences would lose digits.
     """
-    cols = slice(_BLOCK_SHIFT[label] + 2, _BLOCK_SHIFT[label] + n_max + 3)
-    gap, mu_p, mu_m = (arr[cols] for arr in spectrum[:3])
+    shift = _BLOCK_SHIFT[label]
+    window = slice(shift + 2, shift + n_max + 3)
+    gap, mu_p, mu_m = (arr[window] for arr in spectrum[:3])
     l1, l2 = couplings.lambda1, couplings.lambda2
+    d2 = (l1 - l2) * (l1 + l2)
     n = np.arange(n_max + 1)
     half = 1.0 / (2.0 * gap)
     if label == "ee":
         k1, k2 = 4.0 * l1 * l1 * (n + 2), 4.0 * l2 * l2 * (n + 2)
         mix, diff = (0, -mu_m / (2.0 * gap)), (3, 2.0 * l1 * l2 * np.sqrt((n + 1) * (n + 2)) / gap)
-        sines = [(1, -l2 * np.sqrt(n + 1) * half, k1 - mu_m, k1 - mu_p),
-                 (2, -l1 * np.sqrt(n + 1) * half, k2 - mu_m, k2 - mu_p)]
+        grow = 2.0 * (2 * n + 3) * d2
+        b1 = grow / (1.0 + 4.0 * l2 * l2 * (n + 1) / mu_p)  # k1 - mu_+
+        b2 = -grow / (1.0 + 4.0 * l1 * l1 * (n + 1) / mu_p)  # k2 - mu_+
+        sines = [(1, -l2 * np.sqrt(n + 1) * half, k1 - mu_m, b1),
+                 (2, -l1 * np.sqrt(n + 1) * half, k2 - mu_m, b2)]
     elif label == "eg":
         k1, k2 = 4.0 * l1 * l1 * (n + 1), 4.0 * l2 * l2 * n
-        a1, b1, a4, b4 = mu_m - k1, k1 - mu_p, mu_m + k2, mu_p + k2
-        mix, diff = (1, (l1 * l1 - l2 * l2 + gap) / (2.0 * gap)), (2, l1 * l2 * (2 * n + 1) / gap)
+        a1, b4 = mu_m - k1, mu_p + k2
+        b1 = 2.0 * (2 * n + 1) * d2 / (1.0 + k2 / mu_p)  # k1 - mu_+
+        a4 = -2.0 * k2 * (2 * n + 1) * d2 / b4  # mu_- + k2
+        mix, diff = (1, (d2 + gap) / (2.0 * gap)), (2, l1 * l2 * (2 * n + 1) / gap)
         # rows 0 and 3 are p (a1 sin_+ + b1 sin_-) and p (a4 sin_- - b4 sin_+);
         # negation is exact, so the signs fold into a and b at no rounding
         sines = [(0, l2 * np.sqrt(n) * half, a1, -b1), (3, l1 * np.sqrt(n + 1) * half, -b4, -a4)]
     else:
         k2, k1 = 4.0 * l2 * l2 * (n - 1), 4.0 * l1 * l1 * (n - 1)
+        grow = 2.0 * (2 * n - 1) * d2
+        a2, a1 = k2 + mu_p, k1 + mu_p
+        # k2 + mu_- and k1 + mu_-, taken directly at n = 0, the empty block,
+        # where a = +-2 d2 and p = 0
+        b2, b1 = k2 + mu_m, k1 + mu_m
+        b2[1:] = -k2[1:] * grow[1:] / a2[1:]
+        b1[1:] = k1[1:] * grow[1:] / a1[1:]
         mix, diff = (3, mu_p / (2.0 * gap)), (0, 2.0 * l1 * l2 * np.sqrt(n * (n - 1)) / gap)
-        sines = [(1, -l1 * np.sqrt(n) * half, k2 + mu_p, k2 + mu_m),
-                 (2, -l2 * np.sqrt(n) * half, k1 + mu_p, k1 + mu_m)]
+        sines = [(1, -l1 * np.sqrt(n) * half, a2, b2), (2, -l2 * np.sqrt(n) * half, a1, b1)]
     (q_mix, w), (q_diff, c) = mix, diff
+    w, c = _framed(w, window, n_max), _framed(c, window, n_max)
+    sines = [(q, _framed(p * a, window, n_max), _framed(p * b, window, n_max))
+             for q, p, a, b in sines]
 
     def fill(re, im, trig):
-        cos_p, g_p, cos_m, g_m = (f[..., cols] for f in trig)
-        re[q_mix] = w * cos_p + (1.0 - w) * cos_m
-        re[q_diff] = c * (cos_p - cos_m)
-        for q, p, a, b in sines:
-            im[q] = p * (a * g_p - b * g_m)
+        diff_t, g_p, cos_m, g_m = trig
+        np.multiply(diff_t, w, out=re[q_mix])
+        re[q_mix] += cos_m
+        np.multiply(diff_t, c, out=re[q_diff])
+        for q, pa, pb in sines:
+            np.multiply(g_p, pa, out=im[q])
+            im[q] -= pb * g_m
 
-    return fill
+    return window, fill
 
 
 def _amplitude_rows(labels, n_max: int, couplings: CouplingPair):
     """Bind the spectrum and the labels' coefficients.
 
-    Returns ``(trig, fills)``.  ``trig(t)`` evaluates the block cos/sin once
-    for a time or a 1-D time array, and ``fills[i](re, im, trig(t))`` writes
-    the four rows of ``labels[i]``, each of shape ``np.shape(t) + (n_max + 1,)``.
-    Each row is purely real or purely imaginary and goes to ``re`` or ``im``
-    accordingly, so one real buffer passed as both takes every row's value.
+    Returns ``(trig, rows)``.  ``trig(t)`` evaluates the block cos/sin once
+    for a time or a 1-D time array, and ``rows[i]`` is the ``(window, fill)``
+    of ``labels[i]``: ``fill(re, im, trig(t))`` writes its four rows in the
+    block frame, each of shape ``np.shape(t) + (n_max + 3,)``, and
+    ``[..., window]`` of a row is its n = 0 .. n_max.  Each row is purely
+    real or purely imaginary and goes to ``re`` or ``im`` accordingly, so
+    one real buffer passed as both takes every row's value.
     """
     spectrum = block_spectrum(np.arange(-2, n_max + 1), couplings)
-    fills = [_label_rows(label, n_max, spectrum, couplings) for label in labels]
+    rows = [_label_rows(label, n_max, spectrum, couplings) for label in labels]
     # each square root once; the empty block's imaginary Omega_minus is never used
     omegas = (np.sqrt(spectrum[3]), np.sqrt(np.maximum(spectrum[4], 0.0)))
+    zeros = [np.flatnonzero(omega == 0.0) for omega in omegas]
+    safe = [np.where(omega == 0.0, 1.0, omega) for omega in omegas]
     def trig(t: float | np.ndarray) -> list[np.ndarray]:
         t = np.asarray(t, dtype=float)
         if t.ndim > 1:
             raise ValueError(f"times must be a scalar or a 1-D array, got shape {t.shape}")
-        return _block_trig(t[:, None] if t.ndim else t, omegas)
-    return trig, fills
+        return _block_trig(t[:, None] if t.ndim else t, omegas, safe, zeros)
+    return trig, rows
 
 
 def _check_start(label: str, n_max: int) -> None:
@@ -225,12 +278,12 @@ def _time_array(times) -> np.ndarray:
     return times
 
 
-def _written_table(fill, trig, n_max: int, t) -> np.ndarray:
-    """One label's complex amplitude table at ``t``, written by ``fill``."""
-    out = np.zeros((4,) + np.shape(t) + (n_max + 1,), dtype=complex)
-    fill(out.real, out.imag, trig(t))
-    out += 0j  # every zero is +0.0, whichever product made it
-    return out
+def _written_table(rows, trig, n_max: int, t) -> np.ndarray:
+    """One label's complex amplitude table at ``t``, from its ``(window, fill)``."""
+    window, fill = rows
+    frame = np.zeros((4,) + np.shape(t) + (n_max + 3,), dtype=complex)
+    fill(frame.real, frame.imag, trig(t))
+    return frame[..., window] + 0j  # every zero is +0.0, whichever product made it
 
 
 def amplitude_table(
@@ -253,8 +306,8 @@ def amplitude_table(
     here would silently mean a different qubit than the caller thinks.
     """
     _check_start(label, n_max)
-    trig, (fill,) = _amplitude_rows([label], n_max, couplings)
-    return _written_table(fill, trig, n_max, t)
+    trig, (rows,) = _amplitude_rows([label], n_max, couplings)
+    return _written_table(rows, trig, n_max, t)
 
 
 def _joint_vectors(coefficients: np.ndarray, table: np.ndarray, shifts) -> np.ndarray:
@@ -311,10 +364,10 @@ def phase_propagator(
         _check_start(label, n_max)
         times = _time_array(times)
         if n_max != held:
-            trig, fills = _amplitude_rows(tuple(_BLOCK_SHIFT), n_max, couplings)
-            bound, held = (trig, dict(zip(_BLOCK_SHIFT, fills))), n_max
-        trig, fills = bound
-        table = _written_table(fills[label], trig, n_max, times)
+            trig, rows = _amplitude_rows(tuple(_BLOCK_SHIFT), n_max, couplings)
+            bound, held = (trig, dict(zip(_BLOCK_SHIFT, rows))), n_max
+        trig, rows = bound
+        table = _written_table(rows[label], trig, n_max, times)
         shifts = _ARRIVAL_SHIFTS[label]
         return (_joint_vectors(coefficients, table[:, k], shifts) for k in range(len(times)))
 

@@ -36,9 +36,13 @@ def _as_stack(rho: TwoQubitDensity | np.ndarray) -> tuple[np.ndarray, bool]:
     if m.shape[-2:] != (4, 4) or m.ndim not in (2, 3):
         raise ValueError(f"need a 4x4 density matrix or a stack of them, got shape {m.shape}")
     stack = m.reshape(-1, 4, 4)
-    # entry pair by entry pair, so a whole series makes no stack-sized temporaries
+    # entry pair by entry pair, so a whole series makes no stack-sized
+    # temporaries; numpy's max keeps a NaN from any pair, and a NaN refuses
     upper = [(i, j) for i in range(4) for j in range(i, 4)]
-    if max(np.abs(stack[:, i, j] - np.conj(stack[:, j, i])).max(initial=0.0) for i, j in upper) > 1e-8:
+    defect = np.max(
+        [np.abs(stack[:, i, j] - np.conj(stack[:, j, i])).max(initial=0.0) for i, j in upper]
+    )
+    if not defect <= 1e-8:
         raise ValueError("density matrix is not Hermitian")
     return stack, m.ndim == 2
 

@@ -12,11 +12,14 @@ that share each block's cos/sin among the start labels.  Pairwise sums
 suffice: at nbar 100 they agree with the diagonalized reference to 1e-13.
 
 From a diagonal start every amplitude is purely real or purely imaginary,
-so the sums run in real arithmetic on one buffer per chunk, with the same
-bits as the complex tables of :func:`thermalqubits.closed_form.amplitude_table`.
-A chunk holds about CHUNK_BUDGET = 8192 row entries, which measured
-fastest among 2048-16384 at N = 20-2314; its traced peak is 126-136 B per
-entry in full chunks, 1.0-1.4 MB for a whole series up to nbar 100.
+so the sums run in real arithmetic, with the same bits as the complex
+tables of :func:`thermalqubits.closed_form.amplitude_table`.  The rows,
+their products and squares are whole passes over the N + 3 columns of the
+closed form's block frame, in buffers allocated once per call; only the
+per-n sums take each label's window of N + 1 columns.  A chunk holds about
+CHUNK_BUDGET = 8192 row entries, which measured fastest among 2048-16384 at
+N = 20-2314; its traced peak is 116-121 B per entry in full chunks,
+0.9-1.3 MB for a whole series up to nbar 100.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import CouplingPair, _amplitude_rows
+from .closed_form import CouplingPair, _amplitude_rows, _framed
 from .fock_thermal import ThermalFieldSpec
 
 __all__ = [
@@ -40,9 +43,9 @@ __all__ = [
 # it bounds the working set, and the chunk length follows from the truncation.
 CHUNK_BUDGET = 8192
 # Traced peak bytes per amplitude-row entry of one chunk, rounded up:
-# 126-136 B in full chunks at nbar 0.5-20 and 199 B at nbar 100 with three
+# 116-121 B in full chunks at nbar 0.5-20 and 176 B at nbar 100 with three
 # times per chunk; at one time per chunk, from N = 8192, the coefficients of
-# three start labels make it 336 B per photon level at nbar 1000.
+# three start labels make it 305 B per photon level at nbar 1000.
 CHUNK_ENTRY_BYTES = 384
 
 
@@ -171,25 +174,32 @@ def reduced_density(
         return TwoQubitDensity(reduced_density(spec, mixture, couplings, times[None]).matrix[0])
     probs = spec.probabilities()
     weights = {label: w for label, w in mixture.weights().items() if w != 0.0}
-    trig, fills = _amplitude_rows(list(weights), spec.truncation, couplings)
+    trig, rows = _amplitude_rows(list(weights), spec.truncation, couplings)
+    scales = [
+        _framed(w_label * probs, window, spec.truncation)
+        for w_label, (window, _) in zip(weights.values(), rows)
+    ]
     populations = np.zeros((4, len(times)))
     coherence = np.zeros(len(times), dtype=complex)
     chunk = chunk_length(spec.truncation)
+    # every amplitude row is purely real or purely imaginary, so one real
+    # buffer takes them all; the coherence product X2 X3* is real too, but
+    # it is summed as a complex array to keep the complex sum's order
+    frame = (min(chunk, len(times)), spec.truncation + 3)
+    buffer, half, product = np.empty((4,) + frame), np.empty(frame), np.zeros(frame, dtype=complex)
     for start in range(0, len(times), chunk):
         part = slice(start, start + chunk)
+        size = len(times[part])
         chunk_trig = trig(times[part])
-        # every amplitude row is purely real or purely imaginary, so one real
-        # buffer takes them all; the coherence product X2 X3* is real too, but
-        # it is summed as a complex array to keep the complex sum's order
-        rows = np.empty((4, len(times[part]), len(probs)))
-        product = np.zeros(rows.shape[1:], dtype=complex)
-        for w_label, fill in zip(weights.values(), fills):
-            fill(rows, rows, chunk_trig)
-            scaled = w_label * probs
-            np.multiply(scaled * rows[1], rows[2], out=product.real)
-            coherence[part] += np.sum(product, axis=-1)
+        amplitudes, halves, products = buffer[:, :size], half[:size], product[:size]
+        for scale, (window, fill) in zip(scales, rows):
+            fill(amplitudes, amplitudes, chunk_trig)
+            np.multiply(amplitudes[1], scale, out=halves)
+            np.multiply(halves, amplitudes[2], out=products.real)
+            coherence[part] += np.add.reduce(products[:, window], axis=-1)
             # |X_q|^2 = a^2 whether X_q is a or i a
-            np.multiply(np.square(rows, out=rows), scaled, out=rows)
-            populations[:, part] += np.sum(rows, axis=-1)
+            np.square(amplitudes, out=amplitudes)
+            np.multiply(amplitudes, scale, out=amplitudes)
+            populations[:, part] += np.add.reduce(amplitudes[..., window], axis=-1)
         del chunk_trig  # freed before the next chunk's is evaluated
     return TwoQubitDensity.from_components(*populations, coherence)

@@ -212,6 +212,20 @@ def test_columns_stay_unit_vectors_at_high_photon_numbers_near_decoupling(gamma)
         assert np.abs(norms - 1.0).max() <= 1e-12
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1e-9, 1e-7, 1e-6, 1e-5, 1e-3, 0.3, 1.0 - 1e-6, 1.0])
+def test_columns_stay_unit_vectors_at_long_times_near_symmetry(gamma):
+    # near equal couplings sin(Omega_- t)/Omega_- is about t, so a relative
+    # error eps/gamma in the coefficients it multiplies, as direct
+    # differences k - mu carry, grows to a norm defect of 4e-10 at gamma 1e-7
+    # and t 1e5
+    pair = CouplingPair.from_gamma(gamma)
+    n_max = ThermalFieldSpec(20.0).truncation
+    times = np.array([1e2, 1e4, 1e5])
+    for label in ("ee", "eg", "gg"):
+        norms = np.sum(np.abs(amplitude_table(label, n_max, times, pair)) ** 2, axis=0)
+        assert np.abs(norms - 1.0).max() <= 1e-12
+
+
 @pytest.mark.parametrize("gamma", [1e-5, 1e-9])
 def test_spectrum_matches_block_diagonalization_near_symmetry(gamma):
     pair = CouplingPair.from_gamma(gamma)

@@ -178,6 +178,18 @@ def test_shape_and_hermiticity_are_checked():
         negativity(bad)
 
 
+@pytest.mark.parametrize("entry", [(1, 1, 2), (1, 2, 2)], ids=["off-diagonal", "diagonal"])
+def test_a_nan_anywhere_in_a_stack_is_refused(entry):
+    # a NaN in any entry pair, not only the first, must fail the Hermitian
+    # check; past it, off the diagonal it would score xi 0 and on the
+    # diagonal LAPACK would raise LinAlgError
+    stack = np.zeros((3, 4, 4), dtype=complex)
+    stack[:, 1, 1] = stack[:, 2, 2] = 0.5
+    stack[entry] = np.nan
+    with pytest.raises(ValueError, match="Hermitian"):
+        negativity(stack)
+
+
 def test_closed_form_negativity_scores_a_stack_like_single_states():
     rng = np.random.default_rng(5)
     states = [random_x_state(rng) for _ in range(50)]

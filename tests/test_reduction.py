@@ -156,6 +156,19 @@ def test_array_sums_match_the_diagonalized_reference_at_nbar_100():
     assert np.abs(closed.matrix[0] - numeric.matrix).max() <= 1e-10
 
 
+@pytest.mark.parametrize("gamma", [1e-9, 1e-7, 0.3, 1.0 - 1e-6, 1.0])
+def test_long_times_at_edge_couplings_match_the_diagonalized_reference(gamma):
+    from thermalqubits.oracle import oracle_reduced_density
+
+    spec = ThermalFieldSpec(20.0)
+    mix = AtomicMixtureSpec(0.9, 0.4)
+    pair = CouplingPair.from_gamma(gamma)
+    times = np.array([1e2, 1e4, 1e5])
+    closed = reduced_density(spec, mix, pair, times)
+    numeric = oracle_reduced_density(spec, mix, pair, times)
+    assert np.abs(closed.matrix - numeric.matrix).max() <= 1e-10
+
+
 def _per_label_reference(spec, mixture, couplings, times):
     """The density summed from one amplitude table per start label."""
     probs = spec.probabilities()
