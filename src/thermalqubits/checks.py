@@ -31,6 +31,12 @@ __all__ = [
 ]
 
 
+def _require_times(times) -> None:
+    """Refuse an empty time array, whose maximum gap would be undefined."""
+    if np.size(times) == 0:
+        raise ValueError("a check needs at least one time, got an empty time array")
+
+
 def column_norm_defect(
     couplings: CouplingPair, n_max: int, times: float | np.ndarray
 ) -> float:
@@ -39,6 +45,7 @@ def column_norm_defect(
     Every column of an amplitude table is the evolved image of one basis
     state, so unitarity makes it a unit vector at every time.
     """
+    _require_times(times)
     worst = []
     for label in ("ee", "eg", "gg"):
         table = amplitude_table(label, n_max, times, couplings)
@@ -77,6 +84,7 @@ def route_gap(
     and the diagonalized oracle.  ``times`` is one time or a 1-D array of
     them; the result is the maximum over all of them.
     """
+    _require_times(times)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     pairs = [(w, label) for label, w in mixture.weights().items()]
     closed = reduced_density(spec, mixture, couplings, times).matrix

@@ -259,31 +259,12 @@ def _amplitude_rows(labels, n_max: int, couplings: CouplingPair):
     return trig, rows
 
 
-def _check_start(label: str, n_max: int) -> None:
-    if label == "ge":
-        raise ValueError(
-            "no amplitudes for a 'ge' start: swap the couplings and use 'eg'"
-        )
-    if label not in _BLOCK_SHIFT:
-        raise ValueError(f"unknown atomic start {label!r}")
-    if n_max < 0 or n_max != int(n_max):
-        raise ValueError(f"photon cutoff must be a nonnegative integer, got {n_max}")
-
-
 def _time_array(times) -> np.ndarray:
     """The times of one solver call as a float array, refusing all but 1-D."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError(f"a solver takes a 1-D array of times, got shape {times.shape}")
     return times
-
-
-def _written_table(rows, trig, n_max: int, t) -> np.ndarray:
-    """One label's complex amplitude table at ``t``, from its ``(window, fill)``."""
-    window, fill = rows
-    frame = np.zeros((4,) + np.shape(t) + (n_max + 3,), dtype=complex)
-    fill(frame.real, frame.imag, trig(t))
-    return frame[..., window] + 0j  # every zero is +0.0, whichever product made it
 
 
 def amplitude_table(
@@ -305,9 +286,18 @@ def amplitude_table(
     by swapping the two couplings and the middle rows, and accepting it
     here would silently mean a different qubit than the caller thinks.
     """
-    _check_start(label, n_max)
-    trig, (rows,) = _amplitude_rows([label], n_max, couplings)
-    return _written_table(rows, trig, n_max, t)
+    if label == "ge":
+        raise ValueError(
+            "no amplitudes for a 'ge' start: swap the couplings and use 'eg'"
+        )
+    if label not in _BLOCK_SHIFT:
+        raise ValueError(f"unknown atomic start {label!r}")
+    if n_max < 0 or n_max != int(n_max):
+        raise ValueError(f"photon cutoff must be a nonnegative integer, got {n_max}")
+    trig, ((window, fill),) = _amplitude_rows([label], n_max, couplings)
+    frame = np.zeros((4,) + np.shape(t) + (n_max + 3,), dtype=complex)
+    fill(frame.real, frame.imag, trig(t))
+    return frame[..., window] + 0j  # every zero is +0.0, whichever product made it
 
 
 def _joint_vectors(coefficients: np.ndarray, table: np.ndarray, shifts) -> np.ndarray:
@@ -346,28 +336,16 @@ def phase_propagator(
     The returned callable maps (field coefficients, atomic label, times) to
     joint amplitudes, one stack per time: an (M, N+1) stack of coefficient
     rows and a 1-D array of T times give an iterator over T (M, 4, N+3)
-    stacks over (arrival, Fock level), in time order.  The block spectrum,
-    its frequencies and the row writers of all three start labels are
-    bound on the first call and kept in the closure until a call brings a
-    different truncation.  A call evaluates the block cos/sin and one
-    label's (4, T, N+1) amplitude table for all its times at once, rows
-    equal to :func:`amplitude_table`'s bit for bit, and builds each time's
-    joint stack with :func:`_joint_vectors` only when the iterator reaches
-    it.
+    stacks over (arrival, Fock level), in time order.  It holds nothing
+    between calls: each call takes the label's (4, T, N+1)
+    :func:`amplitude_table` for all its times at once, so it refuses what
+    the table refuses, and builds each time's joint stack with
+    :func:`_joint_vectors` only when the iterator reaches it.
     """
-    bound = None
-    held = -1  # no truncation is bound yet
 
     def solver(coefficients: np.ndarray, label: str, times: np.ndarray) -> Iterator[np.ndarray]:
-        nonlocal bound, held
-        n_max = np.shape(coefficients)[-1] - 1
-        _check_start(label, n_max)
         times = _time_array(times)
-        if n_max != held:
-            trig, rows = _amplitude_rows(tuple(_BLOCK_SHIFT), n_max, couplings)
-            bound, held = (trig, dict(zip(_BLOCK_SHIFT, rows))), n_max
-        trig, rows = bound
-        table = _written_table(rows[label], trig, n_max, times)
+        table = amplitude_table(label, np.shape(coefficients)[-1] - 1, times, couplings)
         shifts = _ARRIVAL_SHIFTS[label]
         return (_joint_vectors(coefficients, table[:, k], shifts) for k in range(len(times)))
 

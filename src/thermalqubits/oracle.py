@@ -27,9 +27,9 @@ vector or the trace.
 The work is done on stacks.  :func:`block_table` writes every block
 E = 0 .. N+2 as one (N+3, 4, 4) array indexed by E, ``eigh`` diagonalizes
 the whole stack block by block, and the evolution of a (T, K, 4) stack of
-starts is one array expression.  Nothing is cached between calls: a caller
-that evolves many times builds its table once and keeps it
-(:func:`numeric_propagator` does, in its closure).
+starts is one array expression.  Nothing is cached between calls: every
+call, :func:`numeric_propagator`'s solver included, builds and
+diagonalizes its own table and evolves all its times from it at once.
 """
 
 from __future__ import annotations
@@ -116,19 +116,14 @@ def numeric_propagator(
     each block once for all its rows and times and places one time's
     amplitudes at a time with ``_joint_vectors``, at this route's own
     photon shifts.  It also accepts a "ge" start, which the closed-form
-    tables refuse.  The blocks are diagonalized on the first call and kept
-    in the closure; a later call with more photon levels diagonalizes the
-    larger table, and one with fewer reuses the held one.
+    tables refuse.  It holds nothing between calls: each call builds and
+    diagonalizes the block table of its own truncation.
     """
-    eigen = None
-    held = -1
 
     def solver(coefficients: np.ndarray, label: str, times: np.ndarray) -> Iterator[np.ndarray]:
-        nonlocal eigen, held
         n_max = np.shape(coefficients)[-1] - 1
         times = _time_array(times)
-        if eigen is None or n_max > held:
-            eigen, held = np.linalg.eigh(block_table(couplings, n_max)), n_max
+        eigen = np.linalg.eigh(block_table(couplings, n_max))
         amps = _start_amplitudes(*eigen, label, n_max, times)
         shifts = _EXCITATION[label] - 2 + _PHOTON
         return (_joint_vectors(coefficients, table.T, shifts) for table in amps)

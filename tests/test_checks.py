@@ -56,6 +56,20 @@ def test_column_norm_defect_sees_a_nan_table(label, monkeypatch):
     assert math.isnan(checks.column_norm_defect(PAIR, 12, TIMES))
 
 
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda times: checks.column_norm_defect(PAIR, 12, times),
+        lambda times: checks.route_gap(SPEC, MIX, PAIR, times),
+    ],
+    ids=["column_norm_defect", "route_gap"],
+)
+def test_time_checks_refuse_an_empty_time_array(check):
+    # the maximum over no times is undefined; refused before any route runs
+    with pytest.raises(ValueError, match="^a check needs at least one time"):
+        check(np.array([]))
+
+
 def test_spectrum_defect_sees_a_shifted_frequency(monkeypatch):
     assert checks.spectrum_defect(PAIR, 12) <= 1e-11
     original = checks.block_spectrum

@@ -376,29 +376,6 @@ def test_oracle_refuses_a_time_matrix():
         )
 
 
-def test_propagator_diagonalizes_once(monkeypatch):
-    spec = ThermalFieldSpec(0.5, 1e-8)
-    rows = phase_state_rows(spec, np.array([0.0, 1.0, 2.0]))
-    shapes = []
-    original = np.linalg.eigh
-
-    def counting(matrix, *args, **kwargs):
-        shapes.append(np.shape(matrix))
-        return original(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    solver = numeric_propagator(CouplingPair(1.3, 0.4))
-    for label, t in (("ee", 1.0), ("gg", 2.0), ("ge", 0.5)):
-        solver(rows, label, np.array([t]))
-    assert shapes == [(spec.truncation + 3, 4, 4)]
-    # a smaller cutoff reuses the table it holds
-    solver(rows[:, :3], "gg", np.array([1.0]))
-    assert shapes == [(spec.truncation + 3, 4, 4)]
-    # more photon levels need a larger table, built once more
-    solver(np.ones((1, spec.truncation + 5)), "eg", np.array([1.0]))
-    assert shapes[1:] == [(spec.truncation + 7, 4, 4)]
-
-
 def test_oracle_keeps_nothing_between_calls():
     spec = ThermalFieldSpec(1.0, 1e-8)
     mix = AtomicMixtureSpec(0.8, 0.3)
