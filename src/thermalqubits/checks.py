@@ -120,5 +120,7 @@ def negativity_route_gap(densities: TwoQubitDensity) -> float:
     ``densities`` is a TwoQubitDensity stack; both routes score the whole
     stack in one call each.
     """
+    if densities.matrix.size == 0:
+        raise ValueError("a check needs at least one density, got an empty stack")
     gaps = np.abs(negativity(densities).xi - closed_form_negativity(densities))
     return float(np.max(gaps))

@@ -31,7 +31,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -298,7 +298,7 @@ def load_config(path: str | None, overrides: Mapping[str, object]) -> RunConfig:
         try:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         mapping = parse_config_text(text)
     if any(key in overrides for key in _COUPLING_KEYS):
@@ -469,22 +469,28 @@ def render_validation(cfg: RunConfig) -> str:
     return "".join(f"{label}: {value:.3e}\n" for label, value in lines.items())
 
 
-def _failed_entry(name: str, output: str, exc: Exception) -> dict[str, object]:
-    return {"config": name, "output": output, "status": "failed", "error": str(exc)}
+def _sweep_jobs(jobs: Iterable[tuple[str, Callable[[], RunConfig]]]) -> dict[str, object]:
+    """Load, check and run (name, loader) jobs in order; a failing job fails alone.
 
-
-def _sweep_summary(entries: list[dict[str, object]]) -> dict[str, object]:
-    failed = sum(1 for entry in entries if entry["status"] != "ok")
-    return {"jobs": entries, "failed": failed}
-
-
-def _sweep_job(name: str, cfg: RunConfig) -> dict[str, object]:
-    if cfg.mode != "reduced":
-        raise ConfigError(f"sweep runs reduced jobs only, {name} has mode {cfg.mode!r}")
-    if not cfg.output_path:
-        raise ConfigError(f"sweep job {name} must set output_path")
-    stats = run_timeseries(cfg)
-    return {"config": name, "output": cfg.output_path, "status": "ok", **stats}
+    Whatever a job raises, from reading its config to writing its series,
+    becomes its entry's error, and its output is "" when the config did
+    not load.  The summary is the one :func:`run_sweep` returns.
+    """
+    entries = []
+    for name, load in jobs:
+        entry: dict[str, object] = {"config": name, "output": ""}
+        try:
+            cfg = load()
+            entry["output"] = cfg.output_path
+            if cfg.mode != "reduced":
+                raise ConfigError(f"sweep runs reduced jobs only, {name} has mode {cfg.mode!r}")
+            if not cfg.output_path:
+                raise ConfigError(f"sweep job {name} must set output_path")
+            entry.update(status="ok", **run_timeseries(cfg))
+        except Exception as exc:
+            entry.update(status="failed", error=str(exc))
+        entries.append(entry)
+    return {"jobs": entries, "failed": sum(entry["status"] != "ok" for entry in entries)}
 
 
 def run_sweep(jobs: Sequence[tuple[str, RunConfig]]) -> dict[str, object]:
@@ -496,13 +502,7 @@ def run_sweep(jobs: Sequence[tuple[str, RunConfig]]) -> dict[str, object]:
     """
     if not jobs:
         raise ConfigError("sweep needs at least one configuration")
-    entries = []
-    for name, cfg in jobs:
-        try:
-            entries.append(_sweep_job(name, cfg))
-        except Exception as exc:
-            entries.append(_failed_entry(name, cfg.output_path, exc))
-    return _sweep_summary(entries)
+    return _sweep_jobs((name, lambda cfg=cfg: cfg) for name, cfg in jobs)
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict[str, object]:
@@ -534,15 +534,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    entries = []
-    for path in args.configs:
-        try:
-            job = (path, load_config(path, {}))
-        except ConfigError as exc:
-            entries.append(_failed_entry(path, "", exc))
-        else:
-            entries += run_sweep([job])["jobs"]
-    summary = _sweep_summary(entries)
+    summary = _sweep_jobs((path, lambda path=path: load_config(path, {})) for path in args.configs)
     _emit(args.summary, json.dumps(summary, indent=2) + "\n")
     return 1 if summary["failed"] else 0
 

@@ -70,6 +70,12 @@ def test_time_checks_refuse_an_empty_time_array(check):
         check(np.array([]))
 
 
+def test_negativity_route_gap_refuses_an_empty_stack():
+    # as with an empty time array, there is no largest gap to report
+    with pytest.raises(ValueError, match="^a check needs at least one density"):
+        checks.negativity_route_gap(TwoQubitDensity(matrix=np.zeros((0, 4, 4), dtype=complex)))
+
+
 def test_spectrum_defect_sees_a_shifted_frequency(monkeypatch):
     assert checks.spectrum_defect(PAIR, 12) <= 1e-11
     original = checks.block_spectrum

@@ -570,8 +570,21 @@ def test_row_text_is_the_per_value_format_join():
     assert data_lines(cli._render_rows(small_config(), rows)) == expected
 
 
-def test_preamble_round_trips_to_the_same_config():
-    cfg = small_config()
+@pytest.mark.parametrize(
+    "keys",
+    [
+        {},
+        {"gamma": None, "lambda1": 1.5, "lambda2": 0.5},
+        {"quadrature_nodes": 7},
+        {"output_path": "out dir/series file.csv"},
+        {"t_min": -2.5},
+        {"mode": "joint"},
+        {"mode": "validate"},
+    ],
+    ids=["gamma", "pair", "nodes", "spaced-output", "negative-t_min", "joint", "validate"],
+)
+def test_preamble_round_trips_to_the_same_config(keys):
+    cfg = small_config(**keys)
     assert config_from_preamble(render_timeseries(cfg)) == cfg
 
 
@@ -785,6 +798,28 @@ def test_sweep_keeps_the_input_order_around_a_failing_job(tmp_path):
     blob = json.loads(summary_path.read_text())
     assert [entry["config"] for entry in blob["jobs"]] == paths
     assert [entry["status"] for entry in blob["jobs"]] == ["ok", "failed", "ok"]
+    assert blob["failed"] == 1
+
+
+def test_undecodable_config_is_a_config_error_and_fails_only_its_sweep_job(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"nbar = 0.5\n\xff\xfe\n")
+    for command in ("run", "validate"):
+        assert main([command, str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {bad}")
+
+    paths = []
+    for name in ("a", "c"):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(f"nbar = 0.5\nsteps = 3\noutput_path = {tmp_path / name}.csv\n")
+        paths.append(str(path))
+    paths.insert(1, str(bad))
+    summary_path = tmp_path / "summary.json"
+    assert main(["sweep", *paths, "--summary", str(summary_path)]) == 1
+    blob = json.loads(summary_path.read_text())
+    assert [entry["config"] for entry in blob["jobs"]] == paths
+    assert [entry["status"] for entry in blob["jobs"]] == ["ok", "failed", "ok"]
+    assert "cannot read config" in blob["jobs"][1]["error"]
     assert blob["failed"] == 1
 
 
