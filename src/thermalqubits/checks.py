@@ -86,9 +86,9 @@ def route_gap(
     """
     _require_times(times)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    pairs = [(w, label) for label, w in mixture.weights().items()]
     closed = reduced_density(spec, mixture, couplings, times).matrix
-    quad = mixed_reduced_density(phase_propagator(couplings), spec, pairs, times, count)
+    solver = phase_propagator(couplings)
+    quad = mixed_reduced_density(solver, spec, mixture.weights(), times, count)
     direct = oracle_reduced_density(spec, mixture, couplings, times).matrix
     gaps = (closed - quad, closed - direct, quad - direct)
     return float(np.max([np.abs(gap).max() for gap in gaps]))

@@ -244,9 +244,6 @@ class RunConfig:
     def mixture(self) -> AtomicMixtureSpec:
         return AtomicMixtureSpec(self.theta, self.vartheta)
 
-    def partner_pairs(self) -> list[tuple[float, str]]:
-        return [(w, label) for label, w in self.mixture().weights().items()]
-
     def node_count(self) -> int | None:
         """Explicit grid size, or None to let the engine pick its default."""
         return None if self.quadrature_nodes == "auto" else int(self.quadrature_nodes)
@@ -296,7 +293,7 @@ def load_config(path: str | None, overrides: Mapping[str, object]) -> RunConfig:
     mapping: dict[str, object] = {}
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as handle:
+            with open(path, encoding="utf-8-sig") as handle:
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -407,11 +404,10 @@ def run_timeseries(cfg: RunConfig) -> dict[str, float]:
 
 def render_joint(cfg: RunConfig) -> str:
     """JSON dump of the joint atoms+field density at the final time."""
-    field = cfg.field()
     joint = evolve_mixed(
         phase_propagator(cfg.couplings()),
-        field,
-        cfg.partner_pairs(),
+        cfg.field(),
+        cfg.mixture().weights(),
         cfg.t_max,
         cfg.node_count(),
     )

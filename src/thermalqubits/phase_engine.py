@@ -15,10 +15,13 @@ the failure stays visible.
 The engine knows nothing about the partner system: evolution is delegated
 to a solver obeying :class:`PureStatePropagator`, so the same averaging
 drives the closed-form amplitudes, the diagonalized reference, or any
-partner system with the same product layout.  It reads the partner
-dimension P and the Fock dimension F off the solver's output and returns
-plain arrays; a caller that knows its partner wraps them itself, for two
-qubits in :class:`thermalqubits.reduction.TwoQubitDensity`.
+partner system with the same product layout.  The partner starts in a
+diagonal mixture, given as a mapping from each basis label to its weight
+(:meth:`thermalqubits.reduction.AtomicMixtureSpec.weights` for two
+qubits).  The engine reads the partner dimension P and the Fock
+dimension F off the solver's output and returns plain arrays; a caller
+that knows its partner wraps them itself, for two qubits in
+:class:`thermalqubits.reduction.TwoQubitDensity`.
 
 Both averages run through one node loop.  It walks the grid in chunks
 sized in the N + 1 phase-state coefficients of a node, so every partner
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterator, Mapping, Protocol
 
 import numpy as np
 
@@ -219,42 +222,43 @@ class JointDensity:
         return float(np.real(np.trace(self.matrix)))
 
 
-def _weighted_starts(partner_mixture: Iterable[tuple[float, str]]) -> list[tuple[float, str]]:
-    """The (weight, label) pairs with nonzero weight, after checking that the
-    weights form a distribution."""
-    pairs = [(float(w), label) for w, label in partner_mixture]
-    for w, label in pairs:
+def _weighted_starts(partner_mixture: Mapping[str, float]) -> dict[str, float]:
+    """The label -> weight entries with nonzero weight, in the mapping's
+    order, after checking that the weights form a distribution."""
+    starts = {label: float(w) for label, w in partner_mixture.items()}
+    for label, w in starts.items():
         if w < 0.0:
             raise ValueError(f"weight of {label!r} is negative: {w}")
-    total = math.fsum(w for w, _ in pairs)
+    total = math.fsum(starts.values())
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"partner weights must sum to 1, got {total}")
-    return [(w, label) for w, label in pairs if w != 0.0]
+    return {label: w for label, w in starts.items() if w != 0.0}
 
 
 def _grid_sums(
     solver: PureStatePropagator,
     spec: ThermalFieldSpec,
-    partner_mixture: Iterable[tuple[float, str]],
+    partner_mixture: Mapping[str, float],
     times: np.ndarray,
     count: int | None,
     reduce: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> tuple[list[np.ndarray], int]:
     """Sum ``reduce(stack, weights)`` over the grid, one sum per time.
 
-    Checks the starts, then walks ``count`` nodes (:func:`exact_node_count`
-    by default) in chunks of :func:`node_chunk_length`, with one solver
-    call per chunk and start label for all ``times``.  Each evolved
+    Checks the label -> weight mapping of starts, then walks ``count``
+    nodes (:func:`exact_node_count` by default) in chunks of
+    :func:`node_chunk_length`, with one solver call per chunk and start
+    label, in the mapping's order, for all ``times``.  Each evolved
     (K, P, F) stack is checked, reduced with the chunk's node weights times
     the label weight, and added into its time's sum in grid order.  Returns
     the T sums and the solver's F.
     """
     count = exact_node_count(spec.truncation) if count is None else count
-    pairs = _weighted_starts(partner_mixture)
+    starts = _weighted_starts(partner_mixture)
     sums = [0] * len(times)  # each an array from its first term on, then added in place
     for phis, node_weights in _node_chunks(count, node_chunk_length(spec.truncation)):
         rows = phase_state_rows(spec, phis)
-        for w_label, label in pairs:
+        for label, w_label in starts.items():
             weights = w_label * node_weights
             k = -1
             for k, out in enumerate(solver(rows, label, times)):
@@ -284,16 +288,19 @@ def _traced_average(v: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def evolve_mixed(
     solver: PureStatePropagator,
     spec: ThermalFieldSpec,
-    partner_mixture: Iterable[tuple[float, str]],
+    partner_mixture: Mapping[str, float],
     t: float,
     count: int | None = None,
 ) -> JointDensity:
     """Joint density at time t from a diagonal partner mixture in the field.
 
-    ``partner_mixture`` lists (weight, starting label) pairs with weights
-    summing to one.  The phase states of a node chunk go to the solver as
-    one (K, N+1) stack with the one-time array [t], so each start with
-    nonzero weight costs one solver call per chunk; each call's projectors
+    ``partner_mixture`` maps each starting label to its weight, the
+    weights summing to one, as
+    :meth:`thermalqubits.reduction.AtomicMixtureSpec.weights` returns
+    them, and ``t`` is one time; an array of times is refused.  The phase
+    states of a node chunk go to the solver as one (K, N+1) stack with the
+    one-time array [t], so each start with nonzero weight costs one solver
+    call per chunk, in the mapping's order; each call's projectors
     are averaged in one product and the products are added in grid order,
     so repeated runs agree bitwise and the chunk length moves the result
     by rounding only.  Any grid of more than N nodes makes the average
@@ -302,6 +309,8 @@ def evolve_mixed(
     For the partner state alone, :func:`mixed_reduced_density` traces out
     the field before averaging and never builds this matrix.
     """
+    if np.ndim(t) != 0:
+        raise ValueError(f"evolve_mixed takes one time, got an array of shape {np.shape(t)}")
     (matrix,), fock_dim = _grid_sums(
         solver, spec, partner_mixture, np.array([t], dtype=float), count, _projector_average
     )
@@ -311,7 +320,7 @@ def evolve_mixed(
 def mixed_reduced_density(
     solver: PureStatePropagator,
     spec: ThermalFieldSpec,
-    partner_mixture: Iterable[tuple[float, str]],
+    partner_mixture: Mapping[str, float],
     times: float | np.ndarray,
     count: int | None = None,
 ) -> np.ndarray:
@@ -326,8 +335,9 @@ def mixed_reduced_density(
     so a grid of N nodes or fewer shows its error here as it does in the
     joint density.
 
-    A scalar time gives one (P, P) density, a 1-D array of T times a
-    (T, P, P) stack.
+    ``partner_mixture`` is the label -> weight mapping
+    :func:`evolve_mixed` takes.  A scalar time gives one (P, P) density, a
+    1-D array of T times a (T, P, P) stack.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim > 1 or times.size == 0:

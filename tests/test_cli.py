@@ -93,16 +93,16 @@ def test_field_validation_surfaces_as_config_errors():
         RunConfig(gamma=1.5)
 
 
-def test_partner_pairs_cover_the_three_starts():
-    pairs = dict((label, w) for w, label in small_config(theta=0.3, vartheta=0.4).partner_pairs())
-    assert set(pairs) == {"ee", "eg", "gg"}
-    assert math.fsum(pairs.values()) == pytest.approx(1.0, abs=1e-15)
+def test_mixture_weights_cover_the_three_starts_in_label_order():
+    # the engine evolves the labels in this order, so it fixes every grid sum's bits
+    weights = small_config(theta=0.3, vartheta=0.4).mixture().weights()
+    assert list(weights) == ["ee", "eg", "gg"]
+    assert math.fsum(weights.values()) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_default_mixture_is_exactly_the_ee_start():
     # theta = fl(pi/2) has cos(theta) = 6.1e-17; its eg weight is 0, not 3.7e-33
     assert RunConfig().mixture().weights() == {"ee": 1.0, "eg": 0.0, "gg": 0.0}
-    assert RunConfig().partner_pairs() == [(1.0, "ee"), (0.0, "eg"), (0.0, "gg")]
 
 
 def test_default_series_binds_one_start_label(monkeypatch):
@@ -641,9 +641,13 @@ def test_repeated_renders_are_bitwise_identical():
     assert render_validation(vcfg) == render_validation(vcfg)
 
 
-def test_joint_output_carries_the_full_matrix():
-    cfg = small_config(mode="joint", steps=3, quadrature_nodes=9)
-    blob = json.loads(render_joint(cfg))
+def test_joint_output_carries_the_full_matrix(tmp_path):
+    out = tmp_path / "joint.json"
+    argv = ["run", "--mode", "joint", "--nbar", "0.5", "--tail-tolerance", "1e-6",
+            "--gamma", "0.5", "--theta", "0.9", "--vartheta", "0.4", "--steps", "3",
+            "--t-max", "4", "--quadrature-nodes", "9", "--output", str(out)]
+    assert main(argv) == 0
+    blob = json.loads(out.read_text())
     assert set(blob) == {
         "config",
         "t",
@@ -653,12 +657,13 @@ def test_joint_output_carries_the_full_matrix():
         "matrix_re",
         "matrix_im",
     }
-    assert blob["t"] == cfg.t_max
+    assert blob["t"] == 4.0
     assert blob["atom_labels"] == ["ee", "eg", "ge", "gg"]
     dim = 4 * blob["fock_dim"]
     assert len(blob["matrix_re"]) == dim
     assert len(blob["matrix_im"][0]) == dim
-    assert blob["trace"] == pytest.approx(cfg.field().retained_mass(), abs=1e-10)
+    # the trace survives any grid, aliased or not
+    assert abs(blob["trace"] - ThermalFieldSpec(0.5, 1e-6).retained_mass()) <= 1e-12
     assert blob["config"]["gamma"] == 0.5
 
 
@@ -823,6 +828,24 @@ def test_undecodable_config_is_a_config_error_and_fails_only_its_sweep_job(tmp_p
     assert blob["failed"] == 1
 
 
+def test_config_with_a_byte_order_mark_reads_as_without_one(tmp_path, capsys):
+    # editors on some systems save UTF-8 with a leading U+FEFF
+    marked = tmp_path / "marked.cfg"
+    marked.write_bytes(b"\xef\xbb\xbfnbar = 0.5\nsteps = 3\nt_max = 2\n")
+    assert main(["run", str(marked)]) == 0
+    out = capsys.readouterr().out
+    assert "# nbar = 0.5\n" in out
+    assert config_from_preamble(out) == load_config(str(marked), {})
+
+    job = tmp_path / "job.cfg"
+    job.write_bytes(f"\ufeffnbar = 0.5\nsteps = 3\noutput_path = {tmp_path / 'job.csv'}\n".encode())
+    summary_path = tmp_path / "summary.json"
+    assert main(["sweep", str(job), "--summary", str(summary_path)]) == 0
+    blob = json.loads(summary_path.read_text())
+    assert [entry["status"] for entry in blob["jobs"]] == ["ok"]
+    assert config_from_preamble((tmp_path / "job.csv").read_text()).nbar == 0.5
+
+
 def test_sweep_requires_at_least_one_job():
     with pytest.raises(ConfigError):
         run_sweep([])
@@ -869,6 +892,30 @@ def test_exit_codes_distinguish_config_and_output_failures(tmp_path, capsys):
         ]
     )
     assert rc == 3
+
+
+def test_output_onto_a_directory_is_an_output_error_and_leaves_no_temp_file(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.mkdir()
+    argv = ["run", "--nbar", "0.25", "--tail-tolerance", "1e-4", "--steps", "2"]
+    assert main([*argv, "--output", str(target)]) == 3
+    assert capsys.readouterr().err.startswith(f"output error: cannot write {target}")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["taken"]
+    assert list(target.iterdir()) == []
+
+
+def test_unexpected_failures_exit_1_with_their_message(monkeypatch, capsys):
+    def failing(cfg):
+        raise RuntimeError("renderer broke")
+
+    monkeypatch.setattr(cli, "render_validation", failing)
+    assert main(["validate", "--nbar", "0.25", "--tail-tolerance", "1e-4", "--steps", "2"]) == 1
+    assert capsys.readouterr().err == "error: renderer broke\n"
+
+
+def test_from_mapping_refuses_unknown_keys():
+    with pytest.raises(ConfigError, match=r"unknown keys: \['volume'\]"):
+        RunConfig.from_mapping({"nbar": 0.5, "volume": 11})
 
 
 def test_run_writes_to_stdout_without_an_output_path(capsys):

@@ -135,15 +135,15 @@ def test_mixture_weights_must_form_a_distribution():
     spec = ThermalFieldSpec(0.5)
     solver = phase_propagator(CouplingPair.from_gamma(0.2))
     with pytest.raises(ValueError, match="negative"):
-        evolve_mixed(solver, spec, [(-0.1, "ee"), (1.1, "gg")], 1.0)
+        evolve_mixed(solver, spec, {"ee": -0.1, "gg": 1.1}, 1.0)
     with pytest.raises(ValueError, match="sum"):
-        evolve_mixed(solver, spec, [(0.7, "ee"), (0.2, "gg")], 1.0)
+        evolve_mixed(solver, spec, {"ee": 0.7, "gg": 0.2}, 1.0)
 
 
 def test_initial_joint_state_is_a_product():
     spec = ThermalFieldSpec(1.0, 1e-6)
     solver = phase_propagator(CouplingPair.from_gamma(0.4))
-    joint = evolve_mixed(solver, spec, [(1.0, "eg")], 0.0)
+    joint = evolve_mixed(solver, spec, {"eg": 1.0}, 0.0)
     fock_dim = spec.truncation + 3
     assert joint.fock_dim == fock_dim
     expected = np.zeros((4 * fock_dim, 4 * fock_dim), dtype=complex)
@@ -158,7 +158,7 @@ def test_trace_equals_the_retained_mass():
     spec = ThermalFieldSpec(1.0, 1e-6)
     solver = phase_propagator(CouplingPair.from_gamma(0.4))
     for t in (0.0, 2.2, 9.1):
-        joint = evolve_mixed(solver, spec, [(0.25, "ee"), (0.75, "eg")], t)
+        joint = evolve_mixed(solver, spec, {"ee": 0.25, "eg": 0.75}, t)
         assert joint.trace == pytest.approx(spec.retained_mass(), abs=1e-12)
 
 
@@ -171,7 +171,7 @@ def test_zero_weight_labels_are_never_evolved():
         calls.append(label)
         return inner(coeffs, label, times)
 
-    evolve_mixed(solver, spec, [(1.0, "gg"), (0.0, "ee")], 1.0)
+    evolve_mixed(solver, spec, {"gg": 1.0, "ee": 0.0}, 1.0)
     assert set(calls) == {"gg"}
 
 
@@ -179,17 +179,17 @@ def test_evolution_is_linear_in_the_mixture():
     spec = ThermalFieldSpec(0.5, 1e-8)
     solver = phase_propagator(CouplingPair.from_gamma(0.6))
     t = 3.1
-    mixed = evolve_mixed(solver, spec, [(0.3, "ee"), (0.7, "gg")], t).matrix
-    a = evolve_mixed(solver, spec, [(1.0, "ee")], t).matrix
-    b = evolve_mixed(solver, spec, [(1.0, "gg")], t).matrix
+    mixed = evolve_mixed(solver, spec, {"ee": 0.3, "gg": 0.7}, t).matrix
+    a = evolve_mixed(solver, spec, {"ee": 1.0}, t).matrix
+    b = evolve_mixed(solver, spec, {"gg": 1.0}, t).matrix
     assert np.abs(mixed - (0.3 * a + 0.7 * b)).max() < 1e-13
 
 
 def test_grid_refinement_changes_nothing_past_the_threshold():
     spec = ThermalFieldSpec(1.0, 1e-6)
     solver = phase_propagator(CouplingPair.from_gamma(0.3))
-    base = evolve_mixed(solver, spec, [(1.0, "ee")], 2.0)
-    finer = evolve_mixed(solver, spec, [(1.0, "ee")], 2.0, count=67)
+    base = evolve_mixed(solver, spec, {"ee": 1.0}, 2.0)
+    finer = evolve_mixed(solver, spec, {"ee": 1.0}, 2.0, count=67)
     assert np.abs(base.matrix - finer.matrix).max() < 1e-12
 
 
@@ -199,10 +199,10 @@ def test_default_grid_sits_at_the_exact_threshold():
     n = spec.truncation
     assert phase_engine.exact_node_count(n) == n + 1
     solver = phase_propagator(CouplingPair.from_gamma(0.3))
-    pairs = [(0.25, "ee"), (0.75, "eg")]
-    fine = evolve_mixed(solver, spec, pairs, 2.0, count=2 * n + 3).matrix
-    default = evolve_mixed(solver, spec, pairs, 2.0).matrix
-    coarse = evolve_mixed(solver, spec, pairs, 2.0, count=n).matrix
+    weights = {"ee": 0.25, "eg": 0.75}
+    fine = evolve_mixed(solver, spec, weights, 2.0, count=2 * n + 3).matrix
+    default = evolve_mixed(solver, spec, weights, 2.0).matrix
+    coarse = evolve_mixed(solver, spec, weights, 2.0, count=n).matrix
     assert np.abs(default - fine).max() <= 1e-15
     assert np.abs(coarse - fine).max() >= 1e-6
 
@@ -210,17 +210,17 @@ def test_default_grid_sits_at_the_exact_threshold():
 def test_repeated_runs_are_bitwise_identical():
     spec = ThermalFieldSpec(0.5, 1e-6)
     solver = phase_propagator(CouplingPair.from_gamma(0.8))
-    pairs = [(0.5, "ee"), (0.5, "eg")]
+    weights = {"ee": 0.5, "eg": 0.5}
     assert np.array_equal(
-        evolve_mixed(solver, spec, pairs, 5.5).matrix,
-        evolve_mixed(solver, spec, pairs, 5.5).matrix,
+        evolve_mixed(solver, spec, weights, 5.5).matrix,
+        evolve_mixed(solver, spec, weights, 5.5).matrix,
     )
 
 
 def test_vacuum_single_start_stays_pure():
     spec = ThermalFieldSpec(0.0)
     solver = phase_propagator(CouplingPair.from_gamma(0.5))
-    joint = evolve_mixed(solver, spec, [(1.0, "ee")], 4.4).matrix
+    joint = evolve_mixed(solver, spec, {"ee": 1.0}, 4.4).matrix
     purity = float(np.real(np.trace(joint @ joint)))
     assert purity == pytest.approx(1.0, abs=1e-10)
 
@@ -232,7 +232,7 @@ def test_solver_output_length_is_checked():
         return [np.ones(7, dtype=complex) for _ in times]
 
     with pytest.raises(ValueError, match="amplitude stack"):
-        evolve_mixed(broken, spec, [(1.0, "ee")], 0.5)
+        evolve_mixed(broken, spec, {"ee": 1.0}, 0.5)
 
 
 @pytest.mark.parametrize("surplus", [-1, 1])
@@ -245,7 +245,7 @@ def test_solver_must_yield_one_stack_per_time(surplus):
         return stacks[:surplus] if surplus < 0 else stacks + stacks[:surplus]
 
     with pytest.raises(ValueError, match="3 times"):
-        mixed_reduced_density(miscounting, spec, MIX_PAIRS, TRACE_TIMES)
+        mixed_reduced_density(miscounting, spec, MIX_WEIGHTS, TRACE_TIMES)
 
 
 def test_solver_errors_pass_through():
@@ -255,7 +255,7 @@ def test_solver_errors_pass_through():
         raise RuntimeError("boom")
 
     with pytest.raises(RuntimeError, match="boom"):
-        evolve_mixed(failing, spec, [(1.0, "ee")], 0.5)
+        evolve_mixed(failing, spec, {"ee": 1.0}, 0.5)
 
 
 def _idle_partner(spec, partners):
@@ -278,7 +278,7 @@ def _idle_partner(spec, partners):
 def test_engine_accepts_other_partner_dimensions():
     spec = ThermalFieldSpec(0.5, 1e-6)
     fock_dim = spec.truncation + 3
-    joint = evolve_mixed(_idle_partner(spec, 2), spec, [(1.0, "0")], 0.0)
+    joint = evolve_mixed(_idle_partner(spec, 2), spec, {"0": 1.0}, 0.0)
     assert joint.fock_dim == fock_dim
     assert joint.matrix.shape == (2 * fock_dim, 2 * fock_dim)
 
@@ -313,14 +313,14 @@ def test_engine_drives_a_one_qubit_solver_with_its_own_fock_width():
     g = 1.3
     solver = _jaynes_cummings(g)
     times = np.array([0.0, 0.7, 3.1, 12.5])
-    rho = mixed_reduced_density(solver, spec, [(1.0, "e")], times)
+    rho = mixed_reduced_density(solver, spec, {"e": 1.0}, times)
     assert rho.shape == (4, 2, 2)
     n = np.arange(spec.truncation + 1)
     for t, excited in zip(times, rho[:, 0, 0].real):
         expected = math.fsum(spec.probabilities() * np.cos(g * np.sqrt(n + 1) * t) ** 2)
         assert abs(excited - expected) <= 1e-14
     for t in times:
-        joint = evolve_mixed(solver, spec, [(0.4, "e"), (0.6, "g")], t)
+        joint = evolve_mixed(solver, spec, {"e": 0.4, "g": 0.6}, t)
         assert joint.fock_dim == spec.truncation + 2
         traced = partial_trace_field(joint)
         assert abs(np.trace(traced) - spec.retained_mass()) <= 1e-12
@@ -348,10 +348,9 @@ def test_traced_engine_matches_the_direct_reduction():
     spec = ThermalFieldSpec(1.0, 1e-8)
     pair = CouplingPair.from_gamma(0.7)
     mix = AtomicMixtureSpec(0.8, 0.3)
-    pairs = [(w, label) for label, w in mix.weights().items()]
     solver = phase_propagator(pair)
     for t in (0.6, 5.0):
-        traced = partial_trace_field(evolve_mixed(solver, spec, pairs, t))
+        traced = partial_trace_field(evolve_mixed(solver, spec, mix.weights(), t))
         direct = reduced_density(spec, mix, pair, t)
         assert np.abs(traced - direct.matrix).max() < 1e-10
 
@@ -360,17 +359,17 @@ def test_both_solvers_agree_inside_the_engine():
     spec = ThermalFieldSpec(0.5, 1e-8)
     pair = CouplingPair(1.8, 0.6)
     t = 3.7
-    a = evolve_mixed(phase_propagator(pair), spec, [(1.0, "eg")], t).matrix
-    b = evolve_mixed(numeric_propagator(pair), spec, [(1.0, "eg")], t).matrix
+    a = evolve_mixed(phase_propagator(pair), spec, {"eg": 1.0}, t).matrix
+    b = evolve_mixed(numeric_propagator(pair), spec, {"eg": 1.0}, t).matrix
     assert np.abs(a - b).max() < 1e-11
 
 
-def _per_node_reference(solver, spec, pairs, t):
+def _per_node_reference(solver, spec, weights, t):
     """The grid average with one solver call per (label, node), one
-    product per label, added in label order."""
+    product per label, added in the mapping's order."""
     phis, node_weights = quadrature_nodes(phase_engine.exact_node_count(spec.truncation))
     total = 0
-    for w_label, label in pairs:
+    for label, w_label in weights.items():
         if w_label == 0.0:
             continue
         vectors = []
@@ -385,16 +384,16 @@ def _per_node_reference(solver, spec, pairs, t):
 def test_stacked_engine_matches_a_per_node_loop():
     spec = ThermalFieldSpec(1.0, 1e-6)
     pair = CouplingPair(1.4, 0.5)
-    pairs = [(0.2, "ee"), (0.0, "eg"), (0.5, "gg"), (0.3, "eg")]
+    weights = {"ee": 0.2, "eg": 0.3, "gg": 0.5}
     closed = phase_propagator(pair)
     assert np.array_equal(
-        evolve_mixed(closed, spec, pairs, 3.3).matrix,
-        _per_node_reference(closed, spec, pairs, 3.3),
+        evolve_mixed(closed, spec, weights, 3.3).matrix,
+        _per_node_reference(closed, spec, weights, 3.3),
     )
     oracle = numeric_propagator(pair)
-    pairs = [(0.4, "ge"), (0.6, "ee")]
-    gap = evolve_mixed(oracle, spec, pairs, 3.3).matrix - _per_node_reference(
-        oracle, spec, pairs, 3.3
+    weights = {"ge": 0.4, "ee": 0.6}
+    gap = evolve_mixed(oracle, spec, weights, 3.3).matrix - _per_node_reference(
+        oracle, spec, weights, 3.3
     )
     assert np.abs(gap).max() < 1e-13
 
@@ -408,13 +407,13 @@ def test_one_solver_call_per_weighted_label():
         calls.append((label, coeffs.shape, times.tolist()))
         return inner(coeffs, label, times)
 
-    evolve_mixed(solver, spec, [(0.5, "ee"), (0.0, "eg"), (0.5, "gg")], 1.0, count=11)
+    evolve_mixed(solver, spec, {"ee": 0.5, "eg": 0.0, "gg": 0.5}, 1.0, count=11)
     shape = (11, spec.truncation + 1)
     assert calls == [("ee", shape, [1.0]), ("gg", shape, [1.0])]
 
 
 MIX = AtomicMixtureSpec(0.9, 0.4)
-MIX_PAIRS = [(w, label) for label, w in MIX.weights().items()]
+MIX_WEIGHTS = MIX.weights()
 TRACE_PAIR = CouplingPair(1.4, 0.55)
 TRACE_TIMES = np.array([0.0, 1.3, 7.9])
 
@@ -423,7 +422,7 @@ def _traced_joint(solver, spec, times, count=None):
     """The reduced route through the joint density, one time at a time."""
     return np.array(
         [
-            partial_trace_field(evolve_mixed(solver, spec, MIX_PAIRS, t, count))
+            partial_trace_field(evolve_mixed(solver, spec, MIX_WEIGHTS, t, count))
             for t in times
         ]
     )
@@ -434,7 +433,7 @@ def _traced_joint(solver, spec, times, count=None):
 def test_trace_first_average_equals_the_traced_joint_density(nbar, make_solver):
     spec = ThermalFieldSpec(nbar, 1e-8)
     solver = make_solver(TRACE_PAIR)
-    rho = mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES)
+    rho = mixed_reduced_density(solver, spec, MIX_WEIGHTS, TRACE_TIMES)
     assert rho.shape == (3, 4, 4)
     assert np.abs(rho - _traced_joint(solver, spec, TRACE_TIMES)).max() < 1e-15
 
@@ -444,7 +443,7 @@ def test_coarse_grid_error_shows_on_both_reduced_routes(count):
     spec = ThermalFieldSpec(2.0, 1e-8)
     assert count <= spec.truncation
     solver = phase_propagator(TRACE_PAIR)
-    rho = mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES, count)
+    rho = mixed_reduced_density(solver, spec, MIX_WEIGHTS, TRACE_TIMES, count)
     joint = _traced_joint(solver, spec, TRACE_TIMES, count)
     assert np.abs(rho - joint).max() < 1e-15
     exact = reduced_density(spec, MIX, TRACE_PAIR, TRACE_TIMES).matrix
@@ -456,11 +455,11 @@ def test_coarse_grid_error_shows_on_both_reduced_routes(count):
 # both averages of the node loop, each with an array of times: the
 # partner density over all of them and the joint density at the last
 GRID_ROUTES = {
-    "reduced": lambda solver, spec, pairs, times, count=None: mixed_reduced_density(
-        solver, spec, pairs, times, count
+    "reduced": lambda solver, spec, weights, times, count=None: mixed_reduced_density(
+        solver, spec, weights, times, count
     ),
-    "joint": lambda solver, spec, pairs, times, count=None: evolve_mixed(
-        solver, spec, pairs, times[-1], count
+    "joint": lambda solver, spec, weights, times, count=None: evolve_mixed(
+        solver, spec, weights, times[-1], count
     ).matrix,
 }
 
@@ -475,7 +474,7 @@ def test_chunk_length_changes_nothing_but_rounding(make_solver, route, monkeypat
     for nodes in (1, 7, phase_engine.exact_node_count(spec.truncation)):
         monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", nodes * row)
         assert phase_engine.node_chunk_length(spec.truncation) == nodes
-        results.append(GRID_ROUTES[route](solver, spec, MIX_PAIRS, TRACE_TIMES))
+        results.append(GRID_ROUTES[route](solver, spec, MIX_WEIGHTS, TRACE_TIMES))
     for rho in results[1:]:
         assert np.abs(rho - results[0]).max() < 1e-15
 
@@ -491,9 +490,9 @@ def test_trace_first_calls_the_solver_once_per_chunk_and_label(route, monkeypatc
         calls.append((label, times.tolist(), coeffs.shape[0]))
         return inner(coeffs, label, times)
 
-    pairs = [(0.5, "ee"), (0.0, "eg"), (0.5, "gg")]
+    weights = {"ee": 0.5, "eg": 0.0, "gg": 0.5}
     times = np.array([1.0, 2.0])
-    GRID_ROUTES[route](solver, spec, pairs, times, count=25)
+    GRID_ROUTES[route](solver, spec, weights, times, count=25)
     called = times.tolist() if route == "reduced" else [2.0]
     expected = [(label, called, rows) for rows in (10, 10, 5) for label in ("ee", "gg")]
     assert calls == expected
@@ -514,12 +513,12 @@ def test_time_array_solver_calls_are_bitwise_the_per_time_calls(nbar):
     solver = phase_propagator(TRACE_PAIR)
     reference = _one_time_at_a_time(phase_propagator(TRACE_PAIR))
     assert np.array_equal(
-        mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES),
-        mixed_reduced_density(reference, spec, MIX_PAIRS, TRACE_TIMES),
+        mixed_reduced_density(solver, spec, MIX_WEIGHTS, TRACE_TIMES),
+        mixed_reduced_density(reference, spec, MIX_WEIGHTS, TRACE_TIMES),
     )
     t = TRACE_TIMES[1]
-    joint = evolve_mixed(solver, spec, MIX_PAIRS, t).matrix
-    assert np.array_equal(joint, _per_node_reference(solver, spec, MIX_PAIRS, t))
+    joint = evolve_mixed(solver, spec, MIX_WEIGHTS, t).matrix
+    assert np.array_equal(joint, _per_node_reference(solver, spec, MIX_WEIGHTS, t))
 
 
 def test_time_array_solver_calls_are_bitwise_the_per_time_calls_over_chunks(monkeypatch):
@@ -535,10 +534,10 @@ def test_time_array_solver_calls_are_bitwise_the_per_time_calls_over_chunks(monk
         calls.append(len(coeffs))
         return inner(coeffs, label, times)
 
-    rho = mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES)
+    rho = mixed_reduced_density(solver, spec, MIX_WEIGHTS, TRACE_TIMES)
     assert len(calls) == 3 * 3  # three chunks, three weighted labels
     reference = _one_time_at_a_time(phase_propagator(TRACE_PAIR))
-    assert np.array_equal(rho, mixed_reduced_density(reference, spec, MIX_PAIRS, TRACE_TIMES))
+    assert np.array_equal(rho, mixed_reduced_density(reference, spec, MIX_WEIGHTS, TRACE_TIMES))
 
 
 @pytest.mark.parametrize("route", GRID_ROUTES)
@@ -552,7 +551,7 @@ def test_grid_walk_holds_one_chunk_of_nodes_however_large_the_grid(
     monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", 10 * (spec.truncation + 1))
     times, count = np.array([0.0, 1.0]), 10_000
     solver = _idle_partner(spec, 1)
-    peak = traced_peak(lambda: GRID_ROUTES[route](solver, spec, [(1.0, "0")], times, count))
+    peak = traced_peak(lambda: GRID_ROUTES[route](solver, spec, {"0": 1.0}, times, count))
     width = spec.truncation + 3
     if route == "joint":
         plan = phase_engine.evolve_mixed_bytes(spec.truncation, width, count)
@@ -581,9 +580,9 @@ def test_every_partner_gets_the_chunks_of_a_two_qubit_solver(partners, monkeypat
 
     two_qubit, calls = [], []
     solver = counted(phase_propagator(TRACE_PAIR), two_qubit)
-    mixed_reduced_density(solver, spec, [(1.0, "ee")], TRACE_TIMES, count=25)
+    mixed_reduced_density(solver, spec, {"ee": 1.0}, TRACE_TIMES, count=25)
     idle = counted(_idle_partner(spec, partners), calls)
-    rho = mixed_reduced_density(idle, spec, [(1.0, "1")], TRACE_TIMES, count=25)
+    rho = mixed_reduced_density(idle, spec, {"1": 1.0}, TRACE_TIMES, count=25)
     assert calls == two_qubit == [10, 10, 5]
     expected = np.zeros((partners, partners))
     expected[1, 1] = spec.retained_mass()
@@ -600,7 +599,7 @@ def test_bound_solver_tables_die_with_their_solver():
     # the truncation, not the grid.
     spec = ThermalFieldSpec(50.0)
     times = np.linspace(0.0, 10.0, 3)
-    mixed_reduced_density(phase_propagator(TRACE_PAIR), spec, MIX_PAIRS, times, 4)
+    mixed_reduced_density(phase_propagator(TRACE_PAIR), spec, MIX_WEIGHTS, times, 4)
     # collections also empty the interpreter's free lists, which hold
     # released tuples and are not retained by the call
     gc.collect()
@@ -609,7 +608,7 @@ def test_bound_solver_tables_die_with_their_solver():
         before = tracemalloc.get_traced_memory()[0]
         for k in range(50):
             solver = phase_propagator(CouplingPair.from_gamma(0.01 + 0.019 * k))
-            mixed_reduced_density(solver, spec, MIX_PAIRS, times, 4)
+            mixed_reduced_density(solver, spec, MIX_WEIGHTS, times, 4)
         del solver
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
@@ -621,9 +620,9 @@ def test_bound_solver_tables_die_with_their_solver():
 def test_trace_first_takes_one_time_or_an_array():
     spec = ThermalFieldSpec(0.5, 1e-6)
     solver = phase_propagator(TRACE_PAIR)
-    stack = mixed_reduced_density(solver, spec, MIX_PAIRS, TRACE_TIMES)
+    stack = mixed_reduced_density(solver, spec, MIX_WEIGHTS, TRACE_TIMES)
     for t, rho in zip(TRACE_TIMES, stack):
-        single = mixed_reduced_density(solver, spec, MIX_PAIRS, float(t))
+        single = mixed_reduced_density(solver, spec, MIX_WEIGHTS, float(t))
         assert single.shape == (4, 4)
         assert np.array_equal(single, rho)
 
@@ -632,15 +631,23 @@ def test_trace_first_checks_its_inputs():
     spec = ThermalFieldSpec(0.5, 1e-6)
     solver = phase_propagator(TRACE_PAIR)
     with pytest.raises(ValueError, match="sum"):
-        mixed_reduced_density(solver, spec, [(0.7, "ee")], 1.0)
+        mixed_reduced_density(solver, spec, {"ee": 0.7}, 1.0)
     with pytest.raises(ValueError, match="1-D"):
-        mixed_reduced_density(solver, spec, MIX_PAIRS, np.zeros((2, 2)))
+        mixed_reduced_density(solver, spec, MIX_WEIGHTS, np.zeros((2, 2)))
+
+
+def test_joint_density_takes_one_time():
+    spec = ThermalFieldSpec(0.5, 1e-6)
+    solver = phase_propagator(TRACE_PAIR)
+    for times in (np.array([1.0, 2.0]), [1.0]):
+        with pytest.raises(ValueError, match=r"evolve_mixed takes one time, .* shape \("):
+            evolve_mixed(solver, spec, MIX_WEIGHTS, times)
 
 
 def test_trace_first_returns_a_bare_matrix_for_other_partners():
     spec = ThermalFieldSpec(0.5, 1e-6)
     idle = _idle_partner(spec, 2)
-    rho = mixed_reduced_density(idle, spec, [(0.25, "0"), (0.75, "1")], np.array([0.0, 1.0]))
+    rho = mixed_reduced_density(idle, spec, {"0": 0.25, "1": 0.75}, np.array([0.0, 1.0]))
     assert isinstance(rho, np.ndarray)
     assert rho.shape == (2, 2, 2)
     expected = np.diag([0.25, 0.75]) * spec.retained_mass()
@@ -672,7 +679,7 @@ def test_plans_follow_the_grid_and_the_chunk_rule(monkeypatch):
 
 
 PLAN_PAIR = CouplingPair.from_gamma(0.3)
-PLAN_MIX = [(w, label) for label, w in AtomicMixtureSpec(0.9, 0.4).weights().items()]
+PLAN_WEIGHTS = AtomicMixtureSpec(0.9, 0.4).weights()
 
 
 @pytest.mark.parametrize(
@@ -683,7 +690,7 @@ def test_evolve_mixed_plan_covers_the_measured_peak(nbar, nodes, traced_peak):
     spec = ThermalFieldSpec(nbar)
     width = 4 * (spec.truncation + 3)
     peak = traced_peak(
-        lambda: evolve_mixed(phase_propagator(PLAN_PAIR), spec, PLAN_MIX, 25.0, nodes)
+        lambda: evolve_mixed(phase_propagator(PLAN_PAIR), spec, PLAN_WEIGHTS, 25.0, nodes)
     )
     plan = phase_engine.evolve_mixed_bytes(spec.truncation, width, nodes)
     assert peak <= plan
@@ -699,7 +706,7 @@ def test_mixed_reduced_density_plan_covers_the_measured_peak(
         monkeypatch.setattr(phase_engine, "NODE_CHUNK_ENTRIES", chunk * (spec.truncation + 1))
     times = np.linspace(0.0, 25.0, 7)
     peak = traced_peak(
-        lambda: mixed_reduced_density(phase_propagator(PLAN_PAIR), spec, PLAN_MIX, times)
+        lambda: mixed_reduced_density(phase_propagator(PLAN_PAIR), spec, PLAN_WEIGHTS, times)
     )
     assert peak <= phase_engine.mixed_reduced_density_bytes(spec.truncation, width, 7)
 
@@ -717,7 +724,7 @@ def test_mixed_reduced_density_plan_covers_the_solver_tables_of_every_time(
     width = 4 * (spec.truncation + 3)
     probes = np.linspace(0.0, 25.0, times)
     peak = traced_peak(
-        lambda: mixed_reduced_density(make_solver(PLAN_PAIR), spec, PLAN_MIX, probes)
+        lambda: mixed_reduced_density(make_solver(PLAN_PAIR), spec, PLAN_WEIGHTS, probes)
     )
     assert peak <= phase_engine.mixed_reduced_density_bytes(spec.truncation, width, times=times)
 
