@@ -8,8 +8,9 @@ Three subcommands share one flat "key = value" configuration format:
     dumps the full joint density at the final time as JSON, and
     mode = validate cross-checks the independent computation routes.
 ``sweep``
-    Run several reduced-mode configurations one after another and write a
-    JSON summary; one failing job does not stop the others.
+    Run reduced-mode config files one after another, each writing its own
+    series, and write a JSON summary with one entry per file; a failing job
+    fails alone.
 ``validate``
     Shorthand for ``run`` with the mode forced to validate.
 
@@ -31,7 +32,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -54,9 +55,7 @@ __all__ = [
     "main",
     "parse_config_text",
     "render_joint",
-    "render_timeseries",
     "render_validation",
-    "run_sweep",
     "run_timeseries",
     "timeseries_rows",
     "work_bytes",
@@ -305,10 +304,6 @@ def load_config(path: str | None, overrides: Mapping[str, object]) -> RunConfig:
     return RunConfig.from_mapping(mapping)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _config_mapping(cfg: RunConfig) -> dict[str, object]:
     return {
         field.name: getattr(cfg, field.name)
@@ -319,7 +314,7 @@ def _config_mapping(cfg: RunConfig) -> dict[str, object]:
 
 def _preamble_lines(cfg: RunConfig) -> list[str]:
     lines = [
-        f"# {key} = {_fmt(value) if isinstance(value, float) else value}"
+        f"# {key} = {'%.17g' % value if isinstance(value, float) else value}"
         for key, value in _config_mapping(cfg).items()
     ]
     lines.append("## xi doubles the absolute sum of negative partial-transpose eigenvalues")
@@ -388,10 +383,6 @@ def _render_rows(cfg: RunConfig, rows: Sequence[tuple[float, ...]]) -> str:
     lines.append(CSV_HEADER)
     lines.extend(_CSV_ROW % row for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def render_timeseries(cfg: RunConfig) -> str:
-    return _render_rows(cfg, timeseries_rows(cfg))
 
 
 def run_timeseries(cfg: RunConfig) -> dict[str, float]:
@@ -465,42 +456,6 @@ def render_validation(cfg: RunConfig) -> str:
     return "".join(f"{label}: {value:.3e}\n" for label, value in lines.items())
 
 
-def _sweep_jobs(jobs: Iterable[tuple[str, Callable[[], RunConfig]]]) -> dict[str, object]:
-    """Load, check and run (name, loader) jobs in order; a failing job fails alone.
-
-    Whatever a job raises, from reading its config to writing its series,
-    becomes its entry's error, and its output is "" when the config did
-    not load.  The summary is the one :func:`run_sweep` returns.
-    """
-    entries = []
-    for name, load in jobs:
-        entry: dict[str, object] = {"config": name, "output": ""}
-        try:
-            cfg = load()
-            entry["output"] = cfg.output_path
-            if cfg.mode != "reduced":
-                raise ConfigError(f"sweep runs reduced jobs only, {name} has mode {cfg.mode!r}")
-            if not cfg.output_path:
-                raise ConfigError(f"sweep job {name} must set output_path")
-            entry.update(status="ok", **run_timeseries(cfg))
-        except Exception as exc:
-            entry.update(status="failed", error=str(exc))
-        entries.append(entry)
-    return {"jobs": entries, "failed": sum(entry["status"] != "ok" for entry in entries)}
-
-
-def run_sweep(jobs: Sequence[tuple[str, RunConfig]]) -> dict[str, object]:
-    """Run reduced-mode jobs one after another; a failing job fails alone.
-
-    Returns {"jobs": [...], "failed": count} with one entry per job in
-    input order carrying config name, output path, status and, when the
-    run succeeded, the negativity peak.
-    """
-    if not jobs:
-        raise ConfigError("sweep needs at least one configuration")
-    return _sweep_jobs((name, lambda cfg=cfg: cfg) for name, cfg in jobs)
-
-
 def _overrides_from_args(args: argparse.Namespace) -> dict[str, object]:
     values = ((key, getattr(args, key, None)) for key in _SCHEMA)
     return {key: value for key, value in values if value is not None}
@@ -530,9 +485,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    summary = _sweep_jobs((path, lambda path=path: load_config(path, {})) for path in args.configs)
-    _emit(args.summary, json.dumps(summary, indent=2) + "\n")
-    return 1 if summary["failed"] else 0
+    """Load, check and run each config file in order; a failing job fails alone.
+
+    Whatever a job raises, from reading its config to writing its series,
+    becomes its entry's error, and its output is "" when the config did
+    not load.
+    """
+    entries = []
+    for path in args.configs:
+        entry: dict[str, object] = {"config": path, "output": ""}
+        try:
+            cfg = load_config(path, {})
+            entry["output"] = cfg.output_path
+            if cfg.mode != "reduced":
+                raise ConfigError(f"sweep runs reduced jobs only, {path} has mode {cfg.mode!r}")
+            if not cfg.output_path:
+                raise ConfigError(f"sweep job {path} must set output_path")
+            entry.update(status="ok", **run_timeseries(cfg))
+        except Exception as exc:
+            entry.update(status="failed", error=str(exc))
+        entries.append(entry)
+    failed = sum(entry["status"] != "ok" for entry in entries)
+    _emit(args.summary, json.dumps({"jobs": entries, "failed": failed}, indent=2) + "\n")
+    return 1 if failed else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -569,6 +544,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse has printed its usage error or help
+        return exc.code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

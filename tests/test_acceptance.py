@@ -9,6 +9,7 @@ failure is the finding, not a defect of the routes, which agree with each
 other everywhere.
 """
 
+import json
 import math
 import time
 
@@ -25,7 +26,7 @@ from thermalqubits import (
     reduced_density,
 )
 from thermalqubits import checks
-from thermalqubits.cli import RunConfig, run_sweep
+from thermalqubits.cli import main
 from thermalqubits.phase_engine import exact_node_count
 
 MIXTURES = ((math.pi / 2.0, 0.0), (math.pi / 2.0, math.pi / 2.0), (0.0, 0.0))
@@ -187,21 +188,19 @@ def test_criterion_7_negativity_is_continuous_in_the_asymmetry(criterion):
 
 
 def test_criterion_8_sweep_shows_the_asymmetry_advantage(criterion, tmp_path):
-    jobs = []
+    names = {}
     for label, theta, vartheta in (("ee", math.pi / 2.0, 0.0), ("eg", 0.0, 0.0)):
         for gamma in (0.0, 0.5, 0.9):
             name = f"{label}-{gamma}"
-            cfg = RunConfig(
-                nbar=1.0,
-                gamma=gamma,
-                theta=theta,
-                vartheta=vartheta,
-                steps=251,
-                t_max=25.0,
-                output_path=str(tmp_path / f"{name}.csv"),
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(
+                f"nbar = 1.0\ngamma = {gamma!r}\ntheta = {theta!r}\nvartheta = {vartheta!r}\n"
+                f"steps = 251\nt_max = 25.0\noutput_path = {tmp_path / name}.csv\n"
             )
-            jobs.append((name, cfg))
-    summary = run_sweep(jobs)
+            names[str(path)] = name
+    summary_path = tmp_path / "summary.json"
+    main(["sweep", *names, "--summary", str(summary_path)])
+    summary = json.loads(summary_path.read_text())
     starts_at_zero = True
     stays_in_range = True
     peaks = {}
@@ -214,7 +213,7 @@ def test_criterion_8_sweep_shows_the_asymmetry_advantage(criterion, tmp_path):
             ]
         ts = [float(r.split(",")[0]) for r in rows]
         xs = [float(r.split(",")[1]) for r in rows]
-        peaks[entry["config"]] = max(xs)
+        peaks[names[entry["config"]]] = max(xs)
         if xs[ts.index(0.0)] != 0.0:
             starts_at_zero = False
         if min(xs) < 0.0 or max(xs) > 1.0:

@@ -34,9 +34,7 @@ from thermalqubits.cli import (
     main,
     parse_config_text,
     render_joint,
-    render_timeseries,
     render_validation,
-    run_sweep,
     run_timeseries,
     timeseries_rows,
 )
@@ -46,6 +44,13 @@ def small_config(**kw):
     base = dict(nbar=0.5, tail_tolerance=1e-6, gamma=0.5, steps=9, t_max=4.0)
     base.update(kw)
     return RunConfig(**base)
+
+
+def written_series(cfg, tmp_path):
+    """The text run_timeseries writes for ``cfg`` to a file in ``tmp_path``."""
+    out = tmp_path / "series.csv"
+    run_timeseries(dataclasses.replace(cfg, output_path=str(out)))
+    return out.read_text()
 
 
 def data_lines(text):
@@ -411,15 +416,16 @@ def _render_peak(traced_peak, render, cfg):
     "nbar, steps", [(100.0, 3), (1000.0, 3), (1.0, 1001), (20.0, 201), (0.5, 20001)],
     ids=["100.0", "1000.0", "1.0-1001steps", "20.0-201steps", "0.5-20001steps"],
 )
-def test_reduced_entry_term_covers_the_measured_peak(nbar, steps, traced_peak):
+def test_reduced_entry_term_covers_the_measured_peak(nbar, steps, traced_peak, tmp_path):
     # nbar 1000 takes one time per chunk, and all three start labels bound:
     # the per-level arrays set the peak, with no help from _RUN_BYTES; the
     # long series at nbar 1 and 20 fill whole chunks; at 20001 steps the
     # rows and their CSV lines are the larger stage
-    cfg = RunConfig(nbar=nbar, steps=steps, gamma=0.3, theta=0.9, vartheta=0.4)
+    cfg = RunConfig(nbar=nbar, steps=steps, gamma=0.3, theta=0.9, vartheta=0.4,
+                    output_path=str(tmp_path / "series.csv"))
     if steps > 3:
         assert steps > reduction.chunk_length(cfg.field().truncation)
-    peak = _render_peak(traced_peak, render_timeseries, cfg)
+    peak = _render_peak(traced_peak, run_timeseries, cfg)
     assert peak <= cli.work_bytes(cfg.field().truncation, steps, "reduced") - cli._RUN_BYTES
 
 
@@ -554,8 +560,8 @@ def test_cli_leaves_the_memory_plans_to_their_modules():
     assert not named & forbidden
 
 
-def test_rendered_values_round_trip_at_full_precision():
-    text = render_timeseries(small_config(steps=3))
+def test_rendered_values_round_trip_at_full_precision(tmp_path):
+    text = written_series(small_config(steps=3), tmp_path)
     rows = data_lines(text)
     assert len(rows) == 3
     for line in rows:
@@ -583,13 +589,16 @@ def test_row_text_is_the_per_value_format_join():
     ],
     ids=["gamma", "pair", "nodes", "spaced-output", "negative-t_min", "joint", "validate"],
 )
-def test_preamble_round_trips_to_the_same_config(keys):
-    cfg = small_config(**keys)
-    assert config_from_preamble(render_timeseries(cfg)) == cfg
+def test_preamble_round_trips_to_the_same_config(keys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out dir").mkdir()
+    cfg = small_config(**{"output_path": "series.csv", **keys})
+    run_timeseries(cfg)
+    assert config_from_preamble((tmp_path / cfg.output_path).read_text()) == cfg
 
 
-def test_preamble_notes_the_time_convention():
-    text = render_timeseries(small_config(steps=2))
+def test_preamble_notes_the_time_convention(tmp_path):
+    text = written_series(small_config(steps=2), tmp_path)
     notes = [line for line in text.splitlines() if line.startswith("##")]
     assert any("lambda1 + lambda2 = 2" in line for line in notes)
     assert any("partial-transpose" in line for line in notes)
@@ -632,9 +641,9 @@ def test_output_files_get_the_mode_of_a_plain_open(umask, tmp_path):
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
 
 
-def test_repeated_renders_are_bitwise_identical():
+def test_repeated_renders_are_bitwise_identical(tmp_path):
     cfg = small_config(steps=7)
-    assert render_timeseries(cfg) == render_timeseries(cfg)
+    assert written_series(cfg, tmp_path) == written_series(cfg, tmp_path)
     jcfg = small_config(mode="joint", steps=3)
     assert render_joint(jcfg) == render_joint(jcfg)
     vcfg = small_config(mode="validate", steps=5)
@@ -782,28 +791,33 @@ def test_sweep_isolates_the_failing_job(tmp_path):
     assert (tmp_path / "good.csv").exists()
 
 
-def test_sweep_keeps_the_input_order_around_a_failing_job(tmp_path):
-    jobs = [
-        ("first", small_config(steps=3, output_path=str(tmp_path / "a.csv"))),
-        ("middle", small_config(steps=3, mode="joint", output_path=str(tmp_path / "b.csv"))),
-        ("last", small_config(steps=3, output_path=str(tmp_path / "c.csv"))),
-    ]
-    summary = run_sweep(jobs)
-    assert [entry["config"] for entry in summary["jobs"]] == ["first", "middle", "last"]
-    assert [entry["status"] for entry in summary["jobs"]] == ["ok", "failed", "ok"]
-    assert summary["failed"] == 1
-
+def sweep_summary(tmp_path, *texts, flags=()):
+    """Exit code and summary of a sweep over one config file per text, named
+    a.cfg, b.cfg, ... in ``tmp_path``, with the flags after the files."""
     paths = []
-    for name, text in (("a", "nbar = 0.5"), ("b", "nbar = bogus"), ("c", "nbar = 0.25")):
+    for name, text in zip("abcdefgh", texts):
         path = tmp_path / f"{name}.cfg"
-        path.write_text(f"{text}\nsteps = 3\noutput_path = {tmp_path / name}.csv\n")
+        path.write_text(text)
         paths.append(str(path))
     summary_path = tmp_path / "summary.json"
-    assert main(["sweep", *paths, "--workers", "2", "--summary", str(summary_path)]) == 1
-    blob = json.loads(summary_path.read_text())
-    assert [entry["config"] for entry in blob["jobs"]] == paths
-    assert [entry["status"] for entry in blob["jobs"]] == ["ok", "failed", "ok"]
-    assert blob["failed"] == 1
+    code = main(["sweep", *paths, *flags, "--summary", str(summary_path)])
+    return code, json.loads(summary_path.read_text())
+
+
+def test_sweep_keeps_the_input_order_around_a_failing_job(tmp_path):
+    # the middle job fails while its config loads, or after, on its mode
+    for case, middle in (("unparsable", "nbar = bogus"), ("joint", "mode = joint")):
+        folder = tmp_path / case
+        folder.mkdir()
+        texts = [f"{text}\nsteps = 3\noutput_path = {folder / name}.csv\n"
+                 for name, text in (("a", "nbar = 0.5"), ("b", middle), ("c", "nbar = 0.25"))]
+        code, blob = sweep_summary(folder, *texts, flags=("--workers", "2"))
+        assert code == 1
+        assert [entry["config"] for entry in blob["jobs"]] == [
+            str(folder / f"{name}.cfg") for name in "abc"
+        ]
+        assert [entry["status"] for entry in blob["jobs"]] == ["ok", "failed", "ok"]
+        assert blob["failed"] == 1
 
 
 def test_undecodable_config_is_a_config_error_and_fails_only_its_sweep_job(tmp_path, capsys):
@@ -846,22 +860,23 @@ def test_config_with_a_byte_order_mark_reads_as_without_one(tmp_path, capsys):
     assert config_from_preamble((tmp_path / "job.csv").read_text()).nbar == 0.5
 
 
-def test_sweep_requires_at_least_one_job():
-    with pytest.raises(ConfigError):
-        run_sweep([])
+def test_sweep_requires_at_least_one_job(capsys):
+    assert main(["sweep"]) == 2
+    assert "the following arguments are required: configs" in capsys.readouterr().err
 
 
 def test_sweep_rejects_non_reduced_jobs(tmp_path):
-    cfg = small_config(mode="joint", output_path=str(tmp_path / "x.csv"))
-    summary = run_sweep([("j", cfg)])
-    assert summary["failed"] == 1
-    assert "reduced" in summary["jobs"][0]["error"]
+    code, blob = sweep_summary(tmp_path, f"mode = joint\noutput_path = {tmp_path / 'x.csv'}\n")
+    assert (code, blob["failed"]) == (1, 1)
+    assert "reduced" in blob["jobs"][0]["error"]
+    assert not (tmp_path / "x.csv").exists()
 
 
-def test_sweep_jobs_must_name_an_output():
-    summary = run_sweep([("j", small_config())])
-    assert summary["failed"] == 1
-    assert "output_path" in summary["jobs"][0]["error"]
+def test_sweep_jobs_must_name_an_output(tmp_path):
+    code, blob = sweep_summary(tmp_path, "nbar = 0.5\nsteps = 3\n")
+    assert (code, blob["failed"]) == (1, 1)
+    assert blob["jobs"][0]["output"] == ""
+    assert "output_path" in blob["jobs"][0]["error"]
 
 
 def test_exit_codes_distinguish_config_and_output_failures(tmp_path, capsys):
@@ -892,6 +907,35 @@ def test_exit_codes_distinguish_config_and_output_failures(tmp_path, capsys):
         ]
     )
     assert rc == 3
+
+
+def test_usage_errors_and_help_return_argparse_status(capsys):
+    assert main(["run", "--bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: thermalqubits")
+    assert "unrecognized arguments: --bogus" in captured.err
+    assert captured.out == ""
+    # argparse reads -1e3 as a flag; with "=" it is the value
+    assert main(["run", "--steps", "2", "--t-min", "-1e3"]) == 2
+    assert "argument --t-min: expected one argument" in capsys.readouterr().err
+    assert main(["run", "--steps", "2", "--t-min=-1e3"]) == 0
+    assert config_from_preamble(capsys.readouterr().out).t_min == -1e3
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: thermalqubits")
+
+
+def test_a_failed_rename_is_reported_when_the_unlink_fails_too(tmp_path, monkeypatch, capsys):
+    def refuse(what):
+        def fail(*args):
+            raise OSError(f"{what} refused")
+        return fail
+
+    monkeypatch.setattr(cli.os, "replace", refuse("rename"))
+    monkeypatch.setattr(cli.os, "unlink", refuse("unlink"))
+    out = tmp_path / "series.csv"
+    assert main(["run", "--nbar", "0.25", "--steps", "2", "--output", str(out)]) == 3
+    assert capsys.readouterr().err == f"output error: cannot write {out}: rename refused\n"
+    assert not out.exists()
 
 
 def test_output_onto_a_directory_is_an_output_error_and_leaves_no_temp_file(tmp_path, capsys):
