@@ -30,6 +30,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -339,26 +340,38 @@ def config_from_preamble(text: str) -> RunConfig:
 def _emit(path: str | None, text: str) -> None:
     """Write ``text`` to ``path``, or to stdout without one.
 
-    A file is written to a new temp file beside it and renamed into place,
-    so a failure leaves no partial output.  The temp file is created with
-    mode 0666 less the umask, as a plain ``open(path, "w")`` creates a new
-    file (``tempfile.mkstemp`` would make it 0600).
+    A regular file, or a path with nothing there yet, is written to a new
+    temp file beside its target and renamed onto it, so a failure leaves
+    no partial output; a symlink is followed, so the link stays a link.
+    The temp file is created with mode 0666 less the umask, as a plain
+    ``open(path, "w")`` creates a new file (``tempfile.mkstemp`` would make
+    it 0600).  Any other node that exists, such as a device or a FIFO, is
+    written in place, since a rename would replace the node itself.
     """
-    if not path:
-        sys.stdout.write(text)
-        return
-    directory = os.path.dirname(os.path.abspath(path))
-    name = os.path.join(directory, f".partial-{os.urandom(8).hex()}.tmp")
     tmp_path = None
     try:
+        if not path:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
+        try:
+            in_place = not stat.S_ISREG(os.stat(path).st_mode)
+        except FileNotFoundError:
+            in_place = False
+        if in_place:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            return
+        target = os.path.realpath(path)
+        name = os.path.join(os.path.dirname(target), f".partial-{os.urandom(8).hex()}.tmp")
         fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         tmp_path = name  # ours to remove from here on
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-        os.replace(tmp_path, path)
+        os.replace(tmp_path, target)
         tmp_path = None
     except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from exc
+        raise OutputError(f"cannot write {path or 'to stdout'}: {exc}") from exc
     finally:
         if tmp_path is not None:
             try:

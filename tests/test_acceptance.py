@@ -27,6 +27,7 @@ from thermalqubits import (
 )
 from thermalqubits import checks
 from thermalqubits.cli import main
+from thermalqubits.oracle import oracle_reduced_density
 from thermalqubits.phase_engine import exact_node_count
 
 MIXTURES = ((math.pi / 2.0, 0.0), (math.pi / 2.0, math.pi / 2.0), (0.0, 0.0))
@@ -146,6 +147,68 @@ def test_criterion_5c_double_ground_vacuum_stays_separable(criterion):
     ok = worst == 0.0
     detail = f"c: xi stays at {worst:.1e} for every probed time"
     assert criterion("5c", ok, detail), detail
+
+
+VACUUM_GAMMAS = (0.0, 0.5, 0.9, 1.0)
+VACUUM_TIMES = np.linspace(0.0, 20.0, 801)
+
+
+def _vacuum_forms(gamma):
+    """Coherence, witness and negativity from |eg, 0> in the vacuum, derived
+    by hand: only the E = 1 block {eg0, ge0, gg1} moves, at Omega^2 =
+    lambda1^2 + lambda2^2, and the reduced state has B_ee = 0."""
+    l1, l2 = 1.0 + gamma, 1.0 - gamma
+    omega2 = l1 * l1 + l2 * l2
+    phase = math.sqrt(omega2) * VACUUM_TIMES
+    c = np.cos(phase)
+    x_eg = (l2 * l2 + l1 * l1 * c) / omega2
+    x_ge = l1 * l2 * (c - 1.0) / omega2
+    b_gg = l1 * l1 * np.sin(phase) ** 2 / omega2
+    coherence = x_eg * x_ge
+    return coherence, -(coherence**2), np.sqrt(b_gg**2 + 4.0 * coherence**2) - b_gg
+
+
+def _vacuum_routes(gamma):
+    """Negativity results from |eg, 0> in the vacuum, closed form then oracle."""
+    spec, mix = ThermalFieldSpec(0.0), AtomicMixtureSpec(0.0, 0.0)
+    pair = CouplingPair(1.0 + gamma, 1.0 - gamma)
+    return [negativity(route(spec, mix, pair, VACUUM_TIMES))
+            for route in (reduced_density, oracle_reduced_density)]
+
+
+def test_criterion_5d_vacuum_witness_follows_the_derived_forms(criterion):
+    worst = 0.0
+    for gamma in VACUUM_GAMMAS:
+        _, upsilon, xi = _vacuum_forms(gamma)
+        for result in _vacuum_routes(gamma):
+            worst = max(worst, np.abs(result.upsilon - upsilon).max(), np.abs(result.xi - xi).max())
+    ok = worst <= 1e-12
+    detail = (
+        "d: from |eg, 0> in the vacuum, upsilon = -(X_eg X_ge)^2 and "
+        "xi = sqrt(B_gg^2 + 4 (X_eg X_ge)^2) - B_gg hold on both routes to "
+        f"{worst:.3e} at gamma 0, 0.5, 0.9 and 1"
+    )
+    assert criterion("5d", ok, detail), detail
+
+
+def test_criterion_5e_vacuum_entanglement_vanishes_only_at_isolated_times(criterion):
+    misses = 0
+    entangled = []
+    for gamma in VACUUM_GAMMAS:
+        coherence, _, _ = _vacuum_forms(gamma)
+        for result in _vacuum_routes(gamma):
+            if gamma == 1.0:
+                misses += np.count_nonzero(result.xi != 0.0)
+            else:
+                misses += np.count_nonzero((np.abs(coherence) > 1e-6) & ~(result.xi > 0.0))
+                entangled.append(np.count_nonzero(result.xi > 0.0))
+    ok = misses == 0
+    detail = (
+        f"e: below gamma 1 xi > 0 wherever |X_eg X_ge| > 1e-6, at {min(entangled)} to "
+        f"{max(entangled)} of {len(VACUUM_TIMES)} times, and xi = 0 at gamma 1; "
+        f"{misses} route values break this"
+    )
+    assert criterion("5e", ok, detail), detail
 
 
 def test_criterion_6_negativity_routes_coincide(criterion):

@@ -2,9 +2,11 @@
 
 import ast
 import dataclasses
+import errno
 import json
 import math
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -15,14 +17,17 @@ import pytest
 
 from thermalqubits import (
     ThermalFieldSpec,
+    TwoQubitDensity,
     checks,
     cli,
     closed_form,
+    closed_form_negativity,
     negativity,
     oracle,
     phase_engine,
     reduced_density,
     reduction,
+    upsilon_witness,
 )
 from thermalqubits.cli import (
     CSV_HEADER,
@@ -320,9 +325,29 @@ def test_times_below_the_phase_overflow_stay_accepted(capsys):
     assert len(data_lines(capsys.readouterr().out)) == 3
 
 
-@pytest.mark.parametrize("gamma", [0.0, 1e-9, 1.0 - 1e-6, 1.0])
-def test_the_gamma_family_stays_accepted_at_nbar_100(gamma):
-    assert RunConfig(nbar=100.0, gamma=gamma).couplings().lambda1 == 1.0 + gamma
+@pytest.mark.parametrize("gamma", [0.3, 0.0, 1e-9, 0.999999, 1.0])
+def test_the_gamma_family_keeps_the_row_contracts_at_nbar_100(gamma, tmp_path):
+    # three times per chunk at N = 2314; gamma 0 takes the exact limit t of
+    # every sin(Omega_- t)/Omega_- column, 1e-9 the direct ratio below
+    # |Omega_- t| = 1e-4, and 0.999999 and 1 nearly or fully decouple the
+    # second atom
+    out = tmp_path / "series.csv"
+    flags = f"--nbar=100.0 --tail-tolerance=1e-10 --gamma={gamma!r} --theta=0.9 --vartheta=0.4"
+    assert main(["run", *flags.split(), "--steps=21", "--output", str(out)]) == 0
+    text = out.read_text()
+    cfg = config_from_preamble(text)
+    assert cfg.couplings().lambda1 == 1.0 + gamma
+    rows = [tuple(map(float, line.split(","))) for line in data_lines(text)]
+    assert len(rows) == 21
+    t, xi, upsilon, *populations, re_coh, im_coh = np.array(rows).T
+    rho = TwoQubitDensity.from_components(*populations, re_coh + 1j * im_coh)
+    mass = cfg.field().retained_mass()
+    assert max(abs(math.fsum(row[3:7]) - mass) for row in rows) <= 1e-10
+    assert np.abs(xi - closed_form_negativity(rho)).max() <= 1e-11
+    assert np.abs(upsilon - upsilon_witness(rho)).max() <= 1e-12
+    for i in random.Random(0).sample(range(len(rows)), 2):
+        reference = oracle.oracle_reduced_density(cfg.field(), cfg.mixture(), cfg.couplings(), t[i])
+        assert np.abs(rho.matrix[i] - reference.matrix).max() <= 1e-10, t[i]
 
 
 @pytest.mark.parametrize(
@@ -650,12 +675,24 @@ def test_repeated_renders_are_bitwise_identical(tmp_path):
     assert render_validation(vcfg) == render_validation(vcfg)
 
 
-def test_joint_output_carries_the_full_matrix(tmp_path):
+@pytest.mark.parametrize(
+    "flags, exact_grid",
+    [
+        # 9 nodes at N = 12 alias the grid: the trace and Hermiticity survive, the
+        # field marginal does not
+        ("--nbar 0.5 --tail-tolerance 1e-6 --gamma 0.5 --theta 0.9 --vartheta 0.4 --steps 3 "
+         "--t-max 4 --quadrature-nodes 9", False),
+        ("--nbar 5 --steps 3", True),
+        # three node chunks of 2064
+        ("--nbar 5 --quadrature-nodes 5000 --theta 0.9 --vartheta 0.4", True),
+    ],
+    ids=["aliased", "nbar-5", "5000-nodes"],
+)
+def test_joint_output_carries_the_full_matrix(flags, exact_grid, tmp_path):
     out = tmp_path / "joint.json"
-    argv = ["run", "--mode", "joint", "--nbar", "0.5", "--tail-tolerance", "1e-6",
-            "--gamma", "0.5", "--theta", "0.9", "--vartheta", "0.4", "--steps", "3",
-            "--t-max", "4", "--quadrature-nodes", "9", "--output", str(out)]
+    argv = ["run", "--mode", "joint", *flags.split(), "--output", str(out)]
     assert main(argv) == 0
+    cfg = load_config(None, cli._overrides_from_args(cli._build_parser().parse_args(argv)))
     blob = json.loads(out.read_text())
     assert set(blob) == {
         "config",
@@ -666,30 +703,66 @@ def test_joint_output_carries_the_full_matrix(tmp_path):
         "matrix_re",
         "matrix_im",
     }
-    assert blob["t"] == 4.0
+    assert RunConfig.from_mapping(blob["config"]) == cfg
+    assert blob["t"] == cfg.t_max
     assert blob["atom_labels"] == ["ee", "eg", "ge", "gg"]
-    dim = 4 * blob["fock_dim"]
-    assert len(blob["matrix_re"]) == dim
-    assert len(blob["matrix_im"][0]) == dim
-    # the trace survives any grid, aliased or not
-    assert abs(blob["trace"] - ThermalFieldSpec(0.5, 1e-6).retained_mass()) <= 1e-12
-    assert blob["config"]["gamma"] == 0.5
+    fock = blob["fock_dim"]
+    matrix = np.array(blob["matrix_re"]) + 1j * np.array(blob["matrix_im"])
+    assert matrix.shape == (4 * fock, 4 * fock)
+    assert abs(blob["trace"] - cfg.field().retained_mass()) <= 1e-12
+    assert np.abs(matrix - matrix.conj().T).max() <= 1e-12
+    if exact_grid:
+        field = np.einsum("afag->fg", matrix.reshape(4, fock, 4, fock))
+        assert np.abs(field - np.diag(np.diag(field))).max() <= 1e-12
 
 
-def test_validation_report_shape_and_tolerances():
-    report = render_validation(small_config(steps=5))
-    lines = report.strip().splitlines()
-    assert len(lines) == 6
-    values = {}
-    for line in lines:
-        name, _, value = line.partition(":")
-        values[name.strip()] = float(value)
-    assert values["unitarity defect"] < 1e-11
-    assert values["spectrum vs block diagonalization"] < 1e-10
-    assert values["reduced density, three routes"] < 1e-10
-    assert values["field reconstruction, full period"] < 1e-12
+def _validate_lines(argv, capsys):
+    assert main(["validate", *argv]) == 0
+    out = capsys.readouterr().out
+    return {label: float(value) for label, value in (line.split(": ") for line in out.splitlines())}
+
+
+# Each validate line's ceiling; the unitarity and spectrum lines need only be
+# finite unless a case sets its own.  The half-period line must exceed 1e-2.
+_VALIDATE_CEILINGS = {
+    "unitarity defect": math.inf,
+    "spectrum vs block diagonalization": math.inf,
+    "reduced density, three routes": 1e-10,
+    "field reconstruction, full period": 1e-12,
+    "negativity, closed form vs eigenvalues": 1e-11,
+}
+_EDGE_GAMMA = "--nbar 5 --theta 0.9 --vartheta 0.4 --t-max 50 --gamma "
+
+
+@pytest.mark.parametrize(
+    "flags, ceilings",
+    [
+        ("--nbar 0.5 --tail-tolerance 1e-6 --gamma 0.5 --steps 5 --t-max 4",
+         {"unitarity defect": 1e-11, "spectrum vs block diagonalization": 1e-10}),
+        # N = 1162: the phase engine sums six node chunks
+        ("--nbar 50 --steps 3", {}),
+        # only lambda t enters the dynamics, so the routes must resolve blocks
+        # whose entries are far below 1
+        ("--lambda1 1.4e-8 --lambda2 5.5e-9 --nbar 1 --theta 0.9 --vartheta 0.4 "
+         "--t-max 2.5e9 --steps 7", {}),
+        # sin(Omega_- t)/Omega_- is about t here; coefficients taken as direct
+        # differences would leave a column-norm defect of 4.0e-10
+        ("--nbar 20 --gamma 1e-7 --t-max 1e5 --theta 0.9 --vartheta 0.4",
+         {"unitarity defect": 1e-12}),
+        # a doubly degenerate zero eigenvalue in each block, or a nearly or
+        # fully decoupled second atom: the least determined eigenvectors
+        *((_EDGE_GAMMA + gamma, {"spectrum vs block diagonalization": 1e-11})
+          for gamma in ("0", "1e-9", "0.999999", "1")),
+    ],
+    ids=["small", "nbar-50", "rescaled", "gamma-1e-7-long", "gamma-0", "gamma-1e-9",
+         "gamma-0.999999", "gamma-1"],
+)
+def test_validation_report_shape_and_tolerances(flags, ceilings, capsys):
+    values = _validate_lines(flags.split(), capsys)
+    assert len(values) == 6
+    for label, ceiling in {**_VALIDATE_CEILINGS, **ceilings}.items():
+        assert values[label] < ceiling, label
     assert values["field reconstruction, half period"] > 1e-2
-    assert values["negativity, closed form vs eigenvalues"] < 1e-11
 
 
 def test_validate_diagonalizes_the_block_table_once(monkeypatch):
@@ -749,12 +822,6 @@ def _separate_report(cfg):
 def test_validate_report_equals_the_separate_checks(overrides):
     cfg = RunConfig(mode="validate", **overrides)
     assert render_validation(cfg) == _separate_report(cfg)
-
-
-def _validate_lines(argv, capsys):
-    assert main(["validate", *argv]) == 0
-    out = capsys.readouterr().out
-    return {label: float(value) for label, value in (line.split(": ") for line in out.splitlines())}
 
 
 def test_validate_shows_the_error_of_an_aliased_grid(capsys):
@@ -948,6 +1015,42 @@ def test_output_onto_a_directory_is_an_output_error_and_leaves_no_temp_file(tmp_
     assert list(target.iterdir()) == []
 
 
+def test_a_failed_write_to_stdout_is_an_output_error(monkeypatch, capsys):
+    class FullStream:
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", FullStream())
+    assert main(["run", "--nbar", "0.25", "--steps", "3"]) == 3
+    assert capsys.readouterr().err.startswith("output error: ")
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path):
+    link = tmp_path / "link.csv"
+    link.symlink_to("target.csv")
+    assert main(["run", "--nbar", "0.25", "--steps", "3", "--output", str(link)]) == 0
+    assert os.readlink(link) == "target.csv"
+    assert len(data_lines((tmp_path / "target.csv").read_text())) == 3
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+def test_output_onto_a_fifo_writes_it_in_place(tmp_path):
+    # a rename would put a regular file where the FIFO was
+    fifo = tmp_path / "series.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["run", "--nbar", "0.25", "--steps", "3", "--output", str(fifo)]) == 0
+        received = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert len(data_lines(received)) == 3
+
+
 def test_unexpected_failures_exit_1_with_their_message(monkeypatch, capsys):
     def failing(cfg):
         raise RuntimeError("renderer broke")
@@ -1033,22 +1136,77 @@ _NO_RANDOM_SCRIPT = textwrap.dedent(
 )
 
 
+def _python(args, cwd):
+    """A fresh interpreter run with ``args`` in ``cwd``, able to import this package."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        timeout=120,
+    )
+
+
 def test_no_command_imports_numpy_random(tmp_path):
     # numpy.random adds about 5 MB to a validate process; no command needs
     # it, so every command leaves the same numpy.random modules loaded as a
     # bare "import numpy" does, whether that numpy loads them eagerly or not
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", _NO_RANDOM_SCRIPT],
-        cwd=tmp_path,
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    done = _python(["-c", _NO_RANDOM_SCRIPT], tmp_path)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0, 0, 0]
     assert (tmp_path / "validate.txt").read_text().count("\n") == 6
     assert result["after"] == result["baseline"]
+
+
+# Each command, in the order run, with its exit code and the files it
+# writes.  bad.cfg is not UTF-8 and fails its sweep job alone; bom.cfg starts
+# with a UTF-8 byte-order mark, read as if absent; argparse reads -1e3 as a
+# flag, a usage error.
+_REPEATED = {
+    "validate --nbar 3": (0, []),
+    "run --nbar 1.3 --steps 301": (0, []),
+    "run --mode joint --nbar 2": (0, []),
+    "sweep a.cfg b.cfg --workers 2 --summary s.json": (0, ["a.csv", "b.csv", "s.json"]),
+    "sweep a.cfg bad.cfg b.cfg --summary t.json": (1, ["a.csv", "b.csv", "t.json"]),
+    "run bom.cfg": (0, ["c.csv"]),
+    "run --steps 2 --t-min -1e3": (2, []),
+    "validate --nbar 5 --gamma 0.9": (0, []),
+}
+_REPEATED_CONFIGS = {
+    "a.cfg": b"nbar = 0.5\nsteps = 101\ngamma = 0.3\noutput_path = a.csv\n",
+    "b.cfg": b"nbar = 1.5\nsteps = 51\ntheta = 0.9\nvartheta = 0.4\noutput_path = b.csv\n",
+    "bad.cfg": b"nbar = 0.5\n\xff\xfe\n",
+    "bom.cfg": b"\xef\xbb\xbfnbar = 0.7\nsteps = 21\ngamma = 0.2\noutput_path = c.csv\n",
+}
+
+
+def test_commands_repeat_in_one_interpreter_as_in_their_own(tmp_path, monkeypatch, capsys):
+    # no state carries over from one main call to the next: called in turn
+    # in this process, each command gives the exit code, stdout and files
+    # it gives as a process of its own
+    def outputs(directory, code, stdout):
+        files = {}
+        for path in sorted(directory.iterdir()):
+            if path.name not in _REPEATED_CONFIGS:
+                files[path.name] = path.read_bytes()
+                path.unlink()
+        return code, stdout, files
+
+    for name in ("alone", "together"):
+        (tmp_path / name).mkdir()
+        for config, text in _REPEATED_CONFIGS.items():
+            (tmp_path / name / config).write_bytes(text)
+    alone = []
+    for command in _REPEATED:
+        # the warning filter of pytest does not reach a child process
+        argv = ["-W", "error::RuntimeWarning", "-m", "thermalqubits.cli", *command.split()]
+        done = _python(argv, tmp_path / "alone")
+        alone.append(outputs(tmp_path / "alone", done.returncode, done.stdout.decode()))
+    monkeypatch.chdir(tmp_path / "together")
+    for (command, (code, files)), first in zip(_REPEATED.items(), alone):
+        assert (first[0], sorted(first[2])) == (code, files), command
+        second = outputs(tmp_path / "together", main(command.split()), capsys.readouterr().out)
+        assert second == first, command
